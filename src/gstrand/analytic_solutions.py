@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SingularConfigurationError
+from .errors import ConfigError, SingularConfigurationError, _integer, _number
 from .peakon_dynamics import K0
 
 _WAVE_CHECK_TOL = 1e-6
@@ -124,7 +124,11 @@ class WaveProfile:
 
 
 def profile_from_descriptor(d) -> WaveProfile:
-    """Rebuild a WaveProfile from its JSON descriptor."""
+    """Rebuild a WaveProfile from its JSON descriptor.
+
+    Amplitudes, wavenumbers and phases must be finite JSON numbers and the
+    direction a JSON integer; anything else raises ConfigError.
+    """
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError(f"profile descriptor must be a dict with a 'type' key, got {d!r}")
     kind = d["type"]
@@ -133,12 +137,18 @@ def profile_from_descriptor(d) -> WaveProfile:
             extra = set(d) - {"type", "terms", "direction"}
             if extra:
                 raise ConfigError(f"unknown profile keys {sorted(extra)}")
-            return WaveProfile.traveling(d["terms"], d["direction"])
+            terms = [
+                [_number(x, f"terms[{i}][{j}]") for j, x in enumerate(term)]
+                for i, term in enumerate(d["terms"])
+            ]
+            return WaveProfile.traveling(terms, _integer(d["direction"], "direction"))
         if kind == "standing":
             extra = set(d) - {"type", "amplitude", "wavenumber"}
             if extra:
                 raise ConfigError(f"unknown profile keys {sorted(extra)}")
-            return WaveProfile.standing(d["amplitude"], d["wavenumber"])
+            return WaveProfile.standing(
+                _number(d["amplitude"], "amplitude"), _number(d["wavenumber"], "wavenumber")
+            )
         if kind == "superposition":
             extra = set(d) - {"type", "parts"}
             if extra:

@@ -53,6 +53,14 @@ def _min_gap(q):
     return float(np.min(diff[..., iu[0], iu[1]]))
 
 
+def _check_gap(q):
+    gap = _min_gap(q)
+    if gap < MIN_GAP:
+        raise SingularConfigurationError(
+            f"coincident peakons: minimum position gap {gap:.3e} < {MIN_GAP:.1e}"
+        )
+
+
 @dataclass
 class PeakonState:
     """Positions and momenta of A peakons at each of N_s strand nodes."""
@@ -80,11 +88,7 @@ class PeakonState:
                 raise ValueError(f"{name} must have shape {(n_nodes, count)}, got {f.shape}")
             if not np.all(np.isfinite(f)):
                 raise ValueError(f"{name} contains non-finite entries")
-        gap = _min_gap(self.q)
-        if gap < MIN_GAP:
-            raise SingularConfigurationError(
-                f"coincident peakons: minimum position gap {gap:.3e} < {MIN_GAP:.1e}"
-            )
+        _check_gap(self.q)
 
     @property
     def n_nodes(self):
@@ -106,12 +110,7 @@ class PeakonState:
 def _checked_kernel(q):
     """Kernel matrices with singularity and conditioning guards."""
     count = q.shape[-1]
-    if count > 1:
-        gap = _min_gap(q)
-        if gap < MIN_GAP:
-            raise SingularConfigurationError(
-                f"coincident peakons: minimum position gap {gap:.3e} < {MIN_GAP:.1e}"
-            )
+    _check_gap(q)
     kmat = kernel_matrix(q)
     if count > 1:
         eig = np.linalg.eigvalsh(kmat)
@@ -149,7 +148,7 @@ def _spd_solve(kmat, rhs):
     return y
 
 
-def peakon_rhs(state: PeakonState, stencil: DerivativeStencil):
+def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     """Node-wise time derivatives (dq, dm, dn) of the peakon system.
 
     dQ^a/dt   = sum_b M_b K^{ab}
@@ -157,10 +156,11 @@ def peakon_rhs(state: PeakonState, stencil: DerivativeStencil):
     dN_a/dt   = -d_s M_a + K^{-1} G, with
     G_e       = sum_{b,c} (N_b M_c - M_b N_c) D^{ec} (K^{eb} - K^{cb}).
 
+    Takes the (N_s, A) arrays q, m, n without re-validating them; the
+    coincidence and conditioning guards run once, in ``_checked_kernel``.
     The space-slope relation d_s Q^a = -sum_b N_b K^{ab} is not imposed here;
     see ``s_constraint_residual`` for the matching diagnostic.
     """
-    q, m, n = state.q, state.m, state.n
     kmat = _checked_kernel(q)
     deriv = kernel_deriv(q)
 

@@ -7,6 +7,10 @@ snapshots at a fixed step cadence, evaluates the requested diagnostics over
 the stored trajectory, and writes one CSV per field and per diagnostic plus
 a ``report.json``.  Identical configurations produce byte-identical files.
 
+Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
+parser, initial data, right-hand side on the packed state array, field
+names, diagnostics, and closed-form reference, if it has one.
+
 Initial data for the field models is declarative: each vector component is
 a list of ``[amplitude, wavenumber, phase]`` harmonics summed as
 ``amp * sin(k * s + phase)``, with every wavenumber required to fit an
@@ -21,18 +25,18 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import DiagonalParams
 from .analytic_solutions import (
     CollisionSolution,
-    WaveProfile,
     collision_exact,
     profile_from_descriptor,
     single_peakon_exact,
 )
-from .errors import BlowUpError, ConfigError, SimulationError
+from .errors import BlowUpError, ConfigError, SimulationError, _integer, _number
 from .integrability import aniso_lax, chiral_lax, invariant_drift, zero_curvature_residual
 from .peakon_dynamics import (
     MAX_PEAKONS,
@@ -58,30 +62,6 @@ PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
 ORDER_FLOOR = 1e-13
 
-DEFAULT_CHIRAL_LAMBDAS = (0.5, 1.0, 2.0, -1.0)
-DEFAULT_ANISO_LAMBDAS = (0.0, 0.5, 1.0)
-
-MODELS = (
-    ("spin_chain", "SO(3) spin chain with inertia operators A and B"),
-    ("chiral", "SO(3) chiral model u_t = v_s, v_t = u_s - u x v"),
-    ("aniso_uv", "anisotropic chiral model in (u, v) variables"),
-    ("aniso_xy", "anisotropic chiral model in counter-propagating (X, Y) variables"),
-    ("peakon", "Diff(R)-strand peakon system with free initial data"),
-    ("peakon_single_exact", "single peakon riding a closed-form wave profile"),
-    ("peakon_collision_exact", "antisymmetric peakon-antipeakon pair from a wave profile"),
-)
-MODEL_NAMES = tuple(name for name, _ in MODELS)
-
-_DIAGNOSTICS_BY_MODEL = {
-    "spin_chain": ("zero_curvature",),
-    "chiral": ("zero_curvature",),
-    "aniso_uv": ("lax",),
-    "aniso_xy": ("invariant_drift",),
-    "peakon": ("s_constraint", "conservation_sums"),
-    "peakon_single_exact": ("s_constraint", "conservation_sums"),
-    "peakon_collision_exact": ("s_constraint", "conservation_sums"),
-}
-
 
 def rk4_step(state, rhs, dt):
     """One classical four-stage Runge-Kutta step.
@@ -102,7 +82,7 @@ def rk4_step(state, rhs, dt):
 
 
 # --------------------------------------------------------------------------
-# configuration
+# configuration values
 
 
 def _require_keys(d, required, optional, path):
@@ -116,19 +96,15 @@ def _require_keys(d, required, optional, path):
         raise ConfigError(f"{path} has unknown keys {unknown}")
 
 
-def _number(x, path):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {x!r}")
-    v = float(x)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path} must be finite, got {v}")
-    return v
-
-
-def _integer(x, path):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"{path} must be an integer, got {x!r}")
-    return x
+def _check_period(k, s_length, path):
+    """Return wavenumber ``k`` if it fits a whole number of periods on the strand."""
+    cycles = k * s_length / (2.0 * math.pi)
+    if not (math.isfinite(cycles) and abs(cycles - round(cycles)) <= PERIODICITY_TOL):
+        raise ConfigError(
+            f"{path}: wavenumber {k} does not fit an integer number "
+            f"of periods on a strand of length {s_length}"
+        )
+    return k
 
 
 def _check_terms(terms, s_length, path):
@@ -140,23 +116,9 @@ def _check_terms(terms, s_length, path):
         if not isinstance(term, list) or len(term) != 3:
             raise ConfigError(f"{path}[{i}] must be an [amp, k, phase] triple")
         amp = _number(term[0], f"{path}[{i}][0]")
-        k = _number(term[1], f"{path}[{i}][1]")
-        ph = _number(term[2], f"{path}[{i}][2]")
-        cycles = k * s_length / (2.0 * math.pi)
-        if abs(cycles - round(cycles)) > PERIODICITY_TOL:
-            raise ConfigError(
-                f"{path}[{i}]: wavenumber {k} does not fit an integer number "
-                f"of periods on a strand of length {s_length}"
-            )
-        out.append([amp, k, ph])
+        k = _check_period(_number(term[1], f"{path}[{i}][1]"), s_length, f"{path}[{i}]")
+        out.append([amp, k, _number(term[2], f"{path}[{i}][2]")])
     return out
-
-
-def _check_components(components, s_length, path):
-    """Validate a 3-component harmonic field description."""
-    if not isinstance(components, list) or len(components) != 3:
-        raise ConfigError(f"{path} must be a list of 3 component term lists")
-    return [_check_terms(components[i], s_length, f"{path}[{i}]") for i in range(3)]
 
 
 def _eval_terms(terms, s):
@@ -164,10 +126,6 @@ def _eval_terms(terms, s):
     for amp, k, ph in terms:
         out = out + amp * np.sin(k * s + ph)
     return out
-
-
-def _field_from_components(components, s):
-    return np.stack([_eval_terms(terms, s) for terms in components], axis=1)
 
 
 def _profile_wavenumbers(descriptor):
@@ -183,17 +141,14 @@ def _profile_wavenumbers(descriptor):
 
 
 def _check_profile(descriptor, s_length, path):
+    # the profile's self-check may overflow on wavenumbers the period check rejects
     try:
-        profile = profile_from_descriptor(descriptor)
-    except ValueError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = profile_from_descriptor(descriptor)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for k in _profile_wavenumbers(profile.descriptor):
-        cycles = k * s_length / (2.0 * math.pi)
-        if abs(cycles - round(cycles)) > PERIODICITY_TOL:
-            raise ConfigError(
-                f"{path}: profile wavenumber {k} does not fit an integer "
-                f"number of periods on a strand of length {s_length}"
-            )
+        _check_period(k, s_length, path)
     return profile
 
 
@@ -207,111 +162,287 @@ def _diagonal(x, role, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _validate_params(model, params, s_length):
-    path = "params"
-    if model == "spin_chain":
-        _require_keys(params, ("A", "B", "initial"), (), path)
-        _require_keys(params["initial"], ("u", "v"), (), f"{path}.initial")
-        a = _diagonal(params["A"], "inertia-A", f"{path}.A")
-        b = _diagonal(params["B"], "inertia-B", f"{path}.B")
-        return {
-            "spin_params": SpinChainParams(a, b),
-            "initial_u": _check_components(params["initial"]["u"], s_length, f"{path}.initial.u"),
-            "initial_v": _check_components(params["initial"]["v"], s_length, f"{path}.initial.v"),
+# --------------------------------------------------------------------------
+# model parameters and initial data
+
+
+def _initial_terms(initial, names, width, s_length):
+    """Harmonic series of each named initial field, one per column of its slot."""
+    _require_keys(initial, names, (), "params.initial")
+    out = []
+    for name in names:
+        path, columns = f"params.initial.{name}", initial[name]
+        if not isinstance(columns, list) or len(columns) != width:
+            raise ConfigError(f"{path} must be a list of {width} term lists, one per column")
+        out.append([
+            _check_terms(terms, s_length, f"{path}[{j}]") for j, terms in enumerate(columns)
+        ])
+    return out
+
+
+def _harmonic_fields(p, s):
+    """Packed state from ``_initial_terms``: one (N_s, width) slot per field."""
+    return np.stack([
+        np.stack([_eval_terms(terms, s) for terms in columns], axis=1)
+        for columns in p["initial"]
+    ])
+
+
+def _parse_fields(names, **diagonals):
+    """Parser for a two-field model: diagonal operators plus (N_s, 3) initial fields."""
+
+    def parse(params, s_length):
+        _require_keys(params, (*diagonals, "initial"), (), "params")
+        parsed = {
+            key: _diagonal(params[key], role, f"params.{key}")
+            for key, role in diagonals.items()
         }
-    if model == "chiral":
-        _require_keys(params, ("initial",), (), path)
-        _require_keys(params["initial"], ("u", "v"), (), f"{path}.initial")
-        return {
-            "initial_u": _check_components(params["initial"]["u"], s_length, f"{path}.initial.u"),
-            "initial_v": _check_components(params["initial"]["v"], s_length, f"{path}.initial.v"),
-        }
-    if model == "aniso_uv":
-        _require_keys(params, ("P", "initial"), (), path)
-        _require_keys(params["initial"], ("u", "v"), (), f"{path}.initial")
-        return {
-            "p": _diagonal(params["P"], "anisotropy-P", f"{path}.P"),
-            "initial_u": _check_components(params["initial"]["u"], s_length, f"{path}.initial.u"),
-            "initial_v": _check_components(params["initial"]["v"], s_length, f"{path}.initial.v"),
-        }
-    if model == "aniso_xy":
-        _require_keys(params, ("P", "initial"), (), path)
-        _require_keys(params["initial"], ("X", "Y"), (), f"{path}.initial")
-        return {
-            "p": _diagonal(params["P"], "anisotropy-P", f"{path}.P"),
-            "initial_x": _check_components(params["initial"]["X"], s_length, f"{path}.initial.X"),
-            "initial_y": _check_components(params["initial"]["Y"], s_length, f"{path}.initial.Y"),
-        }
-    if model == "peakon":
-        _require_keys(params, ("count", "initial"), (), path)
-        count = _integer(params["count"], f"{path}.count")
-        if not 1 <= count <= MAX_PEAKONS:
-            raise ConfigError(f"{path}.count must be in [1, {MAX_PEAKONS}], got {count}")
-        _require_keys(params["initial"], ("q", "m", "n"), (), f"{path}.initial")
-        parsed = {"count": count}
-        for key in ("q", "m", "n"):
-            rows = params["initial"][key]
-            if not isinstance(rows, list) or len(rows) != count:
-                raise ConfigError(
-                    f"{path}.initial.{key} must be a list of {count} per-peakon term lists"
-                )
-            parsed[f"initial_{key}"] = [
-                _check_terms(rows[a], s_length, f"{path}.initial.{key}[{a}]")
-                for a in range(count)
-            ]
+        parsed["initial"] = _initial_terms(params["initial"], names, 3, s_length)
         return parsed
-    if model == "peakon_single_exact":
-        _require_keys(params, ("profile",), (), path)
-        return {"profile": _check_profile(params["profile"], s_length, f"{path}.profile")}
-    if model == "peakon_collision_exact":
-        _require_keys(params, ("profile", "branch"), (), path)
-        branch = _integer(params["branch"], f"{path}.branch")
-        if branch not in (1, -1):
-            raise ConfigError(f"{path}.branch must be +1 or -1, got {branch}")
-        profile = _check_profile(params["profile"], s_length, f"{path}.profile")
-        return {"solution": CollisionSolution(profile, branch)}
-    raise ConfigError(f"unknown model {model!r}, expected one of {list(MODEL_NAMES)}")
+
+    return parse
 
 
-def _validate_diagnostics(model, diags, n_snapshots):
+def _parse_peakons(params, s_length):
+    _require_keys(params, ("count", "initial"), (), "params")
+    count = _integer(params["count"], "params.count")
+    if not 1 <= count <= MAX_PEAKONS:
+        raise ConfigError(f"params.count must be in [1, {MAX_PEAKONS}], got {count}")
+    return {"count": count,
+            "initial": _initial_terms(params["initial"], ("q", "m", "n"), count, s_length)}
+
+
+def _parse_single(params, s_length):
+    _require_keys(params, ("profile",), (), "params")
+    return {"profile": _check_profile(params["profile"], s_length, "params.profile")}
+
+
+def _single_fields(p, s):
+    return np.stack([f[:, None] for f in single_peakon_exact(p["profile"], s, 0.0)])
+
+
+def _single_errors(p, s, snaps, times):
+    columns = {"err_Q": [], "err_M": [], "err_N": []}
+    for t, y in zip(times, snaps):
+        exact = single_peakon_exact(p["profile"], s, t)
+        for series, field, ref in zip(columns.values(), y, exact):
+            series.append(np.max(np.abs(field - ref[:, None])))
+    return {key: np.array(series) for key, series in columns.items()}
+
+
+def _parse_collision(params, s_length):
+    _require_keys(params, ("profile", "branch"), (), "params")
+    branch = _integer(params["branch"], "params.branch")
+    if branch not in (1, -1):
+        raise ConfigError(f"params.branch must be +1 or -1, got {branch}")
+    profile = _check_profile(params["profile"], s_length, "params.profile")
+    return {"solution": CollisionSolution(profile, branch)}
+
+
+def _collision_fields(p, s):
+    sample = collision_exact(p["solution"], s, 0.0)  # (q1, q2, m1, m2, n1, n2, x)
+    return np.stack([np.stack(sample[i:i + 2], axis=1) for i in (0, 2, 4)])
+
+
+def _collision_errors(p, s, snaps, times):
+    sol = p["solution"]
+    return {"err_X": np.array([
+        np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - sol.separation(s, t)))
+        for t, y in zip(times, snaps)
+    ])}
+
+
+def _spin_chain_rhs(p, sten):
+    params = SpinChainParams(p["A"], p["B"])
+    return lambda y: np.stack(spin_chain_rhs(y[0], y[1], params, sten))
+
+
+def _peakon_rhs(p, sten):
+    return lambda y: np.stack(peakon_rhs(y[0], y[1], y[2], sten))
+
+
+# --------------------------------------------------------------------------
+# diagnostics over stored snapshots; each returns its named series
+
+
+def _series_max(fields):
+    """Per-time max magnitude of a (T, ...) residual stack."""
+    return np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1)
+
+
+def _lax_columns(cfg, sten, states, connection, lambdas):
+    dt_snap = cfg.dt * cfg.cadence
+    return {
+        f"lam_{lam:g}": _series_max(zero_curvature_residual(
+            [connection(st, lam) for st in states], sten, dt_snap).fields)
+        for lam in lambdas
+    }
+
+
+def _chiral_curvature(cfg, sten, snaps, lambdas):
+    states = [So3StrandState(cfg.s_length, y[0], y[1]) for y in snaps]
+    return _lax_columns(cfg, sten, states, chiral_lax, lambdas)
+
+
+def _aniso_curvature(cfg, sten, snaps, lambdas):
+    # curvature of the so(4) connection vanishes along trajectories of the
+    # doubled fields; see aniso_lax
+    doubled = [So3StrandState(cfg.s_length, 2.0 * y[0], 2.0 * y[1]) for y in snaps]
+    p = cfg.params["P"]
+    return _lax_columns(cfg, sten, doubled, lambda st, lam: aniso_lax(st, lam, p), lambdas)
+
+
+def _compatibility(cfg, sten, snaps, lambdas):
+    u = np.stack([y[0] for y in snaps])
+    v = np.stack([y[1] for y in snaps])
+    return {"residual": _series_max(compatibility_residual(u, v, sten, cfg.dt * cfg.cadence))}
+
+
+def _invariant_drift(cfg, sten, snaps, lambdas):
+    drift = invariant_drift([XYState(cfg.s_length, y[0], y[1]) for y in snaps])
+    return {"drift_X": drift.x_series, "drift_Y": drift.y_series}
+
+
+def _s_constraint(cfg, sten, snaps, lambdas):
+    return {"residual": np.array([
+        np.max(np.abs(s_constraint_residual(PeakonState(cfg.s_length, *y), sten)))
+        for y in snaps
+    ])}
+
+
+def _conservation_sums(cfg, sten, snaps, lambdas):
+    ds = cfg.s_length / cfg.n_nodes
+    columns = {"sum_M": np.array([np.sum(y[1]) * ds for y in snaps])}
+    if snaps[0].shape[2] == 2:
+        columns["sum_N_skew"] = np.array(
+            [np.sum(y[2][:, 0] - y[2][:, 1]) * ds for y in snaps]
+        )
+    return columns
+
+
+# --------------------------------------------------------------------------
+# the model table
+
+
+class Diagnostic(NamedTuple):
+    """One diagnostic kind of a model."""
+
+    evaluate: Callable  # (cfg, stencil, snapshots, lambdas) -> named series
+    lambdas: tuple | None = None  # default spectral parameters; None: takes none
+    pole_at_zero: bool = False  # reject lambda = 0
+    centered: bool = False  # centered time difference: needs 3 snapshots, interior times
+
+
+class ModelSpec(NamedTuple):
+    """Everything the harness knows about one model.
+
+    The functions in a record call the RHS, Lax and reference functions by
+    their module names when a run uses them, so those stay patchable.
+    """
+
+    name: str
+    description: str
+    parse: Callable  # (params, S) -> parsed params; validates, evaluates no field
+    initial: Callable  # (parsed, s) -> packed initial state
+    rhs: Callable  # (parsed, stencil) -> function of the packed state
+    fields: tuple  # output name of each slot of the packed state
+    diagnostics: dict  # kind -> Diagnostic
+    reference: Callable | None = None  # (parsed, s, snapshots, times) -> error columns
+
+
+_PEAKON_DIAGNOSTICS = {
+    "s_constraint": Diagnostic(_s_constraint),
+    "conservation_sums": Diagnostic(_conservation_sums),
+}
+
+
+MODEL_SPECS = (
+    ModelSpec(
+        "spin_chain", "SO(3) spin chain with inertia operators A and B",
+        _parse_fields(("u", "v"), A="inertia-A", B="inertia-B"), _harmonic_fields,
+        _spin_chain_rhs, ("u", "v"),
+        {"zero_curvature": Diagnostic(_compatibility, centered=True)},
+    ),
+    ModelSpec(
+        "chiral", "SO(3) chiral model u_t = v_s, v_t = u_s - u x v",
+        _parse_fields(("u", "v")), _harmonic_fields,
+        lambda p, sten: lambda y: np.stack(chiral_rhs(y[0], y[1], sten)), ("u", "v"),
+        {"zero_curvature": Diagnostic(_chiral_curvature, (0.5, 1.0, 2.0, -1.0),
+                                      pole_at_zero=True, centered=True)},
+    ),
+    ModelSpec(
+        "aniso_uv", "anisotropic chiral model in (u, v) variables",
+        _parse_fields(("u", "v"), P="anisotropy-P"), _harmonic_fields,
+        lambda p, sten: lambda y: np.stack(aniso_rhs_uv(y[0], y[1], p["P"], sten)),
+        ("u", "v"),
+        {"lax": Diagnostic(_aniso_curvature, (0.0, 0.5, 1.0), centered=True)},
+    ),
+    ModelSpec(
+        "aniso_xy", "anisotropic chiral model in counter-propagating (X, Y) variables",
+        _parse_fields(("X", "Y"), P="anisotropy-P"), _harmonic_fields,
+        lambda p, sten: lambda y: np.stack(aniso_rhs_XY(y[0], y[1], p["P"], sten)),
+        ("X", "Y"),
+        {"invariant_drift": Diagnostic(_invariant_drift)},
+    ),
+    ModelSpec(
+        "peakon", "Diff(R)-strand peakon system with free initial data",
+        _parse_peakons, _harmonic_fields, _peakon_rhs, ("Q", "M", "N"), _PEAKON_DIAGNOSTICS,
+    ),
+    ModelSpec(
+        "peakon_single_exact", "single peakon riding a closed-form wave profile",
+        _parse_single, _single_fields, _peakon_rhs, ("Q", "M", "N"), _PEAKON_DIAGNOSTICS,
+        _single_errors,
+    ),
+    ModelSpec(
+        "peakon_collision_exact", "antisymmetric peakon-antipeakon pair from a wave profile",
+        _parse_collision, _collision_fields, _peakon_rhs, ("Q", "M", "N"),
+        _PEAKON_DIAGNOSTICS, _collision_errors,
+    ),
+)
+MODEL_NAMES = tuple(spec.name for spec in MODEL_SPECS)
+_SPECS = dict(zip(MODEL_NAMES, MODEL_SPECS))
+
+
+# --------------------------------------------------------------------------
+# configuration
+
+
+def _validate_diagnostics(spec, diags, n_snapshots):
     if not isinstance(diags, list):
         raise ConfigError("diagnostics must be a list")
-    allowed = _DIAGNOSTICS_BY_MODEL[model]
-    seen = set()
     out = []
     for i, entry in enumerate(diags):
         path = f"diagnostics[{i}]"
         _require_keys(entry, ("kind",), ("lambdas",), path)
         kind = entry["kind"]
-        if not isinstance(kind, str) or kind not in allowed:
+        if not isinstance(kind, str) or kind not in spec.diagnostics:
             raise ConfigError(
-                f"{path}.kind {kind!r} is not valid for model {model!r}; "
-                f"allowed: {list(allowed)}"
+                f"{path}.kind {kind!r} is not valid for model {spec.name!r}; "
+                f"allowed: {list(spec.diagnostics)}"
             )
-        if kind in seen:
+        if any(prev["kind"] == kind for prev in out):
             raise ConfigError(f"{path}: diagnostic {kind!r} requested more than once")
-        seen.add(kind)
+        diag = spec.diagnostics[kind]
         parsed = {"kind": kind}
         if "lambdas" in entry:
-            if kind == "zero_curvature" and model == "spin_chain":
+            if diag.lambdas is None:
                 raise ConfigError(
-                    f"{path}: the spin-chain compatibility residual takes no "
-                    "spectral parameters"
+                    f"{path}: {kind!r} of model {spec.name!r} takes no spectral "
+                    "parameters ('lambdas')"
                 )
-            if kind not in ("zero_curvature", "lax"):
-                raise ConfigError(f"{path}: {kind!r} takes no 'lambdas' key")
             lams = entry["lambdas"]
             if not isinstance(lams, list) or not lams:
                 raise ConfigError(f"{path}.lambdas must be a non-empty list of numbers")
-            vals = [_number(v, f"{path}.lambdas[{j}]") for j, v in enumerate(lams)]
-            if kind == "zero_curvature" and any(v == 0.0 for v in vals):
-                raise ConfigError(f"{path}.lambdas: the chiral pair has a pole at lambda 0")
-            parsed["lambdas"] = tuple(vals)
-        elif kind == "zero_curvature" and model == "chiral":
-            parsed["lambdas"] = DEFAULT_CHIRAL_LAMBDAS
-        elif kind == "lax":
-            parsed["lambdas"] = DEFAULT_ANISO_LAMBDAS
-        if kind in ("zero_curvature", "lax") and n_snapshots < 3:
+            parsed["lambdas"] = tuple(
+                _number(v, f"{path}.lambdas[{j}]") for j, v in enumerate(lams)
+            )
+            if diag.pole_at_zero and 0.0 in parsed["lambdas"]:
+                raise ConfigError(
+                    f"{path}.lambdas: the {spec.name} pair has a pole at lambda 0"
+                )
+        elif diag.lambdas is not None:
+            parsed["lambdas"] = diag.lambdas
+        if diag.centered and n_snapshots < 3:
             raise ConfigError(
                 f"{path}: {kind!r} needs at least 3 stored snapshots for the "
                 f"centered time difference; cadence stores only {n_snapshots}"
@@ -351,6 +482,9 @@ class ScenarioConfig:
         n_nodes = _integer(grid["N_s"], "grid.N_s")
         if n_nodes < MIN_NODES:
             raise ConfigError(f"grid.N_s must be at least {MIN_NODES}, got {n_nodes}")
+        ds = s_length / _number(n_nodes, "grid.N_s")
+        if ds == 0.0:
+            raise ConfigError(f"grid spacing S / N_s = {s_length} / {n_nodes} underflows to 0")
         dt = _number(grid["dt"], "grid.dt")
         if dt <= 0.0:
             raise ConfigError(f"grid.dt must be positive, got {dt}")
@@ -358,12 +492,13 @@ class ScenarioConfig:
         if t_end < dt:
             raise ConfigError(f"grid.t_end must be at least one step, got {t_end} < {dt}")
         steps = t_end / dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"grid.t_end / grid.dt = {t_end} / {dt} overflows")
         n_steps = round(steps)
         if abs(steps - n_steps) > DIVISIBILITY_TOL * max(1.0, n_steps):
             raise ConfigError(
                 f"grid.t_end = {t_end} is not an integer multiple of dt = {dt}"
             )
-        ds = s_length / n_nodes
         cfl = dt / ds
         if cfl > CFL_LIMIT + 1e-12:
             raise ConfigError(
@@ -383,9 +518,9 @@ class ScenarioConfig:
                 f"output.cadence = {cadence} does not divide the {n_steps} steps"
             )
 
-        n_snapshots = n_steps // cadence + 1
-        params = _validate_params(model, d["params"], s_length)
-        diagnostics = _validate_diagnostics(model, d["diagnostics"], n_snapshots)
+        spec = _SPECS[model]
+        params = spec.parse(d["params"], s_length)
+        diagnostics = _validate_diagnostics(spec, d["diagnostics"], n_steps // cadence + 1)
         return cls(
             model=model,
             s_length=s_length,
@@ -423,7 +558,7 @@ class ScenarioConfig:
 
 
 # --------------------------------------------------------------------------
-# model runtimes
+# diagnostics and reference errors over a run
 
 
 def _guard_finite(y):
@@ -431,187 +566,23 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _build_runtime(cfg: ScenarioConfig):
-    """Initial packed state, RHS closure, and output layout for a scenario."""
-    ds = cfg.s_length / cfg.n_nodes
-    s = np.arange(cfg.n_nodes) * ds
-    sten = DerivativeStencil(order=2, ds=ds)
-    length = cfg.s_length
-    p = cfg.params
-
-    if cfg.model in ("spin_chain", "chiral", "aniso_uv"):
-        u0 = _field_from_components(p["initial_u"], s)
-        v0 = _field_from_components(p["initial_v"], s)
-        y0 = np.stack([u0, v0])
-        if cfg.model == "spin_chain":
-            spin_params = p["spin_params"]
-
-            def rhs(y):
-                _guard_finite(y)
-                du, dv = spin_chain_rhs(So3StrandState(length, y[0], y[1]), spin_params, sten)
-                return np.stack([du, dv])
-
-        elif cfg.model == "chiral":
-
-            def rhs(y):
-                _guard_finite(y)
-                du, dv = chiral_rhs(So3StrandState(length, y[0], y[1]), sten)
-                return np.stack([du, dv])
-
-        else:
-            aniso_p = p["p"]
-
-            def rhs(y):
-                _guard_finite(y)
-                du, dv = aniso_rhs_uv(So3StrandState(length, y[0], y[1]), aniso_p, sten)
-                return np.stack([du, dv])
-
-        fields = [("u", lambda y: y[0]), ("v", lambda y: y[1])]
-        return {"y0": y0, "rhs": rhs, "fields": fields, "stencil": sten,
-                "s": s, "reference": None}
-
-    if cfg.model == "aniso_xy":
-        x0 = _field_from_components(p["initial_x"], s)
-        yy0 = _field_from_components(p["initial_y"], s)
-        y0 = np.stack([x0, yy0])
-        aniso_p = p["p"]
-
-        def rhs(y):
-            _guard_finite(y)
-            dx, dy = aniso_rhs_XY(XYState(length, y[0], y[1]), aniso_p, sten)
-            return np.stack([dx, dy])
-
-        fields = [("X", lambda y: y[0]), ("Y", lambda y: y[1])]
-        return {"y0": y0, "rhs": rhs, "fields": fields, "stencil": sten,
-                "s": s, "reference": None}
-
-    # peakon family: packed state (3, N_s, A) holding q, m, n
-    if cfg.model == "peakon":
-        count = p["count"]
-        q0 = np.stack([_eval_terms(t, s) for t in p["initial_q"]], axis=1)
-        m0 = np.stack([_eval_terms(t, s) for t in p["initial_m"]], axis=1)
-        n0 = np.stack([_eval_terms(t, s) for t in p["initial_n"]], axis=1)
-        reference = None
-    elif cfg.model == "peakon_single_exact":
-        profile = p["profile"]
-        q, m, n = single_peakon_exact(profile, s, 0.0)
-        q0, m0, n0 = q[:, None], m[:, None], n[:, None]
-
-        def reference(t):
-            q, m, n = single_peakon_exact(profile, s, t)
-            return {"Q": q[:, None], "M": m[:, None], "N": n[:, None]}
-
-    else:
-        sol = p["solution"]
-        sample = collision_exact(sol, s, 0.0)
-        q0 = np.stack([sample.q1, sample.q2], axis=1)
-        m0 = np.stack([sample.m1, sample.m2], axis=1)
-        n0 = np.stack([sample.n1, sample.n2], axis=1)
-
-        def reference(t):
-            return {"X": sol.separation(s, t)}
-
-    y0 = np.stack([q0, m0, n0])
-
-    def rhs(y):
-        _guard_finite(y)
-        dq, dm, dn = peakon_rhs(PeakonState(length, y[0], y[1], y[2]), sten)
-        return np.stack([dq, dm, dn])
-
-    fields = [("Q", lambda y: y[0]), ("M", lambda y: y[1]), ("N", lambda y: y[2])]
-    return {"y0": y0, "rhs": rhs, "fields": fields, "stencil": sten,
-            "s": s, "reference": reference}
-
-
-# --------------------------------------------------------------------------
-# diagnostics over stored snapshots
-
-
-def _series_max(fields):
-    """Per-time max magnitude of a (T, ...) residual stack."""
-    return np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1)
-
-
-def _evaluate_diagnostics(cfg, runtime, snaps, times):
+def _evaluate_diagnostics(cfg, sten, snaps, times):
     out = {}
-    sten = runtime["stencil"]
-    dt_snap = cfg.dt * cfg.cadence
-    length = cfg.s_length
-    ds = length / cfg.n_nodes
-
-    so3_states = None
-    peakon_states = None
-
     for entry in cfg.diagnostics:
-        kind = entry["kind"]
-        if kind == "zero_curvature":
-            if cfg.model == "chiral":
-                if so3_states is None:
-                    so3_states = [So3StrandState(length, y[0], y[1]) for y in snaps]
-                columns = {}
-                for lam in entry["lambdas"]:
-                    conns = [chiral_lax(st, lam) for st in so3_states]
-                    res = zero_curvature_residual(conns, sten, dt_snap)
-                    columns[f"lam_{lam:g}"] = _series_max(res.fields)
-            else:
-                u = np.stack([y[0] for y in snaps])
-                v = np.stack([y[1] for y in snaps])
-                res = compatibility_residual(u, v, sten, dt_snap)
-                columns = {"residual": _series_max(res)}
-            out[kind] = {"times": np.asarray(times[1:-1]), "columns": columns}
-        elif kind == "lax":
-            # curvature of the so(4) connection vanishes along trajectories of
-            # the doubled fields; see aniso_lax
-            columns = {}
-            aniso_p = cfg.params["p"]
-            doubled = [So3StrandState(length, 2.0 * y[0], 2.0 * y[1]) for y in snaps]
-            for lam in entry["lambdas"]:
-                conns = [aniso_lax(st, lam, aniso_p) for st in doubled]
-                res = zero_curvature_residual(conns, sten, dt_snap)
-                columns[f"lam_{lam:g}"] = _series_max(res.fields)
-            out[kind] = {"times": np.asarray(times[1:-1]), "columns": columns}
-        elif kind == "invariant_drift":
-            traj = [XYState(length, y[0], y[1]) for y in snaps]
-            drift = invariant_drift(traj)
-            out[kind] = {
-                "times": np.asarray(times),
-                "columns": {"drift_X": drift.x_series, "drift_Y": drift.y_series},
-            }
-        elif kind == "s_constraint":
-            if peakon_states is None:
-                peakon_states = [PeakonState(length, y[0], y[1], y[2]) for y in snaps]
-            series = np.array(
-                [np.max(np.abs(s_constraint_residual(st, sten))) for st in peakon_states]
-            )
-            out[kind] = {"times": np.asarray(times), "columns": {"residual": series}}
-        elif kind == "conservation_sums":
-            m_sum = np.array([np.sum(y[1]) * ds for y in snaps])
-            columns = {"sum_M": m_sum}
-            if snaps[0].shape[2] == 2:
-                columns["sum_N_skew"] = np.array(
-                    [np.sum(y[2][:, 0] - y[2][:, 1]) * ds for y in snaps]
-                )
-            out[kind] = {"times": np.asarray(times), "columns": columns}
+        diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
+        columns = diag.evaluate(cfg, sten, snaps, entry.get("lambdas"))
+        out[entry["kind"]] = {
+            "times": np.asarray(times[1:-1] if diag.centered else times),
+            "columns": columns,
+        }
     return out
 
 
-def _reference_errors(runtime, snaps, times):
-    ref = runtime["reference"]
-    if ref is None:
+def _reference_errors(cfg, s, snaps, times):
+    reference = _SPECS[cfg.model].reference
+    if reference is None:
         return None
-    names = [("Q", 0), ("M", 1), ("N", 2)]
-    columns = {}
-    for k, (t, y) in enumerate(zip(times, snaps)):
-        exact = ref(t)
-        if "X" in exact:
-            err = {"err_X": np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - exact["X"]))}
-        else:
-            err = {
-                f"err_{name}": np.max(np.abs(y[idx] - exact[name])) for name, idx in names
-            }
-        for key, val in err.items():
-            columns.setdefault(key, np.empty(len(times)))[k] = val
-    return {"times": np.asarray(times), "columns": columns}
+    return {"times": np.asarray(times), "columns": reference(cfg.params, s, snaps, times)}
 
 
 def _diagnostic_scalar(name, data):
@@ -639,6 +610,13 @@ class RunReport:
     reference_error: dict | None
     status: str
 
+    def series(self):
+        """Diagnostic series plus the reference error, keyed by output name."""
+        out = dict(self.diagnostics)
+        if self.reference_error is not None:
+            out["reference_error"] = self.reference_error
+        return out
+
     def summary(self):
         """JSON-ready dict of scalar maxima, deterministic key order."""
         diag = {}
@@ -664,13 +642,12 @@ class RunReport:
         return out
 
 
-def _write_csv(path, header, times, rows_per_time):
-    """rows_per_time: callable k -> iterable of row tuples (already floats)."""
+def _write_csv(path, header, rows):
+    """One CSV file; each row is a tuple of ints and floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(len(times)):
-            for row in rows_per_time(k):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v):
@@ -679,39 +656,23 @@ def _fmt(v):
     return "%.17g" % v
 
 
-def _write_outputs(cfg, runtime, report, directory):
+def _write_outputs(cfg, report, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, extract in runtime["fields"]:
-        ncols = extract(report.snapshots[0]).shape[1]
+    ncols = report.snapshots[0].shape[2]
+    for slot, name in enumerate(_SPECS[cfg.model].fields):
         header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
+        rows = (
+            (t, idx, *values)
+            for t, y in zip(report.times, report.snapshots)
+            for idx, values in enumerate(y[slot])
+        )
+        _write_csv(directory / f"{name}.csv", header, rows)
 
-        def rows(k, extract=extract):
-            t = report.times[k]
-            arr = extract(report.snapshots[k])
-            for idx in range(arr.shape[0]):
-                yield (t, idx, *arr[idx])
-
-        _write_csv(directory / f"{name}.csv", header, report.times, rows)
-
-    for diag_name, data in report.diagnostics.items():
-        keys = list(data["columns"])
-        header = "t," + ",".join(keys)
-
-        def rows(k, data=data, keys=keys):
-            yield (data["times"][k], *(data["columns"][key][k] for key in keys))
-
-        _write_csv(directory / f"{diag_name}.csv", header, data["times"], rows)
-
-    if report.reference_error is not None:
-        data = report.reference_error
-        keys = list(data["columns"])
-        header = "t," + ",".join(keys)
-
-        def rows(k, data=data, keys=keys):
-            yield (data["times"][k], *(data["columns"][key][k] for key in keys))
-
-        _write_csv(directory / "reference_error.csv", header, data["times"], rows)
+    for name, data in report.series().items():
+        header = "t," + ",".join(data["columns"])
+        _write_csv(directory / f"{name}.csv", header,
+                   zip(data["times"], *data["columns"].values()))
 
     with open(directory / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)
@@ -728,31 +689,46 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
     Writes CSV and report files when the config (or ``out_dir``) names an
     output directory.  On blow-up or singular configurations the snapshots
     collected so far are still written before the error is re-raised, so
-    partial trajectories stay inspectable.
+    partial trajectories stay inspectable; a failure on the very first
+    stage evaluation is reported against the initial data at t = 0.
     """
-    runtime = _build_runtime(cfg)
-    y = runtime["y0"].copy()
-    snaps = [y.copy()]
+    spec = _SPECS[cfg.model]
+    ds = cfg.s_length / cfg.n_nodes
+    s = np.arange(cfg.n_nodes) * ds
+    sten = DerivativeStencil(order=2, ds=ds)
+    model_rhs = spec.rhs(cfg.params, sten)
+    stages = 0
+
+    def rhs(y):
+        nonlocal stages
+        stages += 1
+        _guard_finite(y)
+        return model_rhs(y)
+
+    y = spec.initial(cfg.params, s)
+    snaps = [y]
     times = [0.0]
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i in range(cfg.n_steps):
                 try:
-                    y = rk4_step(y, runtime["rhs"], cfg.dt)
+                    y = rk4_step(y, rhs, cfg.dt)
                 except SimulationError as exc:
-                    raise type(exc)(
-                        f"{exc} (step {i + 1}, t = {(i + 1) * cfg.dt:.9g})"
-                    ) from exc
+                    where = (
+                        "initial data, t = 0" if stages == 1
+                        else f"step {i + 1}, t = {(i + 1) * cfg.dt:.9g}"
+                    )
+                    raise type(exc)(f"{exc} ({where})") from exc
                 if (i + 1) % cfg.cadence == 0:
-                    snaps.append(y.copy())
+                    snaps.append(y)
                     times.append((i + 1) * cfg.dt)
         except SimulationError as exc:
             failure = exc
 
     if failure is None:
-        diagnostics = _evaluate_diagnostics(cfg, runtime, snaps, times)
-        reference = _reference_errors(runtime, snaps, times)
+        diagnostics = _evaluate_diagnostics(cfg, sten, snaps, times)
+        reference = _reference_errors(cfg, s, snaps, times)
         status = "ok"
     else:
         diagnostics = {}
@@ -770,7 +746,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
     )
     directory = out_dir if out_dir is not None else cfg.directory
     if directory is not None:
-        _write_outputs(cfg, runtime, report, directory)
+        _write_outputs(cfg, report, directory)
     if failure is not None:
         raise failure
     return report
@@ -793,14 +769,8 @@ def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
         level_cfg = cfg.refined(2**k)
         report = run_scenario(level_cfg, out_dir=None)
         levels.append({"N_s": level_cfg.n_nodes, "dt": level_cfg.dt})
-        for name, data in report.diagnostics.items():
+        for name, data in report.series().items():
             errors.setdefault(name, []).append(_diagnostic_scalar(name, data))
-        if report.reference_error is not None:
-            scalar = max(
-                float(np.max(series))
-                for series in report.reference_error["columns"].values()
-            )
-            errors.setdefault("reference_error", []).append(scalar)
 
     study = {"levels": levels, "diagnostics": {}}
     for name, errs in errors.items():
@@ -820,4 +790,4 @@ def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
 
 def list_scenarios():
     """Registered model names with one-line descriptions."""
-    return list(MODELS)
+    return [(spec.name, spec.description) for spec in MODEL_SPECS]

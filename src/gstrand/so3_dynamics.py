@@ -2,7 +2,8 @@
 
 All fields live on a uniform periodic grid of N_s nodes covering [0, S).
 States carry two vector fields u(s), v(s): the time and space angular
-velocities of the strand.  Right-hand sides return node-wise time
+velocities of the strand.  Right-hand sides take the (N_s, 3) field arrays
+directly, without re-validating them, and return node-wise time
 derivatives for method-of-lines integration.
 """
 
@@ -106,13 +107,12 @@ class SpinChainParams:
             raise ValueError(f"second operator must have role 'inertia-B', got {self.b.role!r}")
 
 
-def spin_chain_rhs(state: So3StrandState, params: SpinChainParams, stencil: DerivativeStencil):
+def spin_chain_rhs(u, v, params: SpinChainParams, stencil: DerivativeStencil):
     """Euler-Poincare spin-chain equations.
 
     d/dt(Au) + u x (Au) + d/ds(Bv) + v x (Bv) = 0 solved for u_t, together
     with the compatibility equation v_t = u_s + v x u.
     """
-    u, v = state.u, state.v
     au = params.a.apply(u)
     bv = params.b.apply(v)
     du = -params.a.solve(np.cross(u, au) + stencil(bv) + np.cross(v, bv))
@@ -120,9 +120,8 @@ def spin_chain_rhs(state: So3StrandState, params: SpinChainParams, stencil: Deri
     return du, dv
 
 
-def chiral_rhs(state: So3StrandState, stencil: DerivativeStencil):
+def chiral_rhs(u, v, stencil: DerivativeStencil):
     """Principal chiral model: u_t = v_s, v_t = u_s - u x v."""
-    u, v = state.u, state.v
     return stencil(v), stencil(u) - np.cross(u, v)
 
 
@@ -142,7 +141,7 @@ def lie_poisson_rhs_spin_chain(m_field, v_field, params: SpinChainParams, stenci
     return dm, dv
 
 
-def aniso_rhs_uv(state: So3StrandState, p: DiagonalParams, stencil: DerivativeStencil):
+def aniso_rhs_uv(u, v, p: DiagonalParams, stencil: DerivativeStencil):
     """Anisotropic chiral model in (u, v) variables with coupling weights P.
 
     u_t = v_s - v x (Pv) + u x (Pu)
@@ -150,7 +149,6 @@ def aniso_rhs_uv(state: So3StrandState, p: DiagonalParams, stencil: DerivativeSt
     """
     if p.role != "anisotropy-P":
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    u, v = state.u, state.v
     pu = p.apply(u)
     pv = p.apply(v)
     du = stencil(v) - np.cross(v, pv) + np.cross(u, pu)
@@ -168,7 +166,7 @@ def from_XY(xy: XYState) -> So3StrandState:
     return So3StrandState(length=xy.length, u=0.5 * (xy.x - xy.y), v=-0.5 * (xy.x + xy.y))
 
 
-def aniso_rhs_XY(xy: XYState, p: DiagonalParams, stencil: DerivativeStencil):
+def aniso_rhs_XY(x, y, p: DiagonalParams, stencil: DerivativeStencil):
     """Anisotropic chiral model in the counter-propagating variables.
 
     X_t = -X_s - X x (PY),  Y_t = +Y_s + Y x (PX).
@@ -179,7 +177,6 @@ def aniso_rhs_XY(xy: XYState, p: DiagonalParams, stencil: DerivativeStencil):
     """
     if p.role != "anisotropy-P":
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    x, y = xy.x, xy.y
     dx = -stencil(x) - np.cross(x, p.apply(y))
     dy = stencil(y) + np.cross(y, p.apply(x))
     return dx, dy

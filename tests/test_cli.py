@@ -78,6 +78,13 @@ def test_cfl_violation_is_config_error(tmp_path, capsys):
     assert "CFL" in capsys.readouterr().err
 
 
+def test_overflowing_grid_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {("grid", "t_end"): 1e308})
+    rc = main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert "grid.t_end" in capsys.readouterr().err
+
+
 def test_blow_up_is_simulation_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {("params", "initial", "u"): [[[1e160, 1.0, 0.0]], [], []]}

@@ -41,7 +41,7 @@ def integrate_chiral(n, dt, steps):
     sten = st.stencil()
 
     def rhs(y):
-        du, dv = chiral_rhs(So3StrandState(TWO_PI, y[0], y[1]), sten)
+        du, dv = chiral_rhs(y[0], y[1], sten)
         return np.stack([du, dv])
 
     y = np.stack([st.u, st.v])
@@ -239,7 +239,7 @@ def test_doubled_field_aniso_residual_converges_raw_does_not():
     sten = DerivativeStencil(2, TWO_PI / n)
 
     def rhs(y):
-        du, dv = aniso_rhs_uv(So3StrandState(TWO_PI, y[0], y[1]), p, sten)
+        du, dv = aniso_rhs_uv(y[0], y[1], p, sten)
         return np.stack([du, dv])
 
     y = np.stack([u, v])

@@ -146,7 +146,7 @@ def test_rhs_zero_momenta():
         m=np.zeros((16, 3)),
         n=np.zeros((16, 3)),
     )
-    dq, dm, dn = peakon_rhs(st, DerivativeStencil(2, TWO_PI / 16))
+    dq, dm, dn = peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / 16))
     np.testing.assert_array_equal(dq, np.zeros_like(dq))
     np.testing.assert_array_equal(dm, np.zeros_like(dm))
     np.testing.assert_array_equal(dn, np.zeros_like(dn))
@@ -161,7 +161,7 @@ def test_rhs_single_peakon_reduction():
     m = rng.standard_normal((n_nodes, 1))
     n = rng.standard_normal((n_nodes, 1))
     st = PeakonState(length=TWO_PI, q=q, m=m, n=n)
-    dq, dm, dn = peakon_rhs(st, sten)
+    dq, dm, dn = peakon_rhs(st.q, st.m, st.n, sten)
     np.testing.assert_allclose(dq, K0 * m, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(dm, -sten(n), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(dn, -sten(m), rtol=0.0, atol=1e-13)
@@ -175,7 +175,7 @@ def test_rhs_antisymmetric_pair_position_equation():
     m = np.tile([mu, -mu], (n_nodes, 1))
     n = np.tile([nu, -nu], (n_nodes, 1))
     st = PeakonState(length=TWO_PI, q=q, m=m, n=n)
-    dq, dm, _ = peakon_rhs(st, DerivativeStencil(2, TWO_PI / n_nodes))
+    dq, dm, _ = peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / n_nodes))
     expect_dq1 = mu * (K0 - kernel(qv, -qv))
     np.testing.assert_allclose(dq[:, 0], np.full(n_nodes, expect_dq1), rtol=1e-14)
     np.testing.assert_allclose(dq[:, 1], -dq[:, 0], rtol=0.0, atol=1e-16)
@@ -223,7 +223,7 @@ def test_rhs_matches_pair_reference():
     sten = DerivativeStencil(2, TWO_PI / 16)
     for _ in range(20):
         st = random_peakon_state(rng, n_nodes=16, count=2)
-        got = peakon_rhs(st, sten)
+        got = peakon_rhs(st.q, st.m, st.n, sten)
         expect = pair_rhs_reference(st.q, st.m, st.n, sten)
         for g, e in zip(got, expect):
             np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-12)
@@ -234,7 +234,7 @@ def test_rhs_raises_on_coincidence_through_checked_kernel():
     st = random_peakon_state(np.random.default_rng(67), count=2)
     st.q[:, 1] = st.q[:, 0] + 1e-10
     with pytest.raises(SingularConfigurationError):
-        peakon_rhs(st, DerivativeStencil(2, TWO_PI / 16))
+        peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / 16))
 
 
 # ------------------------------------------------------------------ s-constraint

@@ -15,8 +15,10 @@ from gstrand import (
     SingularConfigurationError,
     convergence_study,
     list_scenarios,
+    peakon_rhs,
     rk4_step,
     run_scenario,
+    sim_harness,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -139,11 +141,58 @@ def mutate(path, value):
         (("params", "initial"), {"u": [[], [], []]}),
         (("params", "initial", "u"), [[[1.0, 1.5, 0.0]], [], []]),  # aperiodic k
         (("params", "initial", "u"), [[], []]),
+        (("grid", "t_end"), 1e308),       # t_end / dt overflows to inf
+        pytest.param(("grid", "S"), 10**400, id="S-beyond-float"),
+        pytest.param(("grid", "dt"), 10**400, id="dt-beyond-float"),
+        pytest.param(("grid", "N_s"), 10**400, id="N_s-beyond-float"),
+        (("grid", "S"), 5e-324),          # S / N_s underflows to 0
+        (("params", "initial", "u"), [[[1.0, 1e308, 0.0]], [], []]),  # k * S overflows
     ],
 )
 def test_config_rejects(path, value):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(mutate(path, value))
+
+
+def traveling(amp=0.3, k=1.0, phase=0.0, direction=1):
+    return {"type": "traveling", "terms": [[amp, k, phase]], "direction": direction}
+
+
+def standing(amp=0.5, k=1.0):
+    return {"type": "standing", "amplitude": amp, "wavenumber": k}
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        traveling(amp=math.nan),
+        traveling(amp=math.inf),
+        traveling(amp=-math.inf),
+        traveling(amp=True),
+        traveling(amp=False),
+        traveling(amp="0.5"),
+        traveling(amp=10**400),
+        traveling(k=math.nan),
+        traveling(k=math.inf),
+        traveling(phase=math.nan),
+        traveling(phase=-math.inf),
+        traveling(direction=True),
+        standing(amp=math.nan),
+        standing(amp=math.inf),
+        standing(amp="0.5"),
+        standing(amp=True),
+        standing(k=math.nan),
+        standing(k=-math.inf),
+        standing(k=1e308),
+        standing(k=False),
+        {"type": "superposition", "parts": [traveling(), standing(amp=math.nan)]},
+    ],
+)
+def test_profile_numbers_validated_at_config_time(profile):
+    d = single_exact_dict()
+    d["params"]["profile"] = profile
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(d)
 
 
 def test_config_rejects_unknown_top_key():
@@ -353,9 +402,18 @@ def test_single_peakon_conservation_has_no_skew_column():
     assert set(rep.diagnostics["conservation_sums"]["columns"]) == {"sum_M"}
 
 
-def test_collision_hits_interaction_node():
+def test_collision_hits_interaction_node(tmp_path, monkeypatch):
     """With 64 nodes one grid point sits where h = 0 at t = 0: the two peakon
-    positions coincide there and the coincidence guard must fire."""
+    positions coincide there and the coincidence guard must fire on the
+    first RHS call, reported against the initial data, with the t = 0
+    snapshot still written."""
+    calls = []
+
+    def counted_rhs(*args):
+        calls.append(args)
+        return peakon_rhs(*args)
+
+    monkeypatch.setattr(sim_harness, "peakon_rhs", counted_rhs)
     d = {
         "model": "peakon_collision_exact",
         "grid": {"S": TWO_PI, "N_s": 64, "dt": 0.0125, "t_end": 0.1},
@@ -364,10 +422,14 @@ def test_collision_hits_interaction_node():
             "branch": 1,
         },
         "diagnostics": [],
-        "output": {"directory": None, "cadence": 1},
+        "output": {"directory": str(tmp_path), "cadence": 1},
     }
-    with pytest.raises(SingularConfigurationError):
+    with pytest.raises(SingularConfigurationError, match=r"\(initial data, t = 0\)$"):
         run_scenario(ScenarioConfig.from_dict(d))
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"].startswith("failed: coincident peakons")
+    assert len((tmp_path / "Q.csv").read_text().splitlines()) == 1 + 64
 
 
 def test_blow_up_annotated_and_partial_outputs_written(tmp_path):

@@ -89,7 +89,7 @@ def test_spin_chain_params_role_check():
 
 def test_spin_chain_zero_state():
     st = constant_state(np.zeros(3), np.zeros(3))
-    du, dv = spin_chain_rhs(st, spin_params([1, 2, 3], [2, 1, 1]), st.stencil())
+    du, dv = spin_chain_rhs(st.u, st.v, spin_params([1, 2, 3], [2, 1, 1]), st.stencil())
     np.testing.assert_array_equal(du, np.zeros_like(st.u))
     np.testing.assert_array_equal(dv, np.zeros_like(st.v))
 
@@ -97,7 +97,7 @@ def test_spin_chain_zero_state():
 def test_spin_chain_hand_example():
     """u = e1, v = e2 constants, A = diag(1,2,3), B = Id: u_t = 0, v_t = -e3."""
     st = constant_state(E1, E2)
-    du, dv = spin_chain_rhs(st, spin_params([1, 2, 3], [1, 1, 1]), st.stencil())
+    du, dv = spin_chain_rhs(st.u, st.v, spin_params([1, 2, 3], [1, 1, 1]), st.stencil())
     np.testing.assert_allclose(du, np.zeros_like(du), atol=1e-15)
     np.testing.assert_allclose(dv, np.tile(-E3, (st.n_nodes, 1)), atol=1e-15)
 
@@ -107,7 +107,7 @@ def test_spin_chain_matches_loop_oracle():
     st = random_state(rng)
     params = spin_params([1.0, 2.0, 3.0], [2.0, 1.0, 1.0])
     sten = st.stencil()
-    du, dv = spin_chain_rhs(st, params, sten)
+    du, dv = spin_chain_rhs(st.u, st.v, params, sten)
 
     a = params.a.diagonal
     b = params.b.diagonal
@@ -128,7 +128,7 @@ def test_lie_poisson_form_agrees_with_velocity_form():
     for _ in range(20):
         st = random_state(rng, n=32)
         sten = st.stencil()
-        du, dv = spin_chain_rhs(st, params, sten)
+        du, dv = spin_chain_rhs(st.u, st.v, params, sten)
         dm, dv_lp = lie_poisson_rhs_spin_chain(params.a.apply(st.u), st.v, params, sten)
         np.testing.assert_allclose(params.a.apply(du), dm, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(dv, dv_lp, rtol=0.0, atol=1e-12)
@@ -139,7 +139,7 @@ def test_lie_poisson_form_agrees_with_velocity_form():
 
 def test_chiral_hand_example():
     st = constant_state(E1, E2)
-    du, dv = chiral_rhs(st, st.stencil())
+    du, dv = chiral_rhs(st.u, st.v, st.stencil())
     np.testing.assert_array_equal(du, np.zeros_like(du))
     np.testing.assert_allclose(dv, np.tile(-E3, (st.n_nodes, 1)), atol=1e-15)
 
@@ -150,8 +150,8 @@ def test_chiral_is_unit_inertia_spin_chain():
     for _ in range(10):
         st = random_state(rng)
         sten = st.stencil()
-        du_c, dv_c = chiral_rhs(st, sten)
-        du_s, dv_s = spin_chain_rhs(st, spin_params([1, 1, 1], [-1, -1, -1]), sten)
+        du_c, dv_c = chiral_rhs(st.u, st.v, sten)
+        du_s, dv_s = spin_chain_rhs(st.u, st.v, spin_params([1, 1, 1], [-1, -1, -1]), sten)
         np.testing.assert_allclose(du_c, du_s, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(dv_c, dv_s, rtol=0.0, atol=1e-13)
 
@@ -163,7 +163,7 @@ def test_aniso_hand_example():
     """u = e1, v = e2 constants, P = diag(1,2,3): u_t = 0, v_t = -3 e3."""
     st = constant_state(E1, E2)
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
-    du, dv = aniso_rhs_uv(st, p, st.stencil())
+    du, dv = aniso_rhs_uv(st.u, st.v, p, st.stencil())
     np.testing.assert_allclose(du, np.zeros_like(du), atol=1e-15)
     np.testing.assert_allclose(dv, np.tile(-3.0 * E3, (st.n_nodes, 1)), atol=1e-15)
 
@@ -175,7 +175,7 @@ def test_aniso_diagonal_states_transport():
     st = So3StrandState(length=TWO_PI, u=w.copy(), v=w.copy())
     p = DiagonalParams(np.array([0.5, 2.0, 1.5]), "anisotropy-P")
     sten = st.stencil()
-    du, dv = aniso_rhs_uv(st, p, sten)
+    du, dv = aniso_rhs_uv(st.u, st.v, p, sten)
     np.testing.assert_allclose(du, sten(w), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(dv, sten(w), rtol=0.0, atol=1e-14)
 
@@ -185,7 +185,7 @@ def test_aniso_matches_loop_oracle():
     st = random_state(rng)
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
     sten = st.stencil()
-    du, dv = aniso_rhs_uv(st, p, sten)
+    du, dv = aniso_rhs_uv(st.u, st.v, p, sten)
     d_v = sten(st.v)
     d_u = sten(st.u)
     for i in range(st.n_nodes):
@@ -202,7 +202,7 @@ def test_aniso_matches_loop_oracle():
 def test_aniso_role_check():
     st = constant_state(E1, E2)
     with pytest.raises(ValueError, match="anisotropy-P"):
-        aniso_rhs_uv(st, DiagonalParams(np.ones(3), "inertia-A"), st.stencil())
+        aniso_rhs_uv(st.u, st.v, DiagonalParams(np.ones(3), "inertia-A"), st.stencil())
 
 
 def test_isotropic_aniso_is_rescaled_chiral():
@@ -214,8 +214,8 @@ def test_isotropic_aniso_is_rescaled_chiral():
         st = random_state(rng, n=16)
         sten = st.stencil()
         half = So3StrandState(length=st.length, u=0.5 * st.u, v=0.5 * st.v)
-        du_c, dv_c = chiral_rhs(st, sten)
-        du_a, dv_a = aniso_rhs_uv(half, p, sten)
+        du_c, dv_c = chiral_rhs(st.u, st.v, sten)
+        du_a, dv_a = aniso_rhs_uv(half.u, half.v, p, sten)
         np.testing.assert_allclose(du_c, 2.0 * du_a, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(dv_c, 2.0 * dv_a, rtol=0.0, atol=1e-13)
 
@@ -247,10 +247,11 @@ def test_aniso_XY_is_pushforward_of_uv():
     for _ in range(25):
         st = random_state(rng, n=32)
         sten = st.stencil()
-        du, dv = aniso_rhs_uv(st, p, sten)
+        du, dv = aniso_rhs_uv(st.u, st.v, p, sten)
         dx_expect = du - dv
         dy_expect = -du - dv
-        dx, dy = aniso_rhs_XY(to_XY(st), p, sten)
+        xy = to_XY(st)
+        dx, dy = aniso_rhs_XY(xy.x, xy.y, p, sten)
         np.testing.assert_allclose(dx, dx_expect, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(dy, dy_expect, rtol=0.0, atol=1e-13)
 
@@ -259,7 +260,7 @@ def test_aniso_XY_zero_X_stays_zero():
     rng = np.random.default_rng(6)
     xy = XYState(length=TWO_PI, x=np.zeros((16, 3)), y=rng.standard_normal((16, 3)))
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
-    dx, _ = aniso_rhs_XY(xy, p, DerivativeStencil(2, xy.ds))
+    dx, _ = aniso_rhs_XY(xy.x, xy.y, p, DerivativeStencil(2, xy.ds))
     np.testing.assert_array_equal(dx, np.zeros_like(dx))
 
 
@@ -271,7 +272,7 @@ def test_aniso_XY_magnitude_flux_vanishes():
     )
     p = DiagonalParams(np.array([2.0, 1.0, 0.5]), "anisotropy-P")
     sten = DerivativeStencil(2, xy.ds)
-    dx, dy = aniso_rhs_XY(xy, p, sten)
+    dx, dy = aniso_rhs_XY(xy.x, xy.y, p, sten)
     np.testing.assert_allclose(
         np.sum(xy.x * dx, axis=1), np.sum(xy.x * (-sten(xy.x)), axis=1), atol=1e-13
     )
