@@ -123,40 +123,52 @@ class WaveProfile:
         )
 
 
+_PROFILE_KEYS = {
+    "traveling": {"type", "terms", "direction"},
+    "standing": {"type", "amplitude", "wavenumber"},
+    "superposition": {"type", "parts"},
+}
+
+
 def profile_from_descriptor(d) -> WaveProfile:
     """Rebuild a WaveProfile from its JSON descriptor.
 
     Amplitudes, wavenumbers and phases must be finite JSON numbers and the
-    direction a JSON integer; anything else raises ConfigError.
+    direction a JSON integer; anything else raises ConfigError.  The message
+    carries the prefix ``bad profile descriptor:`` once, however deep the
+    bad entry sits, and names it by its path, e.g. ``parts[1].terms[0][0]``.
     """
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"profile descriptor must be a dict with a 'type' key, got {d!r}")
-    kind = d["type"]
     try:
-        if kind == "traveling":
-            extra = set(d) - {"type", "terms", "direction"}
-            if extra:
-                raise ConfigError(f"unknown profile keys {sorted(extra)}")
-            terms = [
-                [_number(x, f"terms[{i}][{j}]") for j, x in enumerate(term)]
-                for i, term in enumerate(d["terms"])
-            ]
-            return WaveProfile.traveling(terms, _integer(d["direction"], "direction"))
-        if kind == "standing":
-            extra = set(d) - {"type", "amplitude", "wavenumber"}
-            if extra:
-                raise ConfigError(f"unknown profile keys {sorted(extra)}")
-            return WaveProfile.standing(
-                _number(d["amplitude"], "amplitude"), _number(d["wavenumber"], "wavenumber")
-            )
-        if kind == "superposition":
-            extra = set(d) - {"type", "parts"}
-            if extra:
-                raise ConfigError(f"unknown profile keys {sorted(extra)}")
-            return WaveProfile.superpose(profile_from_descriptor(p) for p in d["parts"])
+        return _parse_profile(d, "")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile descriptor: {exc}") from exc
-    raise ConfigError(f"unknown profile type {kind!r}")
+
+
+def _parse_profile(d, path):
+    """Descriptor ``d`` at ``path`` (empty or ending in '.') to a WaveProfile."""
+    where = f"{path[:-1]}: " if path else ""
+    if not isinstance(d, dict) or "type" not in d:
+        raise ConfigError(f"{where}must be a dict with a 'type' key, got {d!r}")
+    kind = d["type"]
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+        raise ConfigError(f"{where}unknown profile type {kind!r}")
+    extra = set(d) - _PROFILE_KEYS[kind]
+    if extra:
+        raise ConfigError(f"{where}unknown profile keys {sorted(extra)}")
+    if kind == "traveling":
+        terms = [
+            [_number(x, f"{path}terms[{i}][{j}]") for j, x in enumerate(term)]
+            for i, term in enumerate(d["terms"])
+        ]
+        return WaveProfile.traveling(terms, _integer(d["direction"], f"{path}direction"))
+    if kind == "standing":
+        return WaveProfile.standing(
+            _number(d["amplitude"], f"{path}amplitude"),
+            _number(d["wavenumber"], f"{path}wavenumber"),
+        )
+    return WaveProfile.superpose(
+        _parse_profile(part, f"{path}parts[{i}].") for i, part in enumerate(d["parts"])
+    )
 
 
 def single_peakon_exact(profile: WaveProfile, s, t):

@@ -4,7 +4,8 @@ A connection stores the spatial and temporal potentials (U, V) of a linear
 system psi_s = U psi, psi_t = V psi at every strand node.  Along solutions
 of the matching model the curvature U_t - V_s + [U, V] vanishes, so its
 discrete residual measured over stored snapshots is a convergence
-diagnostic for the integrator.
+diagnostic for the integrator.  For the chiral pair, ``chiral_curvature_max``
+evaluates that residual in R^3 vector form, three snapshots at a time.
 """
 
 from dataclasses import dataclass
@@ -128,6 +129,48 @@ def zero_curvature_residual(
     comm = u_mid @ v_mid - v_mid @ u_mid
     fields = du_dt - dv_ds + comm
     return CurvatureResidual(max_norm=float(np.max(np.abs(fields))), fields=fields)
+
+
+def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: float):
+    """Per-time max-norm curvature of the chiral pair, in vector form, streaming.
+
+    ``snapshots`` holds (u, v) pairs of (N_s, 3) fields, such as packed
+    (2, N_s, 3) states, at uniform spacing ``dt``.  The pair of
+    ``chiral_lax`` is linear in a = (1 + lam)/4 and b = (1 + 1/lam)/4, and
+    [hat x, hat y] = hat(x cross y), so its curvature is hat(r) with
+
+        r = a (D_t + D_s) - b (S_t - S_s) - 2ab (D x S),  D = u - v, S = u + v.
+
+    The entries of hat(r) are 0 and +-r_i, so row i of the returned
+    (len(lambdas), len(snapshots) - 2) array, max |r| over nodes and
+    components at each interior time for ``lambdas[i]``, equals the per-time
+    max norm of ``zero_curvature_residual`` over ``chiral_lax`` connections
+    up to round-off.  Only three levels of (D, S) are held at a time and no
+    3x3 matrix is built.
+    """
+    if len(snapshots) < 3:
+        raise ValueError("need at least 3 stored time levels")
+    coeffs = []
+    for lam in lambdas:
+        if lam == 0.0:
+            raise ValueError("spectral parameter must be nonzero for the chiral pair")
+        a = 0.25 * (1.0 + lam)
+        b = 0.25 * (1.0 + 1.0 / lam)
+        coeffs.append((a, b, 2.0 * a * b))
+    out = np.empty((len(coeffs), len(snapshots) - 2))
+    window = []  # (D, S) at the previous, current and next level
+    for k, y in enumerate(snapshots):
+        window.append((y[0] - y[1], y[0] + y[1]))
+        if k < 2:
+            continue
+        (d0, s0), (d, s), (d2, s2) = window
+        x = (d2 - d0) / (2.0 * dt) + stencil(d)
+        w = (s2 - s0) / (2.0 * dt) - stencil(s)
+        z = np.cross(d, s)
+        for i, (a, b, ab2) in enumerate(coeffs):
+            out[i, k - 2] = np.max(np.abs(a * x - b * w - ab2 * z))
+        del window[0]
+    return out
 
 
 @dataclass(frozen=True)

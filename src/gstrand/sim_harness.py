@@ -37,7 +37,15 @@ from .analytic_solutions import (
     single_peakon_exact,
 )
 from .errors import BlowUpError, ConfigError, SimulationError, _integer, _number
-from .integrability import aniso_lax, chiral_lax, invariant_drift, zero_curvature_residual
+# chiral_lax is not called here any more; it stays a module attribute because
+# the benchmark tracer (perfbench/spans.py) wraps it by this name
+from .integrability import (  # noqa: F401
+    aniso_lax,
+    chiral_curvature_max,
+    chiral_lax,
+    invariant_drift,
+    zero_curvature_residual,
+)
 from .peakon_dynamics import (
     MAX_PEAKONS,
     PeakonState,
@@ -58,6 +66,7 @@ from .so3_dynamics import (
 from .stencil import DerivativeStencil
 
 CFL_LIMIT = 0.5
+MAX_STEPS = 10**7  # step-count limit: a larger t_end / dt would not finish
 PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
 ORDER_FLOOR = 1e-13
@@ -270,18 +279,9 @@ def _series_max(fields):
     return np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1)
 
 
-def _lax_columns(cfg, sten, states, connection, lambdas):
-    dt_snap = cfg.dt * cfg.cadence
-    return {
-        f"lam_{lam:g}": _series_max(zero_curvature_residual(
-            [connection(st, lam) for st in states], sten, dt_snap).fields)
-        for lam in lambdas
-    }
-
-
 def _chiral_curvature(cfg, sten, snaps, lambdas):
-    states = [So3StrandState(cfg.s_length, y[0], y[1]) for y in snaps]
-    return _lax_columns(cfg, sten, states, chiral_lax, lambdas)
+    series = chiral_curvature_max(snaps, lambdas, sten, cfg.dt * cfg.cadence)
+    return {f"lam_{lam:g}": row for lam, row in zip(lambdas, series)}
 
 
 def _aniso_curvature(cfg, sten, snaps, lambdas):
@@ -289,7 +289,11 @@ def _aniso_curvature(cfg, sten, snaps, lambdas):
     # doubled fields; see aniso_lax
     doubled = [So3StrandState(cfg.s_length, 2.0 * y[0], 2.0 * y[1]) for y in snaps]
     p = cfg.params["P"]
-    return _lax_columns(cfg, sten, doubled, lambda st, lam: aniso_lax(st, lam, p), lambdas)
+    return {
+        f"lam_{lam:g}": _series_max(zero_curvature_residual(
+            [aniso_lax(st, lam, p) for st in doubled], sten, cfg.dt * cfg.cadence).fields)
+        for lam in lambdas
+    }
 
 
 def _compatibility(cfg, sten, snaps, lambdas):
@@ -495,6 +499,11 @@ class ScenarioConfig:
         if not math.isfinite(steps):
             raise ConfigError(f"grid.t_end / grid.dt = {t_end} / {dt} overflows")
         n_steps = round(steps)
+        if n_steps > MAX_STEPS:
+            raise ConfigError(
+                f"grid.t_end / grid.dt = {t_end} / {dt} is {steps:.10g} steps, "
+                f"more than the limit of {MAX_STEPS}"
+            )
         if abs(steps - n_steps) > DIVISIBILITY_TOL * max(1.0, n_steps):
             raise ConfigError(
                 f"grid.t_end = {t_end} is not an integer multiple of dt = {dt}"

@@ -12,7 +12,9 @@ from gstrand import (
     So3StrandState,
     XYState,
     aniso_lax,
+    ScenarioConfig,
     aniso_rhs_uv,
+    chiral_curvature_max,
     chiral_lax,
     chiral_rhs,
     compatibility_residual,
@@ -20,6 +22,7 @@ from gstrand import (
     hat,
     invariant_drift,
     rk4_step,
+    run_scenario,
     zero_curvature_residual,
 )
 from gstrand.algebra import build_J
@@ -118,6 +121,99 @@ def test_chiral_lax_rejects_zero_lambda():
     st = chiral_initial(16)
     with pytest.raises(ValueError, match="nonzero"):
         chiral_lax(st, 0.0)
+
+
+# ------------------------------------------------------- chiral_curvature_max
+
+EQUIVALENCE_LAMBDAS = (0.5, 1.0, 2.0, -3.0, -1.0)
+
+
+def matrix_curvature_max(snapshots, lambdas, sten, dt):
+    """Reference: per-time max of zero_curvature_residual over chiral_lax."""
+    out = []
+    for lam in lambdas:
+        conns = [chiral_lax(So3StrandState(TWO_PI, y[0], y[1]), lam) for y in snapshots]
+        fields = zero_curvature_residual(conns, sten, dt).fields
+        out.append(np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1))
+    return np.array(out)
+
+
+def roundoff_tolerance(snapshots, sten, dt):
+    """64 eps F (1/dt + 1/ds), F the largest |u - v| or |u + v| entry."""
+    big = max(float(np.max(np.abs(np.stack([y[0] - y[1], y[0] + y[1]]))))
+              for y in snapshots)
+    return 64.0 * np.finfo(float).eps * big * (1.0 / dt + 1.0 / sten.ds)
+
+
+def assert_matches_matrix_path(snapshots, lambdas, sten, dt, vector=None):
+    tol = roundoff_tolerance(snapshots, sten, dt)
+    if vector is None:
+        vector = chiral_curvature_max(snapshots, lambdas, sten, dt)
+    reference = matrix_curvature_max(snapshots, lambdas, sten, dt)
+    assert vector.shape == (len(lambdas), len(snapshots) - 2)
+    np.testing.assert_allclose(vector, reference, rtol=0.0, atol=tol)
+    # a = b = 0 at lambda = -1: both paths are exactly zero there
+    np.testing.assert_array_equal(vector[list(lambdas).index(-1.0)], 0.0)
+
+
+def random_periodic_trajectory(rng, n, levels, dt):
+    """(u, v) snapshots of random smooth fields periodic in s, not a solution."""
+    s = np.arange(n) * (TWO_PI / n)
+    k = rng.integers(0, 4, size=(2, 3, 3))
+    amp = rng.standard_normal((2, 3, 3))
+    omega = rng.standard_normal((2, 3, 3))
+    phase = rng.uniform(0.0, TWO_PI, size=(2, 3, 3))
+    snaps = []
+    for level in range(levels):
+        t = level * dt
+        y = np.sum(amp[..., None] * np.sin(k[..., None] * s + omega[..., None] * t
+                                           + phase[..., None]), axis=2)
+        snaps.append(np.swapaxes(y, 1, 2))  # packed (2, N_s, 3)
+    return snaps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_curvature_max_matches_matrix_path_on_random_fields(seed):
+    rng = np.random.default_rng(seed)
+    n, dt = 32, 0.05
+    snaps = random_periodic_trajectory(rng, n, 7, dt)
+    for order in (2, 4):
+        sten = DerivativeStencil(order, TWO_PI / n)
+        assert_matches_matrix_path(snaps, EQUIVALENCE_LAMBDAS, sten, dt)
+
+
+def test_curvature_max_matches_matrix_path_on_chiral_trajectory():
+    traj = integrate_chiral(64, 0.02, 10)
+    snaps = [(st.u, st.v) for st in traj]
+    assert_matches_matrix_path(snaps, EQUIVALENCE_LAMBDAS, traj[0].stencil(), 0.02)
+
+
+def test_harness_curvature_matches_matrix_path_at_cadence_two():
+    """run_scenario's columns use the snapshot spacing dt * cadence."""
+    d = {
+        "model": "chiral",
+        "grid": {"S": TWO_PI, "N_s": 64, "dt": 0.0125, "t_end": 0.125},
+        "params": {"initial": {"u": [[[1.0, 1.0, 0.0]], [], [[1.0, 1.0, 0.5 * math.pi]]],
+                               "v": [[], [[1.0, 1.0, 0.5 * math.pi]], []]}},
+        "diagnostics": [{"kind": "zero_curvature", "lambdas": list(EQUIVALENCE_LAMBDAS)}],
+        "output": {"directory": None, "cadence": 2},
+    }
+    rep = run_scenario(ScenarioConfig.from_dict(d))
+    assert len(rep.snapshots) == 6
+    data = rep.diagnostics["zero_curvature"]
+    np.testing.assert_array_equal(data["times"], rep.times[1:-1])
+    columns = np.array([data["columns"][f"lam_{lam:g}"] for lam in EQUIVALENCE_LAMBDAS])
+    sten = DerivativeStencil(2, TWO_PI / 64)
+    assert_matches_matrix_path(rep.snapshots, EQUIVALENCE_LAMBDAS, sten, 0.025, columns)
+
+
+def test_curvature_max_rejects_zero_lambda_and_two_levels():
+    snaps = [(st.u, st.v) for st in integrate_chiral(16, 0.05, 2)]
+    sten = DerivativeStencil(2, TWO_PI / 16)
+    with pytest.raises(ValueError, match="nonzero"):
+        chiral_curvature_max(snaps, (1.0, 0.0), sten, 0.05)
+    with pytest.raises(ValueError, match="3"):
+        chiral_curvature_max(snaps[:2], (1.0,), sten, 0.05)
 
 
 # ------------------------------------------------------------------- aniso_lax

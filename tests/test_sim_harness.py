@@ -147,6 +147,9 @@ def mutate(path, value):
         pytest.param(("grid", "N_s"), 10**400, id="N_s-beyond-float"),
         (("grid", "S"), 5e-324),          # S / N_s underflows to 0
         (("params", "initial", "u"), [[[1.0, 1e308, 0.0]], [], []]),  # k * S overflows
+        (("grid", "t_end"), 1e300),       # 8e301 steps: a run that never ends
+        pytest.param(("grid", "t_end"), (sim_harness.MAX_STEPS + 1) * 0.0125,
+                     id="t_end-one-step-over-MAX_STEPS"),
     ],
 )
 def test_config_rejects(path, value):
@@ -193,6 +196,30 @@ def test_profile_numbers_validated_at_config_time(profile):
     d["params"]["profile"] = profile
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(d)
+
+
+def test_nested_profile_error_names_its_prefix_once():
+    inner = {"type": "superposition", "parts": [traveling(amp=math.nan)]}
+    d = single_exact_dict()
+    d["params"]["profile"] = {"type": "superposition", "parts": [standing(), inner]}
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(d)
+    message = str(info.value)
+    assert message.count("bad profile descriptor") == 1
+    assert "parts[1].parts[0].terms[0][0] must be finite" in message
+
+
+def test_step_count_bound():
+    """MAX_STEPS steps parse; one more is a ConfigError naming the count, also via refined."""
+    d = chiral_dict()
+    d["grid"]["t_end"] = sim_harness.MAX_STEPS * 0.0125
+    assert ScenarioConfig.from_dict(d).n_steps == sim_harness.MAX_STEPS
+    d["grid"]["t_end"] = (sim_harness.MAX_STEPS + 1) * 0.0125
+    with pytest.raises(ConfigError, match=f"{sim_harness.MAX_STEPS + 1} steps"):
+        ScenarioConfig.from_dict(d)
+    d["grid"]["t_end"] = (sim_harness.MAX_STEPS // 2 + 1) * 0.0125
+    with pytest.raises(ConfigError, match="limit"):
+        ScenarioConfig.from_dict(d).refined(2)
 
 
 def test_config_rejects_unknown_top_key():
