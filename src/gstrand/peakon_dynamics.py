@@ -7,7 +7,9 @@ Green's function K(x, y) = exp(-|x - y|)/2 of the Helmholtz operator
 v = -sum_a N_a K(x, Q^a).
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,17 +46,27 @@ def kernel_deriv(q):
     return -K0 * np.sign(diff) * np.exp(-np.abs(diff))
 
 
+def _gaps(qs):
+    """Adjacent gaps g_i = x_{i+1} - x_i of sorted positions and their minimum.
+
+    ``qs`` holds the positions of each node sorted along axis 0, the peakon
+    axis.  The minimum is inf when there is no gap (A = 1); ``abs`` only
+    turns the -0.0 of a sorted pair (0.0, -0.0) into 0.0.
+    """
+    gaps = qs[1:] - qs[:-1]
+    return gaps, (abs(float(gaps.min())) if gaps.size else np.inf)
+
+
 def _min_gap(q):
-    a = q.shape[-1]
-    if a < 2:
-        return np.inf
-    iu = np.triu_indices(a, k=1)
-    diff = np.abs(q[..., :, None] - q[..., None, :])
-    return float(np.min(diff[..., iu[0], iu[1]]))
+    """Smallest distance between two peakons of one node of q (N_s, A), over all nodes.
+
+    Rounded subtraction is monotone, so the smallest adjacent difference of
+    the per-node sorted positions equals the all-pairs minimum exactly.
+    """
+    return _gaps(np.sort(q, axis=-1).T)[1]
 
 
-def _check_gap(q):
-    gap = _min_gap(q)
+def _check_gap(gap):
     if gap < MIN_GAP:
         raise SingularConfigurationError(
             f"coincident peakons: minimum position gap {gap:.3e} < {MIN_GAP:.1e}"
@@ -88,7 +100,7 @@ class PeakonState:
                 raise ValueError(f"{name} must have shape {(n_nodes, count)}, got {f.shape}")
             if not np.all(np.isfinite(f)):
                 raise ValueError(f"{name} contains non-finite entries")
-        _check_gap(self.q)
+        _check_gap(_min_gap(self.q))
 
     @property
     def n_nodes(self):
@@ -107,27 +119,77 @@ class PeakonState:
         return np.arange(self.n_nodes) * self.ds
 
 
+class SortedKernel(NamedTuple):
+    """The kernel at one set of positions, in the per-node sorted frame.
+
+    Arrays put the node axis last, so every operation runs over all N_s
+    nodes at once, whatever A is.  ``index`` (A N_s,) holds flat indices
+    into a C-ordered (N_s, A) field f: ``f.take(index).reshape(A, N_s)`` is
+    f in the sorted frame, where row a holds the a-th peakon from the left.
+    ``kmat`` (A, A, N_s) is K on the sorted positions.  ``gap_diag`` and
+    ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap: K^{-1} = 2 I plus, for
+    each gap i, the block [[gap_diag_i, gap_off_i], [gap_off_i, gap_diag_i]]
+    on sorted peakons i and i + 1.  ``cond`` is the condition bound that was
+    checked against ``CONDITION_LIMIT``.
+    """
+
+    index: np.ndarray
+    kmat: np.ndarray
+    gap_diag: np.ndarray
+    gap_off: np.ndarray
+    cond: float
+
+
 def _checked_kernel(q):
-    """Kernel matrices with singularity and conditioning guards."""
-    count = q.shape[-1]
-    _check_gap(q)
-    kmat = kernel_matrix(q)
-    if count > 1:
-        eig = np.linalg.eigvalsh(kmat)
-        lo = float(np.min(eig))
-        hi = float(np.max(eig))
-        if lo <= 0.0:
-            raise ConditioningError(f"kernel matrix not positive definite: min eigenvalue {lo:.3e}")
-        cond = hi / lo
-        if cond > CONDITION_LIMIT:
-            raise ConditioningError(
-                f"kernel matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
-            )
-    return kmat
+    """Kernel of positions q (N_s, A), in any per-node order, in the sorted frame.
+
+    Raises ``SingularConfigurationError`` when two peakons of one node are
+    closer than ``MIN_GAP``, and ``ConditioningError`` when the condition
+    bound exceeds ``CONDITION_LIMIT``.
+
+    On sorted positions with gaps g_i, K = C/2 with C_ij = exp(-|x_i - x_j|),
+    the product of exp(-g_k) over the gaps between i and j.  Its inverse is
+    tridiagonal: (C^{-1})_ii = 1 + 1/expm1(2 g_{i-1}) + 1/expm1(2 g_i),
+    counting only the gaps that exist, and (C^{-1})_{i,i+1} = -1/(2 sinh g_i).
+    So K^{-1} = 2 C^{-1} needs no factorisation, and expm1 and sinh keep
+    small gaps accurate.  For positive gaps it is strictly diagonally
+    dominant, hence positive definite.
+
+    The condition bound is max ||K||_inf times max ||K^{-1}||_inf over the
+    nodes.  The spectral radius of a symmetric matrix is at most its
+    inf-norm, so the bound is at least the ratio of the largest to the
+    smallest eigenvalue over all nodes, and equal to it for A = 2.
+    """
+    n_nodes, count = q.shape
+    index = np.argsort(q, axis=-1)
+    index += count * np.arange(n_nodes)[:, None]
+    index = index.T.ravel()
+    qs = q.take(index).reshape(count, n_nodes)
+    gaps, gap = _gaps(qs)
+    _check_gap(gap)
+    kmat = kernel(qs[:, None, :], qs[None, :, :])
+    if count == 1:  # no gaps: K = 1/2 and K^{-1} = 2 at every node
+        return SortedKernel(index, kmat, gaps, gaps, 1.0)
+    with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
+        gap_diag = 2.0 / np.expm1(2.0 * gaps)
+        gap_off = -1.0 / np.sinh(gaps)
+    spread = gap_diag - gap_off  # each gap's share of a row sum of |K^{-1}|
+    inv_rows = np.full(qs.shape, 2.0)
+    inv_rows[:-1] += spread
+    inv_rows[1:] += spread
+    cond = float(kmat.sum(axis=1).max() * inv_rows.max())
+    if cond > CONDITION_LIMIT:
+        raise ConditioningError(
+            f"kernel matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
+        )
+    return SortedKernel(index, kmat, gap_diag, gap_off, cond)
 
 
 def _spd_solve(kmat, rhs):
-    """Cholesky solve of K y = rhs batched over nodes; K shaped (N_s, A, A)."""
+    """Cholesky solve of K y = rhs batched over nodes; K shaped (N_s, A, A).
+
+    The reference for the closed-form K^{-1} of ``_checked_kernel``.
+    """
     try:
         chol = np.linalg.cholesky(kmat)
     except np.linalg.LinAlgError as exc:
@@ -148,6 +210,62 @@ def _spd_solve(kmat, rhs):
     return y
 
 
+@functools.lru_cache(maxsize=MAX_PEAKONS)
+def _sign_pattern(count):
+    """sign(c - a) as an (A, A, 1) array: D = K times it on sorted positions."""
+    idx = np.arange(count)
+    pattern = np.sign(idx - idx[:, None])[:, :, None].astype(float)
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _sorted_terms(sk: SortedKernel, m, n):
+    """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``, shaped (3, A N_s).
+
+    The rows are K M, -sum_c (M_a M_c - N_a N_c) D^{ac} and K^{-1} G for the
+    momenta m, n (N_s, A), each in the flat order of ``sk.index``.  In the
+    sorted frame D is K times the sign pattern of the order, equal to
+    ``kernel_deriv`` bit for bit, and K^{-1} is the gap-by-gap tridiagonal
+    of ``sk``.
+    """
+    shape = sk.kmat.shape[1:]
+    ms = m.take(sk.index).reshape(shape)
+    ns = n.take(sk.index).reshape(shape)
+    deriv = sk.kmat * _sign_pattern(shape[0])
+
+    out = np.empty((3,) + shape)
+    km = np.einsum("abn,bn->an", sk.kmat, ms, out=out[0])
+    kn = np.einsum("abn,bn->an", sk.kmat, ns)
+    dm_sum = np.einsum("acn,cn->an", deriv, ms)
+    dn_sum = np.einsum("acn,cn->an", deriv, ns)
+    np.subtract(ns * dn_sum, ms * dm_sum, out=out[1])
+    # G = (K N)(D M) - (K M)(D N) + D (N (K M) - M (K N)), the sum over b done first
+    g = np.einsum("ecn,cn->en", deriv, ns * km - ms * kn)
+    g += kn * dm_sum
+    g -= km * dn_sum
+    sol = np.multiply(2.0, g, out=out[2])
+    sol[:-1] += sk.gap_diag * g[:-1] + sk.gap_off * g[1:]
+    sol[1:] += sk.gap_diag * g[1:] + sk.gap_off * g[:-1]
+    return out.reshape(3, -1)
+
+
+def _kernel_terms(q, m, n):
+    """The three kernel terms of ``peakon_rhs`` in the caller's order, shaped (3, N_s, A).
+
+    The momenta are gathered into the per-node sorted frame of
+    ``_checked_kernel``, the terms formed there (``_sorted_terms``) and
+    gathered back to the caller's peakon labels once.  Kept apart from
+    ``peakon_rhs`` and ``_sorted_terms`` so that the sorted-frame work arrays
+    are freed before the gather back and the s-derivatives: the right-hand
+    side is the peak of a peakon run's memory.
+    """
+    sk = _checked_kernel(q)
+    sorted_terms = _sorted_terms(sk, m, n)
+    back = np.empty_like(sk.index)  # back[i] is the sorted place of flat entry i
+    back[sk.index] = np.arange(back.size)
+    return sorted_terms.take(back, axis=1).reshape((3,) + q.shape)
+
+
 def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     """Node-wise time derivatives (dq, dm, dn) of the peakon system.
 
@@ -156,28 +274,19 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     dN_a/dt   = -d_s M_a + K^{-1} G, with
     G_e       = sum_{b,c} (N_b M_c - M_b N_c) D^{ec} (K^{eb} - K^{cb}).
 
-    Takes the (N_s, A) arrays q, m, n without re-validating them; the
-    coincidence and conditioning guards run once, in ``_checked_kernel``.
-    The space-slope relation d_s Q^a = -sum_b N_b K^{ab} is not imposed here;
-    see ``s_constraint_residual`` for the matching diagnostic.
+    Takes the (N_s, A) arrays q, m, n, in any per-node order, without
+    re-validating them; the coincidence and conditioning guards run once, in
+    ``_checked_kernel``.  The kernel terms are formed in each node's sorted
+    frame (``_kernel_terms``); the s-derivatives are taken in the caller's
+    frame, since they follow peakon labels.  The space-slope relation
+    d_s Q^a = -sum_b N_b K^{ab} is not imposed here; see
+    ``s_constraint_residual`` for the matching diagnostic.
     """
-    kmat = _checked_kernel(q)
-    deriv = kernel_deriv(q)
-
-    km = np.einsum("nab,nb->na", kmat, m)
-    kn = np.einsum("nab,nb->na", kmat, n)
-    dm_sum = np.einsum("nac,nc->na", deriv, m)
-    dn_sum = np.einsum("nac,nc->na", deriv, n)
-
-    dq = km
-    dm = -stencil(n) - (m * dm_sum - n * dn_sum)
-    g = (
-        kn * dm_sum
-        - np.einsum("nec,nc->ne", deriv, m * kn)
-        - km * dn_sum
-        + np.einsum("nec,nc->ne", deriv, n * km)
-    )
-    dn = -stencil(m) + _spd_solve(kmat, g)
+    dq, dm, dn = _kernel_terms(q, m, n)
+    count = q.shape[1]
+    slopes = stencil(np.concatenate((n, m), axis=1))  # d_s N and d_s M in one call
+    dm -= slopes[:, :count]
+    dn -= slopes[:, count:]
     return dq, dm, dn
 
 

@@ -23,7 +23,13 @@ from gstrand import (
     reconstruct_fields,
     s_constraint_residual,
 )
-from gstrand.peakon_dynamics import K0, _checked_kernel, _spd_solve
+from gstrand.peakon_dynamics import (
+    K0,
+    _checked_kernel,
+    _min_gap,
+    _sign_pattern,
+    _spd_solve,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,6 +241,159 @@ def test_rhs_raises_on_coincidence_through_checked_kernel():
     st.q[:, 1] = st.q[:, 0] + 1e-10
     with pytest.raises(SingularConfigurationError):
         peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / 16))
+
+
+# ------------------------------------------------- sorted frame and closed form
+
+
+def dense_rhs_reference(q, m, n, sten):
+    """The peakon equations with dense kernel tables and a general solve."""
+    kmat = kernel_matrix(q)
+    deriv = kernel_deriv(q)
+    km = np.einsum("nab,nb->na", kmat, m)
+    kn = np.einsum("nab,nb->na", kmat, n)
+    dm_sum = np.einsum("nac,nc->na", deriv, m)
+    dn_sum = np.einsum("nac,nc->na", deriv, n)
+    g = (
+        kn * dm_sum
+        - np.einsum("nec,nc->ne", deriv, m * kn)
+        - km * dn_sum
+        + np.einsum("nec,nc->ne", deriv, n * km)
+    )
+    dn = -sten(m) + np.linalg.solve(kmat, g[..., None])[..., 0]
+    return km, -sten(n) - (m * dm_sum - n * dn_sum), dn
+
+
+def shuffle_per_node(rng, *fields):
+    """The same random peakon relabelling of each field, drawn afresh at every node."""
+    perm = np.argsort(rng.random(fields[0].shape), axis=-1)
+    return tuple(np.take_along_axis(f, perm, axis=-1) for f in fields)
+
+
+def zero_stencil(f):
+    return np.zeros_like(f)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+@pytest.mark.parametrize("count", range(1, 9))
+def test_rhs_matches_dense_reference(count, order):
+    rng = np.random.default_rng(100 + count)
+    n_nodes = 24
+    sten = DerivativeStencil(2, TWO_PI / n_nodes)
+    q = spread_positions(rng, n_nodes, count)
+    m = rng.standard_normal((n_nodes, count))
+    n = rng.standard_normal((n_nodes, count))
+    if order == "shuffled":
+        q, m, n = shuffle_per_node(rng, q, m, n)
+    elif order == "reversed":  # the collision pair is stored with Q^1 >= Q^2
+        q, m, n = (f[:, ::-1].copy() for f in (q, m, n))
+    got = peakon_rhs(q, m, n, sten)
+    expect = dense_rhs_reference(q, m, n, sten)
+    for g, e in zip(got, expect):
+        assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+
+@pytest.mark.parametrize("count", range(2, 9))
+def test_rhs_permutation_equivariance(count):
+    rng = np.random.default_rng(200 + count)
+    n_nodes = 16
+    q = spread_positions(rng, n_nodes, count)
+    m = rng.standard_normal((n_nodes, count))
+    n = rng.standard_normal((n_nodes, count))
+    # one relabelling for the whole strand: the full right-hand side follows it
+    perm = rng.permutation(count)
+    sten = DerivativeStencil(2, TWO_PI / n_nodes)
+    got = peakon_rhs(q[:, perm], m[:, perm], n[:, perm], sten)
+    for g, e in zip(got, peakon_rhs(q, m, n, sten)):
+        np.testing.assert_array_equal(g, e[:, perm])
+    # a different relabelling at every node: the kernel terms follow it (the
+    # s-derivatives need labels that agree between nodes, so they are left out);
+    # equal seeds draw the same relabelling for the inputs and the outputs
+    shuffled = peakon_rhs(*shuffle_per_node(np.random.default_rng(7), q, m, n), zero_stencil)
+    expect = shuffle_per_node(np.random.default_rng(7), *peakon_rhs(q, m, n, zero_stencil))
+    for g, e in zip(shuffled, expect):
+        np.testing.assert_array_equal(g, e)
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_min_gap_equals_all_pairs_minimum(count):
+    rng = np.random.default_rng(300 + count)
+    for scale in (2.0, 1e-3, 1e-7):
+        q = rng.permuted(spread_positions(rng, 32, count, scale=scale), axis=1)
+        if count == 1:
+            assert _min_gap(q) == np.inf
+            continue
+        iu = np.triu_indices(count, k=1)
+        all_pairs = np.abs(q[:, :, None] - q[:, None, :])[:, iu[0], iu[1]]
+        assert _min_gap(q) == np.min(all_pairs)
+
+
+def test_zero_gap_is_reported_without_sign():
+    # 0.0 and -0.0 compare equal, so sorting may leave the pair as (0.0, -0.0)
+    q = np.tile([0.0, -0.0], (8, 1))
+    assert math.copysign(1.0, _min_gap(q)) == 1.0
+    with pytest.raises(SingularConfigurationError, match=r"gap 0\.000e\+00 <"):
+        _checked_kernel(q)
+
+
+def test_sorted_frame_tables_are_exact():
+    """kmat is K of the sorted positions and kmat x sign pattern is kernel_deriv, bit for bit."""
+    rng = np.random.default_rng(301)
+    q = rng.permuted(spread_positions(rng, 16, 5), axis=1)
+    sk = _checked_kernel(q)
+    qs = np.sort(q, axis=-1)
+    np.testing.assert_array_equal(np.moveaxis(sk.kmat, -1, 0), kernel_matrix(qs))
+    np.testing.assert_array_equal(
+        np.moveaxis(sk.kmat * _sign_pattern(5), -1, 0), kernel_deriv(qs))
+
+
+def test_closed_form_inverse_matches_dense_inverse():
+    rng = np.random.default_rng(302)
+    count = 6
+    q = rng.permuted(spread_positions(rng, 16, count), axis=1)
+    sk = _checked_kernel(q)
+    inv = 2.0 * np.eye(count)[:, :, None] + np.zeros_like(sk.kmat)
+    for i in range(count - 1):
+        inv[i, i] += sk.gap_diag[i]
+        inv[i + 1, i + 1] += sk.gap_diag[i]
+        inv[i, i + 1] = inv[i + 1, i] = sk.gap_off[i]
+    expect = np.linalg.inv(np.moveaxis(sk.kmat, -1, 0))
+    np.testing.assert_allclose(np.moveaxis(inv, -1, 0), expect, rtol=0.0, atol=1e-11)
+
+
+def test_closed_form_inverse_keeps_small_gaps_accurate():
+    """For a pair, K^{-1} = 2/(1 - e^2) [[1, -e], [-e, 1]] with e = exp(-g), to full precision.
+
+    Written as 1 - exp(-2 g), the denominator would lose about log10(1/g)
+    digits at g = 1e-7; the reference uses expm1 in a different arrangement.
+    """
+    gaps = np.array([1e-7, 3e-6, 1e-4, 1e-2, 0.5, 3.0, 20.0, 400.0])
+    q = np.stack([np.full_like(gaps, 0.3), 0.3 + gaps], axis=1)
+    sk = _checked_kernel(q)
+    g = q[:, 1] - q[:, 0]
+    diag = np.array([2.0 / -math.expm1(-2.0 * x) for x in g])
+    off = np.array([-1.0 / math.sinh(x) for x in g])
+    np.testing.assert_allclose(2.0 + sk.gap_diag[0], diag, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(sk.gap_off[0], off, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_condition_bound_dominates_eigenvalue_ratio(count):
+    rng = np.random.default_rng(400 + count)
+    for scale in (2.0, 0.5, 0.05):
+        q = rng.permuted(spread_positions(rng, 16, count, scale=scale), axis=1)
+        eig = np.linalg.eigvalsh(kernel_matrix(q))
+        ratio = np.max(eig) / np.min(eig)
+        # equal in exact arithmetic for A = 2; allow for the rounding of both sides
+        assert _checked_kernel(q).cond >= ratio * (1.0 - 1e-12)
+
+
+def test_condition_bound_is_exact_for_a_pair():
+    rng = np.random.default_rng(402)
+    q = rng.permuted(spread_positions(rng, 16, 2, scale=0.3), axis=1)
+    e = math.exp(-_min_gap(q))
+    expect = (1.0 + e) / (1.0 - e)
+    assert abs(_checked_kernel(q).cond - expect) <= 1e-12 * expect
 
 
 # ------------------------------------------------------------------ s-constraint
