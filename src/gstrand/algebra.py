@@ -40,14 +40,32 @@ def unhat(m):
     return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
+def _cross(a, b):
+    """Cross product a x b over the last axis, broadcasting like ``np.cross``.
+
+    Written out in components into ``np.empty``; each component is the same
+    two products and one difference that ``np.cross`` forms, so the result is
+    bitwise equal to it, without its per-call axis juggling.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def ad(u, w):
     """Adjoint action on so(3) in vector form: ad_u w = u x w."""
-    return np.cross(u, w)
+    return _cross(u, w)
 
 
 def ad_star_so3(u, m):
     """Coadjoint action ad*_u m = m x u, the dual of ``ad`` under the trace pairing."""
-    return np.cross(m, u)
+    return _cross(m, u)
 
 
 def pairing(m, n):

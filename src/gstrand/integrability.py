@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ANTISYMMETRY_TOL, DiagonalParams, build_J, embed_so4, hat
+from .algebra import ANTISYMMETRY_TOL, DiagonalParams, _cross, build_J, embed_so4, hat
 from .so3_dynamics import So3StrandState, XYState
 from .stencil import DerivativeStencil
 
@@ -166,7 +166,7 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
         (d0, s0), (d, s), (d2, s2) = window
         x = (d2 - d0) / (2.0 * dt) + stencil(d)
         w = (s2 - s0) / (2.0 * dt) - stencil(s)
-        z = np.cross(d, s)
+        z = _cross(d, s)
         for i, (a, b, ab2) in enumerate(coeffs):
             out[i, k - 2] = np.max(np.abs(a * x - b * w - ab2 * z))
         del window[0]

@@ -651,37 +651,38 @@ class RunReport:
         return out
 
 
-def _write_csv(path, header, rows):
-    """One CSV file; each row is a tuple of ints and floats."""
+def _write_csv(path, header, row_tails, blocks):
+    """One CSV file: the header line, then one block of rows per (t, values).
+
+    Every row of a block starts with the block's time t.  ``row_tails`` are
+    the ``%`` templates of the rest of each row, newline included, and the
+    flat list ``values`` fills them in order.  Floats print as %.17g, which
+    reads back to the same doubles; t is formatted once per block.
+    """
+    tails = [""] + row_tails
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    return "%.17g" % v
+        for t, values in blocks:
+            fh.write(("%.17g" % t).join(tails) % tuple(values))
 
 
 def _write_outputs(cfg, report, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ncols = report.snapshots[0].shape[2]
+    n_nodes, ncols = report.snapshots[0].shape[1:]
+    node_rows = [f",{idx}" + ",%.17g" * ncols + "\n" for idx in range(n_nodes)]
     for slot, name in enumerate(_SPECS[cfg.model].fields):
         header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
-        rows = (
-            (t, idx, *values)
-            for t, y in zip(report.times, report.snapshots)
-            for idx, values in enumerate(y[slot])
-        )
-        _write_csv(directory / f"{name}.csv", header, rows)
+        blocks = ((t, y[slot].ravel().tolist())
+                  for t, y in zip(report.times, report.snapshots))
+        _write_csv(directory / f"{name}.csv", header, node_rows, blocks)
 
     for name, data in report.series().items():
-        header = "t," + ",".join(data["columns"])
-        _write_csv(directory / f"{name}.csv", header,
-                   zip(data["times"], *data["columns"].values()))
+        columns = data["columns"]
+        header = "t," + ",".join(columns)
+        rows = np.column_stack(tuple(columns.values())).tolist()
+        _write_csv(directory / f"{name}.csv", header, [",%.17g" * len(columns) + "\n"],
+                   zip(data["times"], rows))
 
     with open(directory / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)

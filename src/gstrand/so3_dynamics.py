@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DiagonalParams
+from .algebra import DiagonalParams, _cross
 from .stencil import DerivativeStencil
 
 MIN_NODES = 8
@@ -115,14 +115,14 @@ def spin_chain_rhs(u, v, params: SpinChainParams, stencil: DerivativeStencil):
     """
     au = params.a.apply(u)
     bv = params.b.apply(v)
-    du = -params.a.solve(np.cross(u, au) + stencil(bv) + np.cross(v, bv))
-    dv = stencil(u) + np.cross(v, u)
+    du = -params.a.solve(_cross(u, au) + stencil(bv) + _cross(v, bv))
+    dv = stencil(u) + _cross(v, u)
     return du, dv
 
 
 def chiral_rhs(u, v, stencil: DerivativeStencil):
     """Principal chiral model: u_t = v_s, v_t = u_s - u x v."""
-    return stencil(v), stencil(u) - np.cross(u, v)
+    return stencil(v), stencil(u) - _cross(u, v)
 
 
 def lie_poisson_rhs_spin_chain(m_field, v_field, params: SpinChainParams, stencil: DerivativeStencil):
@@ -136,8 +136,8 @@ def lie_poisson_rhs_spin_chain(m_field, v_field, params: SpinChainParams, stenci
     v = np.asarray(v_field, dtype=float)
     dh_dm = params.a.solve(m)
     dh_dv = -params.b.apply(v)
-    dm = np.cross(m, dh_dm) + stencil(dh_dv) - np.cross(dh_dv, v)
-    dv = stencil(dh_dm) - np.cross(dh_dm, v)
+    dm = _cross(m, dh_dm) + stencil(dh_dv) - _cross(dh_dv, v)
+    dv = stencil(dh_dm) - _cross(dh_dm, v)
     return dm, dv
 
 
@@ -151,8 +151,8 @@ def aniso_rhs_uv(u, v, p: DiagonalParams, stencil: DerivativeStencil):
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
     pu = p.apply(u)
     pv = p.apply(v)
-    du = stencil(v) - np.cross(v, pv) + np.cross(u, pu)
-    dv = stencil(u) - np.cross(u, pv) + np.cross(v, pu)
+    du = stencil(v) - _cross(v, pv) + _cross(u, pu)
+    dv = stencil(u) - _cross(u, pv) + _cross(v, pu)
     return du, dv
 
 
@@ -177,8 +177,8 @@ def aniso_rhs_XY(x, y, p: DiagonalParams, stencil: DerivativeStencil):
     """
     if p.role != "anisotropy-P":
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    dx = -stencil(x) - np.cross(x, p.apply(y))
-    dy = stencil(y) + np.cross(y, p.apply(x))
+    dx = -stencil(x) - _cross(x, p.apply(y))
+    dy = stencil(y) + _cross(y, p.apply(x))
     return dx, dy
 
 
@@ -200,4 +200,4 @@ def compatibility_residual(u_snaps, v_snaps, stencil: DerivativeStencil, dt: flo
     u_mid = u[1:-1]
     v_mid = v[1:-1]
     du_ds = np.stack([stencil(u_k) for u_k in u_mid])
-    return dv_dt - du_ds + np.cross(u_mid, v_mid)
+    return dv_dt - du_ds + _cross(u_mid, v_mid)

@@ -14,6 +14,7 @@ from gstrand import (
     pairing,
     unhat,
 )
+from gstrand.algebra import _cross
 
 E1, E2, E3 = np.eye(3)
 
@@ -58,6 +59,43 @@ def test_unhat_rejects_wrong_shape():
 def test_ad_is_cross_product():
     np.testing.assert_array_equal(ad(E1, E2), E3)
     np.testing.assert_array_equal(ad([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), [-3.0, 6.0, -3.0])
+
+
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _cross_cases():
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal((7, 16, 6))
+    special = np.array([[-0.0, 5e-324, 1e300], [np.inf, -1e-300, 2.0]])
+    return {
+        "vectors": (rng.standard_normal(3), rng.standard_normal(3)),
+        "fields": (rng.standard_normal((16, 3)), rng.standard_normal((16, 3))),
+        "trajectories": (rng.standard_normal((7, 16, 3)), rng.standard_normal((7, 16, 3))),
+        "vector-field": (rng.standard_normal(3), rng.standard_normal((16, 3))),
+        "field-vector": (rng.standard_normal((16, 3)), rng.standard_normal(3)),
+        "strided": (wide[:, :, ::2], wide[::-1, :, 1::2]),
+        "fortran": (np.asfortranarray(wide[0, :, :3]), wide[1, :, 3:]),
+        "special": (special, special[::-1]),
+        "parallel": (wide[0, :, :3], 2.0 * wide[0, :, :3]),  # +0.0, never -0.0
+        "integer lists": (np.arange(6).reshape(2, 3).tolist(), [[1, 0, 2]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_cross_cases()))
+def test_cross_bitwise_equals_numpy(case):
+    a, b = _cross_cases()[case]
+    with np.errstate(invalid="ignore"):
+        assert_bitwise(_cross(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("case", ["vectors", "fields", "trajectories", "vector-field"])
+def test_ad_and_coadjoint_match_numpy_cross(case):
+    u, w = _cross_cases()[case]
+    assert_bitwise(ad(u, w), np.cross(u, w))
+    assert_bitwise(ad_star_so3(u, w), np.cross(w, u))
 
 
 def test_ad_self_vanishes():

@@ -500,6 +500,132 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(np.array(comps, dtype=float), rep.snapshots[2][0][0])
 
 
+# The per-value writer the template writer replaced, kept as the oracle for
+# every byte of the CSV files: "%d" for ints, "%.17g" for floats, one join
+# per row.
+def oracle_fmt(v):
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    return "%.17g" % v
+
+
+def oracle_csv(header, rows):
+    return header + "\n" + "".join(",".join(oracle_fmt(v) for v in row) + "\n" for row in rows)
+
+
+FIELDS = {"spin_chain": "uv", "chiral": "uv", "aniso_uv": "uv", "aniso_xy": "XY",
+          "peakon": "QMN", "peakon_single_exact": "QMN", "peakon_collision_exact": "QMN"}
+
+
+def oracle_files(model, report):
+    """Every output file of ``report``, rendered by the oracle."""
+    files = {}
+    ncols = report.snapshots[0].shape[2]
+    for slot, name in enumerate(FIELDS[model]):
+        header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
+        rows = ((t, idx, *values) for t, y in zip(report.times, report.snapshots)
+                for idx, values in enumerate(y[slot]))
+        files[f"{name}.csv"] = oracle_csv(header, rows)
+    for name, data in report.series().items():
+        header = "t," + ",".join(data["columns"])
+        files[f"{name}.csv"] = oracle_csv(header, zip(data["times"], *data["columns"].values()))
+    files["report.json"] = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
+    return files
+
+
+def assert_outputs_match_oracle(model, report, directory):
+    written = {path.name: path.read_bytes() for path in directory.iterdir()}
+    expected = oracle_files(model, report)
+    assert sorted(written) == sorted(expected)
+    for name, text in expected.items():
+        assert written[name] == text.encode("utf-8"), name
+
+
+def free_peakons(count):
+    q, m, n = [], [], []
+    for a in range(count):
+        q.append([[a - 0.5 * (count - 1), 0.0, HALF_PI], [0.08, 1.0, 0.3 * a]])
+        m.append([[0.2 + 0.05 * a, 0.0, HALF_PI], [0.03, 2.0, 0.0]])
+        n.append([[0.05 * (a - 1), 0.0, HALF_PI], [0.02, 1.0, 1.0]])
+    return {"count": count, "initial": {"q": q, "m": m, "n": n}}
+
+
+def oracle_scenarios():
+    chiral = chiral_dict()
+    spin = copy.deepcopy(chiral)
+    spin["model"] = "spin_chain"
+    spin["params"].update(A=[1.0, 2.0, 3.0], B=[2.0, 1.0, 1.0])
+    aniso_uv = copy.deepcopy(chiral)
+    aniso_uv.update(model="aniso_uv", diagnostics=[{"kind": "lax"}])
+    aniso_uv["params"]["P"] = [1.0, 2.0, 0.0]
+    aniso_xy = copy.deepcopy(aniso_uv)
+    aniso_xy.update(model="aniso_xy", diagnostics=[{"kind": "invariant_drift"}])
+    aniso_xy["params"]["initial"] = {"X": chiral["params"]["initial"]["u"],
+                                     "Y": chiral["params"]["initial"]["v"]}
+    peakon_diags = [{"kind": "s_constraint"}, {"kind": "conservation_sums"}]
+    single = single_exact_dict()
+    single["diagnostics"] = peakon_diags
+    peakons = {}
+    for count in (1, 3):
+        peakons[count] = copy.deepcopy(single)
+        peakons[count].update(model="peakon", params=free_peakons(count))
+    collision = copy.deepcopy(single)
+    collision.update(model="peakon_collision_exact", params={
+        "profile": {"type": "superposition", "parts": [
+            {"type": "traveling", "terms": [[1.0, 0.0, HALF_PI]], "direction": 1},
+            {"type": "standing", "amplitude": 0.25, "wavenumber": 1.0},
+        ]},
+        "branch": 1,
+    })
+    return {"spin_chain": spin, "chiral": chiral, "aniso_uv": aniso_uv,
+            "aniso_xy": aniso_xy, "peakon A=1": peakons[1], "peakon A=3": peakons[3],
+            "peakon_single_exact": single, "peakon_collision_exact": collision}
+
+
+@pytest.mark.parametrize("name", sorted(oracle_scenarios()))
+def test_outputs_byte_equal_oracle(tmp_path, name):
+    d = oracle_scenarios()[name]
+    report = run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path)
+    assert report.status == "ok"
+    assert_outputs_match_oracle(d["model"], report, tmp_path)
+
+
+def test_partial_outputs_byte_equal_oracle(tmp_path, monkeypatch):
+    """A failed run writes the snapshots it has; they render like a full run."""
+    written = []
+
+    def keep_report(cfg, report, directory):
+        written.append(report)
+        return write(cfg, report, directory)
+
+    write = sim_harness._write_outputs
+    monkeypatch.setattr(sim_harness, "_write_outputs", keep_report)
+    d = chiral_dict()
+    d["params"]["initial"]["u"] = [[[1e160, 1.0, 0.0]], [], []]
+    with pytest.raises(BlowUpError):
+        run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path)
+    (report,) = written
+    assert report.status.startswith("failed") and len(report.snapshots) >= 1
+    assert_outputs_match_oracle("chiral", report, tmp_path)
+
+
+def test_writer_renders_edge_values_like_oracle(tmp_path):
+    values = [-0.0, 5e-324, 1e-300, 1e300, 2.0, 0.1]
+    snapshot = np.array(values * 2).reshape(2, 2, 3)
+    report = sim_harness.RunReport(
+        model="chiral", n_steps=2, times=np.array([-0.0, 0.1, 1e300]),
+        snapshots=[snapshot, snapshot[::-1], -snapshot], status="ok",
+        diagnostics={"zero_curvature": {"times": np.array([0.1]),
+                                        "columns": {"lam_1": np.array([5e-324]),
+                                                    "lam_2": np.array([1e-300])}}},
+        reference_error={"times": np.array([-0.0, 0.1, 1e300]),
+                         "columns": {"err_Q": np.array(values[:3])}},
+    )
+    sim_harness._write_outputs(ScenarioConfig.from_dict(chiral_dict()), report, tmp_path)
+    assert_outputs_match_oracle("chiral", report, tmp_path)
+    assert (tmp_path / "u.csv").read_text().splitlines()[1] == "-0,0,-0,4.9406564584124654e-324,1e-300"
+
+
 def test_report_summary_structure():
     rep = run_scenario(ScenarioConfig.from_dict(chiral_dict()))
     summary = rep.summary()

@@ -79,3 +79,60 @@ def test_periodic_wraparound():
     st = DerivativeStencil(order=2, ds=TWO_PI / n)
     f = np.sin(s + 0.3)
     np.testing.assert_allclose(st(np.roll(f, 5)), np.roll(st(f), 5), rtol=0.0, atol=1e-14)
+
+
+# ------------------------------------------------- np.roll oracle, bit for bit
+
+
+def roll_first(f, order, ds):
+    """The stencils as np.roll differences, the form the slices replace."""
+    f = np.asarray(f, dtype=float)
+    if order == 2:
+        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * ds)
+    d1 = np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)
+    d2 = np.roll(f, -2, axis=0) - np.roll(f, 2, axis=0)
+    return (8.0 * d1 - d2) / (12.0 * ds)
+
+
+def roll_second(f, ds):
+    f = np.asarray(f, dtype=float)
+    return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / (ds * ds)
+
+
+def assert_bitwise(got, expected, what):
+    assert got.shape == expected.shape and got.dtype == expected.dtype, what
+    assert got.tobytes() == expected.tobytes(), what
+
+
+def oracle_inputs(n):
+    """Fields on n nodes in every layout the stencils meet."""
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 8))
+    if n > 2:
+        table[1, 0] = np.inf  # non-finite entries propagate the same way
+        table[2, 1] = -0.0
+    q, m, nn = table[:, :3], table[:, 3:6], table[:, 5:]
+    return {
+        "1-D": table[:, 2].copy(),
+        "(N_s, 3)": table[:, :3].copy(),
+        "(N_s, 5)": table[:, 3:].copy(),
+        "peakon [N | M]": np.concatenate((nn, m), axis=1),
+        "column view": q[:, 1],
+        "strided columns": table[:, ::3],
+        "reversed rows": table[::-1, :3],
+        "fortran order": np.asfortranarray(table[:, :3]),
+        "list": table[:, 2:4].tolist(),
+        "integers": np.arange(n) ** 2 - 3 * np.arange(n),
+        "integer list": [(k * k) % 7 for k in range(n)],
+    }
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 256])
+def test_stencils_bitwise_equal_roll_formulas(n):
+    ds = TWO_PI / n
+    with np.errstate(invalid="ignore"):
+        for name, f in oracle_inputs(n).items():
+            for order in (2, 4):
+                assert_bitwise(DerivativeStencil(order, ds)(f), roll_first(f, order, ds),
+                               f"order {order}, {name}")
+            assert_bitwise(second_derivative(f, ds), roll_second(f, ds), f"second, {name}")
