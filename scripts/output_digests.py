@@ -12,6 +12,9 @@ Two checkouts write the same bytes when their tables are equal:
 
     diff <(python3 scripts/output_digests.py /path/to/parent) \\
          <(python3 scripts/output_digests.py)
+
+``small_runs`` is also the scenario table of the byte-for-byte CSV oracle
+tests in ``tests/test_sim_harness.py``.
 """
 
 import hashlib

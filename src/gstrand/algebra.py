@@ -49,6 +49,8 @@ def _cross(a, b):
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(f"cross product needs 3-vectors, got shapes {a.shape} and {b.shape}")
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]

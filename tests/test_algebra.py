@@ -91,6 +91,16 @@ def test_cross_bitwise_equals_numpy(case):
         assert_bitwise(_cross(a, b), np.cross(a, b))
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_cross_rejects_non_3_vectors(length):
+    a = np.ones((5, length))
+    for op in (_cross, ad, ad_star_so3):
+        with pytest.raises(ValueError, match="3-vectors"):
+            op(a, a)
+        with pytest.raises(ValueError, match="3-vectors"):
+            op(np.ones(3), a)
+
+
 @pytest.mark.parametrize("case", ["vectors", "fields", "trajectories", "vector-field"])
 def test_ad_and_coadjoint_match_numpy_cross(case):
     u, w = _cross_cases()[case]

@@ -1,8 +1,10 @@
 """Scenario validation, RK4 stepping, run reports, and file outputs."""
 
 import copy
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,50 +543,22 @@ def assert_outputs_match_oracle(model, report, directory):
         assert written[name] == text.encode("utf-8"), name
 
 
-def free_peakons(count):
-    q, m, n = [], [], []
-    for a in range(count):
-        q.append([[a - 0.5 * (count - 1), 0.0, HALF_PI], [0.08, 1.0, 0.3 * a]])
-        m.append([[0.2 + 0.05 * a, 0.0, HALF_PI], [0.03, 2.0, 0.0]])
-        n.append([[0.05 * (a - 1), 0.0, HALF_PI], [0.02, 1.0, 1.0]])
-    return {"count": count, "initial": {"q": q, "m": m, "n": n}}
+def load_output_digests():
+    """scripts/output_digests.py, whose scenario table these tests share."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def oracle_scenarios():
-    chiral = chiral_dict()
-    spin = copy.deepcopy(chiral)
-    spin["model"] = "spin_chain"
-    spin["params"].update(A=[1.0, 2.0, 3.0], B=[2.0, 1.0, 1.0])
-    aniso_uv = copy.deepcopy(chiral)
-    aniso_uv.update(model="aniso_uv", diagnostics=[{"kind": "lax"}])
-    aniso_uv["params"]["P"] = [1.0, 2.0, 0.0]
-    aniso_xy = copy.deepcopy(aniso_uv)
-    aniso_xy.update(model="aniso_xy", diagnostics=[{"kind": "invariant_drift"}])
-    aniso_xy["params"]["initial"] = {"X": chiral["params"]["initial"]["u"],
-                                     "Y": chiral["params"]["initial"]["v"]}
-    peakon_diags = [{"kind": "s_constraint"}, {"kind": "conservation_sums"}]
-    single = single_exact_dict()
-    single["diagnostics"] = peakon_diags
-    peakons = {}
-    for count in (1, 3):
-        peakons[count] = copy.deepcopy(single)
-        peakons[count].update(model="peakon", params=free_peakons(count))
-    collision = copy.deepcopy(single)
-    collision.update(model="peakon_collision_exact", params={
-        "profile": {"type": "superposition", "parts": [
-            {"type": "traveling", "terms": [[1.0, 0.0, HALF_PI]], "direction": 1},
-            {"type": "standing", "amplitude": 0.25, "wavenumber": 1.0},
-        ]},
-        "branch": 1,
-    })
-    return {"spin_chain": spin, "chiral": chiral, "aniso_uv": aniso_uv,
-            "aniso_xy": aniso_xy, "peakon A=1": peakons[1], "peakon A=3": peakons[3],
-            "peakon_single_exact": single, "peakon_collision_exact": collision}
+output_digests = load_output_digests()
+BLOW_UP = "chiral_blow_up"  # the one small run that fails and writes partial outputs
 
 
-@pytest.mark.parametrize("name", sorted(oracle_scenarios()))
+@pytest.mark.parametrize("name", sorted(set(output_digests.small_runs()) - {BLOW_UP}))
 def test_outputs_byte_equal_oracle(tmp_path, name):
-    d = oracle_scenarios()[name]
+    d = output_digests.small_runs()[name]
     report = run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path)
     assert report.status == "ok"
     assert_outputs_match_oracle(d["model"], report, tmp_path)
@@ -600,13 +574,12 @@ def test_partial_outputs_byte_equal_oracle(tmp_path, monkeypatch):
 
     write = sim_harness._write_outputs
     monkeypatch.setattr(sim_harness, "_write_outputs", keep_report)
-    d = chiral_dict()
-    d["params"]["initial"]["u"] = [[[1e160, 1.0, 0.0]], [], []]
+    d = output_digests.small_runs()[BLOW_UP]
     with pytest.raises(BlowUpError):
         run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path)
     (report,) = written
     assert report.status.startswith("failed") and len(report.snapshots) >= 1
-    assert_outputs_match_oracle("chiral", report, tmp_path)
+    assert_outputs_match_oracle(d["model"], report, tmp_path)
 
 
 def test_writer_renders_edge_values_like_oracle(tmp_path):
