@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ANTISYMMETRY_TOL, DiagonalParams, _cross, build_J, embed_so4, hat
-from .so3_dynamics import So3StrandState, XYState
 from .stencil import DerivativeStencil
 
 
@@ -56,8 +55,8 @@ class LaxConnection:
         self.V_field = v
 
 
-def chiral_lax(state: So3StrandState, lam: float) -> LaxConnection:
-    """3x3 pair of the chiral model.
+def chiral_lax(u, v, lam: float) -> LaxConnection:
+    """3x3 pair of the chiral model at the (N_s, 3) fields u, v.
 
     space = [(1 + lam)(hat u - hat v) - (1 + 1/lam)(hat u + hat v)]/4,
     time  = -[(1 + lam)(hat u - hat v) + (1 + 1/lam)(hat u + hat v)]/4.
@@ -65,8 +64,8 @@ def chiral_lax(state: So3StrandState, lam: float) -> LaxConnection:
     """
     if lam == 0.0:
         raise ValueError("spectral parameter must be nonzero for the chiral pair")
-    diff = hat(state.u - state.v)
-    summ = hat(state.u + state.v)
+    diff = hat(u - v)
+    summ = hat(u + v)
     a = 0.25 * (1.0 + lam)
     b = 0.25 * (1.0 + 1.0 / lam)
     return LaxConnection(
@@ -77,8 +76,8 @@ def chiral_lax(state: So3StrandState, lam: float) -> LaxConnection:
     )
 
 
-def aniso_lax(state: So3StrandState, lam: float, p: DiagonalParams) -> LaxConnection:
-    """4x4 pair of the anisotropic model.
+def aniso_lax(u, v, lam: float, p: DiagonalParams) -> LaxConnection:
+    """4x4 pair of the anisotropic model at the (N_s, 3) fields u, v.
 
     space = A(v, u)(lam Id + J), time = A(u, v)(lam Id + J) with the diagonal
     weight J built from the coupling parameters.  The compatibility condition
@@ -89,8 +88,8 @@ def aniso_lax(state: So3StrandState, lam: float, p: DiagonalParams) -> LaxConnec
     """
     w = lam * np.eye(4) + build_J(p)
     return LaxConnection(
-        U_field=embed_so4(state.v, state.u) @ w,
-        V_field=embed_so4(state.u, state.v) @ w,
+        U_field=embed_so4(v, u) @ w,
+        V_field=embed_so4(u, v) @ w,
         lam=lam,
         algebra_dim=4,
     )
@@ -183,17 +182,23 @@ class DriftReport:
     y_series: np.ndarray
 
 
-def invariant_drift(xy_traj: Sequence[XYState]) -> DriftReport:
-    """Drift of per-node |X|^2, |Y|^2 relative to the first snapshot."""
-    if len(xy_traj) < 2:
+def invariant_drift(snapshots) -> DriftReport:
+    """Drift of per-node |X|^2, |Y|^2 relative to the first snapshot.
+
+    ``snapshots`` holds (X, Y) pairs of (N_s, 3) fields, such as packed
+    (2, N_s, 3) states.
+    """
+    if len(snapshots) < 2:
         raise ValueError("need at least 2 stored time levels")
-    x0 = xy_traj[0].x_sq0
-    y0 = xy_traj[0].y_sq0
-    xs = np.empty(len(xy_traj))
-    ys = np.empty(len(xy_traj))
-    for k, state in enumerate(xy_traj):
-        xs[k] = np.max(np.abs(np.sum(state.x * state.x, axis=1) - x0))
-        ys[k] = np.max(np.abs(np.sum(state.y * state.y, axis=1) - y0))
+    xs = np.empty(len(snapshots))
+    ys = np.empty(len(snapshots))
+    for k, (x, y) in enumerate(snapshots):
+        x_sq = np.sum(x * x, axis=1)
+        y_sq = np.sum(y * y, axis=1)
+        if k == 0:
+            x0, y0 = x_sq, y_sq
+        xs[k] = np.max(np.abs(x_sq - x0))
+        ys[k] = np.max(np.abs(y_sq - y0))
     return DriftReport(
         max_x=float(np.max(xs)), max_y=float(np.max(ys)), x_series=xs, y_series=ys
     )

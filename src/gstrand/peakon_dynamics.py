@@ -102,22 +102,6 @@ class PeakonState:
                 raise ValueError(f"{name} contains non-finite entries")
         _check_gap(_min_gap(self.q))
 
-    @property
-    def n_nodes(self):
-        return self.q.shape[0]
-
-    @property
-    def count(self):
-        return self.q.shape[1]
-
-    @property
-    def ds(self):
-        return self.length / self.n_nodes
-
-    @property
-    def grid(self):
-        return np.arange(self.n_nodes) * self.ds
-
 
 class SortedKernel(NamedTuple):
     """The kernel at one set of positions, in the per-node sorted frame.
@@ -290,10 +274,14 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     return dq, dm, dn
 
 
-def s_constraint_residual(state: PeakonState, stencil: DerivativeStencil):
-    """Residual field d_s Q^a + sum_b N_b K^{ab} of the space-slope relation."""
-    kn = np.einsum("nab,nb->na", kernel_matrix(state.q), state.n)
-    return stencil(state.q) + kn
+def s_constraint_residual(q, n, stencil: DerivativeStencil):
+    """Residual field d_s Q^a + sum_b N_b K^{ab} of the space-slope relation.
+
+    Takes the (N_s, A) arrays q and n, like ``peakon_rhs``.  No K^{-1} is
+    applied, so the positions need no gap check.
+    """
+    kn = np.einsum("nab,nb->na", kernel_matrix(q), n)
+    return stencil(q) + kn
 
 
 @dataclass(frozen=True)

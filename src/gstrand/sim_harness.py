@@ -46,17 +46,10 @@ from .integrability import (  # noqa: F401
     invariant_drift,
     zero_curvature_residual,
 )
-from .peakon_dynamics import (
-    MAX_PEAKONS,
-    PeakonState,
-    peakon_rhs,
-    s_constraint_residual,
-)
+from .peakon_dynamics import MAX_PEAKONS, peakon_rhs, s_constraint_residual
 from .so3_dynamics import (
     MIN_NODES,
-    So3StrandState,
     SpinChainParams,
-    XYState,
     aniso_rhs_XY,
     aniso_rhs_uv,
     chiral_rhs,
@@ -287,11 +280,12 @@ def _chiral_curvature(cfg, sten, snaps, lambdas):
 def _aniso_curvature(cfg, sten, snaps, lambdas):
     # curvature of the so(4) connection vanishes along trajectories of the
     # doubled fields; see aniso_lax
-    doubled = [So3StrandState(cfg.s_length, 2.0 * y[0], 2.0 * y[1]) for y in snaps]
+    doubled = [2.0 * y for y in snaps]
     p = cfg.params["P"]
+    dt = cfg.dt * cfg.cadence
     return {
         f"lam_{lam:g}": _series_max(zero_curvature_residual(
-            [aniso_lax(st, lam, p) for st in doubled], sten, cfg.dt * cfg.cadence).fields)
+            [aniso_lax(d[0], d[1], lam, p) for d in doubled], sten, dt).fields)
         for lam in lambdas
     }
 
@@ -303,13 +297,13 @@ def _compatibility(cfg, sten, snaps, lambdas):
 
 
 def _invariant_drift(cfg, sten, snaps, lambdas):
-    drift = invariant_drift([XYState(cfg.s_length, y[0], y[1]) for y in snaps])
+    drift = invariant_drift(snaps)
     return {"drift_X": drift.x_series, "drift_Y": drift.y_series}
 
 
 def _s_constraint(cfg, sten, snaps, lambdas):
     return {"residual": np.array([
-        np.max(np.abs(s_constraint_residual(PeakonState(cfg.s_length, *y), sten)))
+        np.max(np.abs(s_constraint_residual(y[0], y[2], sten)))
         for y in snaps
     ])}
 

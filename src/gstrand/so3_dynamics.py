@@ -62,11 +62,7 @@ class So3StrandState:
 
 @dataclass
 class XYState:
-    """Counter-propagating combination fields X = u - v, Y = -u - v.
-
-    Per-node squared magnitudes at construction time are kept for drift
-    monitoring; the anisotropic flow preserves them.
-    """
+    """Counter-propagating combination fields X = u - v, Y = -u - v."""
 
     length: float
     x: np.ndarray
@@ -77,8 +73,6 @@ class XYState:
             raise ValueError(f"strand length must be positive, got {self.length}")
         self.x = _check_field("x", self.x)
         self.y = _check_field("y", self.y, self.x.shape[0])
-        self.x_sq0 = np.sum(self.x * self.x, axis=1)
-        self.y_sq0 = np.sum(self.y * self.y, axis=1)
 
     @property
     def n_nodes(self):
@@ -87,10 +81,6 @@ class XYState:
     @property
     def ds(self):
         return self.length / self.n_nodes
-
-    @property
-    def grid(self):
-        return np.arange(self.n_nodes) * self.ds
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def test_criterion_03_chiral_zero_curvature_convergence():
     compat = compatibility_residual(u, v, sten, dt)
     from gstrand import chiral_lax, zero_curvature_residual
 
-    conns = [chiral_lax(So3StrandState(TWO_PI, y[0], y[1]), 1.0) for y in rep.snapshots]
+    conns = [chiral_lax(y[0], y[1], 1.0) for y in rep.snapshots]
     lax = zero_curvature_residual(conns, sten, dt)
     identity_gap = float(np.max(np.abs(lax.fields + hat(compat))))
     ok = ok and identity_gap <= 1e-13

@@ -10,7 +10,6 @@ from gstrand import (
     DiagonalParams,
     LaxConnection,
     So3StrandState,
-    XYState,
     aniso_lax,
     ScenarioConfig,
     aniso_rhs_uv,
@@ -91,7 +90,7 @@ def test_chiral_lax_at_unit_lambda():
     """lam = 1 collapses the pair to (-hat v, -hat u)."""
     rng = np.random.default_rng(17)
     st = So3StrandState(TWO_PI, rng.standard_normal((16, 3)), rng.standard_normal((16, 3)))
-    conn = chiral_lax(st, 1.0)
+    conn = chiral_lax(st.u, st.v, 1.0)
     np.testing.assert_allclose(conn.U_field, -hat(st.v), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(conn.V_field, -hat(st.u), rtol=0.0, atol=1e-15)
 
@@ -99,7 +98,7 @@ def test_chiral_lax_at_unit_lambda():
 def test_chiral_lax_vanishes_at_minus_one():
     rng = np.random.default_rng(18)
     st = So3StrandState(TWO_PI, rng.standard_normal((16, 3)), rng.standard_normal((16, 3)))
-    conn = chiral_lax(st, -1.0)
+    conn = chiral_lax(st.u, st.v, -1.0)
     np.testing.assert_array_equal(conn.U_field, np.zeros((16, 3, 3)))
     np.testing.assert_array_equal(conn.V_field, np.zeros((16, 3, 3)))
 
@@ -110,7 +109,7 @@ def test_chiral_lax_general_lambda_formula():
     lam = 2.0
     a = 0.25 * (1.0 + lam)
     b = 0.25 * (1.0 + 1.0 / lam)
-    conn = chiral_lax(st, lam)
+    conn = chiral_lax(st.u, st.v, lam)
     diff = hat(st.u) - hat(st.v)
     summ = hat(st.u) + hat(st.v)
     np.testing.assert_allclose(conn.U_field, a * diff - b * summ, rtol=0.0, atol=1e-14)
@@ -120,7 +119,7 @@ def test_chiral_lax_general_lambda_formula():
 def test_chiral_lax_rejects_zero_lambda():
     st = chiral_initial(16)
     with pytest.raises(ValueError, match="nonzero"):
-        chiral_lax(st, 0.0)
+        chiral_lax(st.u, st.v, 0.0)
 
 
 # ------------------------------------------------------- chiral_curvature_max
@@ -132,7 +131,7 @@ def matrix_curvature_max(snapshots, lambdas, sten, dt):
     """Reference: per-time max of zero_curvature_residual over chiral_lax."""
     out = []
     for lam in lambdas:
-        conns = [chiral_lax(So3StrandState(TWO_PI, y[0], y[1]), lam) for y in snapshots]
+        conns = [chiral_lax(y[0], y[1], lam) for y in snapshots]
         fields = zero_curvature_residual(conns, sten, dt).fields
         out.append(np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1))
     return np.array(out)
@@ -224,7 +223,7 @@ def test_aniso_lax_matches_direct_product():
     st = So3StrandState(TWO_PI, rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
     lam = 0.7
-    conn = aniso_lax(st, lam, p)
+    conn = aniso_lax(st.u, st.v, lam, p)
     w = lam * np.eye(4) + build_J(p)
     for i in range(st.n_nodes):
         np.testing.assert_allclose(
@@ -239,7 +238,7 @@ def test_aniso_lax_frozen_entries():
     """u = e3, v = 0, P = (1,2,3), lam = 0: the weight is pure J."""
     st = So3StrandState(TWO_PI, np.tile(E3, (8, 1)), np.zeros((8, 3)))
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
-    conn = aniso_lax(st, 0.0, p)
+    conn = aniso_lax(st.u, st.v, 0.0, p)
     u_expect = np.zeros((4, 4))
     u_expect[2, 3] = -3.0
     u_expect[3, 2] = 1.5
@@ -256,7 +255,7 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
     u = rng.standard_normal((8, 3))
     v = rng.standard_normal((8, 3))
     st = So3StrandState(TWO_PI, u, v)
-    conn = aniso_lax(st, 0.5, DiagonalParams(np.ones(3), "anisotropy-P"))
+    conn = aniso_lax(st.u, st.v, 0.5, DiagonalParams(np.ones(3), "anisotropy-P"))
     np.testing.assert_array_equal(conn.U_field[..., :3], np.zeros((8, 4, 3)))
     np.testing.assert_allclose(conn.U_field[:, :3, 3], -u, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(conn.V_field[:, :3, 3], -v, rtol=0.0, atol=1e-15)
@@ -267,14 +266,14 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
 
 def test_residual_needs_three_levels():
     st = chiral_initial(16)
-    conns = [chiral_lax(st, 1.0)] * 2
+    conns = [chiral_lax(st.u, st.v, 1.0)] * 2
     with pytest.raises(ValueError, match="3"):
         zero_curvature_residual(conns, st.stencil(), 0.1)
 
 
 def test_residual_rejects_mixed_lambda():
     st = chiral_initial(16)
-    conns = [chiral_lax(st, 1.0), chiral_lax(st, 2.0), chiral_lax(st, 1.0)]
+    conns = [chiral_lax(st.u, st.v, lam) for lam in (1.0, 2.0, 1.0)]
     with pytest.raises(ValueError, match="share"):
         zero_curvature_residual(conns, st.stencil(), 0.1)
 
@@ -306,7 +305,7 @@ def test_chiral_residual_converges_on_trajectory():
     errs = []
     for n, steps in ((32, 8), (64, 16), (128, 32)):
         traj = integrate_chiral(n, 0.4 / steps, steps)
-        conns = [chiral_lax(st, lam) for st in traj]
+        conns = [chiral_lax(st.u, st.v, lam) for st in traj]
         res = zero_curvature_residual(conns, traj[0].stencil(), 0.4 / steps)
         errs.append(res.max_norm)
     rates = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -317,7 +316,7 @@ def test_unit_lambda_residual_is_negated_compatibility_residual():
     """At lam = 1 the curvature equals minus the hat of the compatibility defect."""
     traj = integrate_chiral(32, 0.02, 6)
     sten = traj[0].stencil()
-    conns = [chiral_lax(st, 1.0) for st in traj]
+    conns = [chiral_lax(st.u, st.v, 1.0) for st in traj]
     lax_res = zero_curvature_residual(conns, sten, 0.02)
     u = np.stack([st.u for st in traj])
     v = np.stack([st.v for st in traj])
@@ -346,7 +345,7 @@ def test_doubled_field_aniso_residual_converges_raw_does_not():
 
     def residual(scale):
         conns = [
-            aniso_lax(So3StrandState(TWO_PI, scale * y[0], scale * y[1]), 0.5, p)
+            aniso_lax(scale * y[0], scale * y[1], 0.5, p)
             for y in traj
         ]
         return zero_curvature_residual(conns, sten, dt).max_norm
@@ -363,7 +362,7 @@ def test_doubled_field_aniso_residual_converges_raw_does_not():
 
 def test_invariant_drift_zero_on_frozen_trajectory():
     rng = np.random.default_rng(41)
-    xy = XYState(TWO_PI, rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+    xy = (rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
     rep = invariant_drift([xy, xy, xy])
     assert rep.max_x == 0.0
     assert rep.max_y == 0.0
@@ -374,14 +373,12 @@ def test_invariant_drift_flags_injected_rescaling():
     """Doubling X inflates per-node |X|^2 by 3|X0|^2; the monitor must see it."""
     x = np.ones((8, 3))
     y = np.ones((8, 3))
-    first = XYState(TWO_PI, x, y)
-    tampered = XYState(TWO_PI, 2.0 * x, y)
-    rep = invariant_drift([first, tampered])
+    rep = invariant_drift([(x, y), (2.0 * x, y)])
     assert rep.max_x == 9.0
     assert rep.max_y == 0.0
 
 
 def test_invariant_drift_needs_two_levels():
-    xy = XYState(TWO_PI, np.zeros((8, 3)), np.zeros((8, 3)))
+    xy = (np.zeros((8, 3)), np.zeros((8, 3)))
     with pytest.raises(ValueError):
         invariant_drift([xy])

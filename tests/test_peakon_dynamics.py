@@ -408,7 +408,7 @@ def test_s_constraint_zero_for_constant_q_zero_n():
         m=rng.standard_normal((n_nodes, 2)),
         n=np.zeros((n_nodes, 2)),
     )
-    res = s_constraint_residual(st, DerivativeStencil(2, TWO_PI / n_nodes))
+    res = s_constraint_residual(st.q, st.n, DerivativeStencil(2, TWO_PI / n_nodes))
     np.testing.assert_array_equal(res, np.zeros((n_nodes, 2)))
 
 
@@ -422,9 +422,9 @@ def test_s_constraint_small_on_consistent_data_large_on_corrupted():
     m = np.zeros((n_nodes, 1))
     n = (-h_s / K0)[:, None]
     sten = DerivativeStencil(2, ds)
-    good = s_constraint_residual(PeakonState(TWO_PI, q, m, n), sten)
+    good = s_constraint_residual(q, n, sten)
     assert np.max(np.abs(good)) < 1e-3
-    corrupted = s_constraint_residual(PeakonState(TWO_PI, q, m, 2.0 * n), sten)
+    corrupted = s_constraint_residual(q, 2.0 * n, sten)
     assert np.max(np.abs(corrupted)) > 0.3
 
 

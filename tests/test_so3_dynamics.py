@@ -228,8 +228,6 @@ def test_to_XY_frozen_example():
     xy = to_XY(st)
     np.testing.assert_array_equal(xy.x[0], [1.0, -1.0, 0.0])
     np.testing.assert_array_equal(xy.y[0], [-1.0, -1.0, 0.0])
-    np.testing.assert_array_equal(xy.x_sq0, np.full(8, 2.0))
-    np.testing.assert_array_equal(xy.y_sq0, np.full(8, 2.0))
 
 
 def test_XY_round_trip():
