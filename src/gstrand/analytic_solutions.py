@@ -18,6 +18,7 @@ from .peakon_dynamics import K0
 
 _WAVE_CHECK_TOL = 1e-6
 _WAVE_CHECK_DELTA = 1e-4
+MAX_PROFILE_DEPTH = 16  # superpositions inside superpositions; flat parts lists need none
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -137,6 +138,8 @@ def profile_from_descriptor(d) -> WaveProfile:
     direction a JSON integer; anything else raises ConfigError.  The message
     carries the prefix ``bad profile descriptor:`` once, however deep the
     bad entry sits, and names it by its path, e.g. ``parts[1].terms[0][0]``.
+    A descriptor inside more than ``MAX_PROFILE_DEPTH`` superpositions is
+    rejected too.
     """
     try:
         return _parse_profile(d, "")
@@ -147,6 +150,8 @@ def profile_from_descriptor(d) -> WaveProfile:
 def _parse_profile(d, path):
     """Descriptor ``d`` at ``path`` (empty or ending in '.') to a WaveProfile."""
     where = f"{path[:-1]}: " if path else ""
+    if path.count("parts[") > MAX_PROFILE_DEPTH:
+        raise ConfigError(f"{where}superpositions nest more than {MAX_PROFILE_DEPTH} deep")
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError(f"{where}must be a dict with a 'type' key, got {d!r}")
     kind = d["type"]

@@ -14,13 +14,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, SingularConfigurationError
+from .so3_dynamics import MIN_NODES
 from .stencil import DerivativeStencil
 
 K0 = 0.5
 MIN_GAP = 1e-8
 CONDITION_LIMIT = 1e12
 MAX_PEAKONS = 8
-MIN_NODES = 8
 
 
 def kernel(x, y):

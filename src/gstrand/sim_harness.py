@@ -273,8 +273,7 @@ def _series_max(fields):
 
 
 def _chiral_curvature(cfg, sten, snaps, lambdas):
-    series = chiral_curvature_max(snaps, lambdas, sten, cfg.dt * cfg.cadence)
-    return {f"lam_{lam:g}": row for lam, row in zip(lambdas, series)}
+    return chiral_curvature_max(snaps, lambdas, sten, cfg.dt * cfg.cadence)
 
 
 def _aniso_curvature(cfg, sten, snaps, lambdas):
@@ -283,11 +282,11 @@ def _aniso_curvature(cfg, sten, snaps, lambdas):
     doubled = [2.0 * y for y in snaps]
     p = cfg.params["P"]
     dt = cfg.dt * cfg.cadence
-    return {
-        f"lam_{lam:g}": _series_max(zero_curvature_residual(
+    return [
+        _series_max(zero_curvature_residual(
             [aniso_lax(d[0], d[1], lam, p) for d in doubled], sten, dt).fields)
         for lam in lambdas
-    }
+    ]
 
 
 def _compatibility(cfg, sten, snaps, lambdas):
@@ -325,7 +324,7 @@ def _conservation_sums(cfg, sten, snaps, lambdas):
 class Diagnostic(NamedTuple):
     """One diagnostic kind of a model."""
 
-    evaluate: Callable  # (cfg, stencil, snapshots, lambdas) -> named series
+    evaluate: Callable  # (cfg, stencil, snapshots, lambdas) -> named series, or one per lambda
     lambdas: tuple | None = None  # default spectral parameters; None: takes none
     pole_at_zero: bool = False  # reject lambda = 0
     centered: bool = False  # centered time difference: needs 3 snapshots, interior times
@@ -405,6 +404,11 @@ _SPECS = dict(zip(MODEL_NAMES, MODEL_SPECS))
 # configuration
 
 
+def _lambda_columns(lambdas):
+    """Output column name of each spectral parameter."""
+    return [f"lam_{lam:g}" for lam in lambdas]
+
+
 def _validate_diagnostics(spec, diags, n_snapshots):
     if not isinstance(diags, list):
         raise ConfigError("diagnostics must be a list")
@@ -437,6 +441,13 @@ def _validate_diagnostics(spec, diags, n_snapshots):
             if diag.pole_at_zero and 0.0 in parsed["lambdas"]:
                 raise ConfigError(
                     f"{path}.lambdas: the {spec.name} pair has a pole at lambda 0"
+                )
+            names = _lambda_columns(parsed["lambdas"])
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ConfigError(
+                    f"{path}.lambdas name the columns {repeated} more than once; "
+                    "column names keep 6 significant digits of lambda"
                 )
         elif diag.lambdas is not None:
             parsed["lambdas"] = diag.lambdas
@@ -545,8 +556,12 @@ class ScenarioConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config file {path} nests too deeply to parse") from None
         return cls.from_dict(data)
 
     def refined(self, factor: int):
@@ -574,6 +589,8 @@ def _evaluate_diagnostics(cfg, sten, snaps, times):
     for entry in cfg.diagnostics:
         diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
         columns = diag.evaluate(cfg, sten, snaps, entry.get("lambdas"))
+        if diag.lambdas is not None:
+            columns = dict(zip(_lambda_columns(entry["lambdas"]), columns))
         out[entry["kind"]] = {
             "times": np.asarray(times[1:-1] if diag.centered else times),
             "columns": columns,
@@ -759,6 +776,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
 def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
     """Joint (ds, dt) halving study; orders from consecutive error ratios.
 
+    Every level's config is built, and so checked, before any level runs.
     Each requested diagnostic (and the reference error of the exact models)
     is collapsed to a scalar per level.  Orders are reported as undefined
     when the sequence is non-monotone or sits at the round-off floor.
@@ -767,10 +785,10 @@ def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
         raise ConfigError(
             f"refinement_levels must be an integer >= 3, got {refinement_levels}"
         )
+    level_cfgs = [cfg.refined(2**k) for k in range(refinement_levels)]
     levels = []
     errors = {}
-    for k in range(refinement_levels):
-        level_cfg = cfg.refined(2**k)
+    for level_cfg in level_cfgs:
         report = run_scenario(level_cfg, out_dir=None)
         levels.append({"N_s": level_cfg.n_nodes, "dt": level_cfg.dt})
         for name, data in report.series().items():

@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import DiagonalParams, _cross
 from .stencil import DerivativeStencil
 
-MIN_NODES = 8
+MIN_NODES = 8  # fewest strand nodes of any model, the peakon system included
 
 
 def _check_field(name, f, n_nodes=None):

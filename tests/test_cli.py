@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from gstrand import sim_harness
 from gstrand.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -114,6 +115,58 @@ def test_converge_rejects_two_levels(tmp_path, capsys):
     rc = main(["converge", "--config", str(cfg), "--levels", "2"])
     assert rc == 2
     assert "refinement_levels" in capsys.readouterr().err
+
+
+def test_converge_rejects_a_level_over_the_step_limit_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = write_config(tmp_path)  # 8 steps; levels of 8, 16, 32
+    monkeypatch.setattr(sim_harness, "MAX_STEPS", 20)
+    runs = []
+    monkeypatch.setattr(sim_harness, "run_scenario", lambda *a, **k: runs.append(a))
+    rc = main(["converge", "--config", str(cfg), "--levels", "3"])
+    assert rc == 2
+    assert "limit of 20" in capsys.readouterr().err
+    assert runs == []
+
+
+def test_repeated_lambda_column_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {("diagnostics",): [{"kind": "zero_curvature", "lambdas": [0.5, 0.5]}]}
+    )
+    rc = main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert "lam_0.5" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"model": "chiral\xe9"}')
+    rc = main(["run", "--config", str(f)])
+    assert rc == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_json_nested_past_the_decoder_limit_is_config_error(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text('{"model": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+    rc = main(["run", "--config", str(f)])
+    assert rc == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_profile_is_config_error(tmp_path, capsys):
+    profile = {"type": "standing", "amplitude": 0.3, "wavenumber": 1.0}
+    for _ in range(300):
+        profile = {"type": "superposition", "parts": [profile]}
+    cfg = write_config(tmp_path, {
+        ("model",): "peakon_single_exact",
+        ("params",): {"profile": profile},
+        ("diagnostics",): [],
+    })
+    rc = main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert "superpositions nest more than" in capsys.readouterr().err
 
 
 def test_list_scenarios_output(capsys):

@@ -296,6 +296,81 @@ def test_bad_profile_descriptor_is_config_error():
         ScenarioConfig.from_dict(d)
 
 
+def model_dict(model):
+    """``chiral_dict`` switched to ``model``, with the parameters it needs."""
+    d = chiral_dict()
+    d["model"] = model
+    d["diagnostics"] = []
+    if model == "spin_chain":
+        d["params"].update(A=[1.0, 2.0, 3.0], B=[2.0, 1.0, 1.0])
+    elif model == "aniso_uv":
+        d["params"]["P"] = [1.0, 2.0, 3.0]
+    elif model == "peakon":
+        d["params"] = {
+            "count": 1,
+            "initial": {"q": [[[1.0, 0.0, HALF_PI]]], "m": [[]], "n": [[]]},
+        }
+    return d
+
+
+@pytest.mark.parametrize(
+    "model,path,value,where",
+    [
+        pytest.param("chiral", ("grid",), [64], "grid", id="section-not-object"),
+        pytest.param("chiral", ("params", "initial", "u"), [[[1.0, 1.0]], [], []],
+                     "params.initial.u[0][0]", id="term-not-triple"),
+        pytest.param("aniso_uv", ("params", "P"), [1.0, 2.0], "params.P",
+                     id="diagonal-length-2"),
+        pytest.param("spin_chain", ("params", "A"), [1.0, 0.0, 3.0], "params.A",
+                     id="zero-inertia"),
+        pytest.param("peakon", ("params", "count"), 0, "params.count", id="count-0"),
+        pytest.param("peakon", ("params", "count"), 9, "params.count", id="count-over-max"),
+    ],
+)
+def test_config_rejection_names_its_path(model, path, value, where):
+    d = model_dict(model)
+    ScenarioConfig.from_dict(copy.deepcopy(d))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(d)
+    assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "model,kind,lambdas",
+    [
+        ("chiral", "zero_curvature", [0.5, 0.5]),
+        ("chiral", "zero_curvature", [1.0000001, 1.0000002]),
+        ("aniso_uv", "lax", [0.5, 0.5000001]),
+    ],
+)
+def test_lambdas_must_name_distinct_columns(model, kind, lambdas):
+    d = model_dict(model)
+    d["diagnostics"] = [{"kind": kind, "lambdas": lambdas}]
+    with pytest.raises(ConfigError, match="more than once"):
+        ScenarioConfig.from_dict(d)
+
+
+def test_profile_nesting_bound():
+    """MAX_PROFILE_DEPTH nested superpositions parse; one more is a ConfigError."""
+    from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
+
+    def nested(depth):
+        profile = standing(amp=0.3)
+        for _ in range(depth):
+            profile = {"type": "superposition", "parts": [profile]}
+        d = single_exact_dict()
+        d["params"]["profile"] = profile
+        return d
+
+    ScenarioConfig.from_dict(nested(MAX_PROFILE_DEPTH))
+    with pytest.raises(ConfigError, match=f"more than {MAX_PROFILE_DEPTH} deep"):
+        ScenarioConfig.from_dict(nested(MAX_PROFILE_DEPTH + 1))
+
+
 def test_from_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         ScenarioConfig.from_file(tmp_path / "missing.json")
@@ -643,6 +718,16 @@ def test_convergence_study_flags_floor_as_undefined():
     zc = study["diagnostics"]["zero_curvature"]
     assert zc["order"] is None
     assert zc["orders"] is None
+
+
+def test_convergence_study_checks_every_level_before_running(monkeypatch):
+    cfg = ScenarioConfig.from_dict(chiral_dict())  # 8 steps; levels of 8, 16, 32
+    monkeypatch.setattr(sim_harness, "MAX_STEPS", 20)
+    runs = []
+    monkeypatch.setattr(sim_harness, "run_scenario", lambda *a, **k: runs.append(a))
+    with pytest.raises(ConfigError, match="limit of 20"):
+        convergence_study(cfg, 3)
+    assert runs == []
 
 
 def test_convergence_study_needs_three_levels():
