@@ -190,15 +190,12 @@ def invariant_drift(snapshots) -> DriftReport:
     """
     if len(snapshots) < 2:
         raise ValueError("need at least 2 stored time levels")
+    x0, y0 = (np.sum(f * f, axis=1) for f in snapshots[0])
     xs = np.empty(len(snapshots))
     ys = np.empty(len(snapshots))
     for k, (x, y) in enumerate(snapshots):
-        x_sq = np.sum(x * x, axis=1)
-        y_sq = np.sum(y * y, axis=1)
-        if k == 0:
-            x0, y0 = x_sq, y_sq
-        xs[k] = np.max(np.abs(x_sq - x0))
-        ys[k] = np.max(np.abs(y_sq - y0))
+        xs[k] = np.max(np.abs(np.sum(x * x, axis=1) - x0))
+        ys[k] = np.max(np.abs(np.sum(y * y, axis=1) - y0))
     return DriftReport(
         max_x=float(np.max(xs)), max_y=float(np.max(ys)), x_series=xs, y_series=ys
     )

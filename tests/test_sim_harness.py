@@ -22,6 +22,7 @@ from gstrand import (
     run_scenario,
     sim_harness,
 )
+from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -356,7 +357,6 @@ def test_lambdas_must_name_distinct_columns(model, kind, lambdas):
 
 def test_profile_nesting_bound():
     """MAX_PROFILE_DEPTH nested superpositions parse; one more is a ConfigError."""
-    from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
 
     def nested(depth):
         profile = standing(amp=0.3)
