@@ -35,7 +35,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             cfg = ScenarioConfig.from_file(args.config)
-            report = run_scenario(cfg, out_dir=args.out)
+            report = run_scenario(cfg, out_dir=args.out, keep_snapshots=False)
             summary = report.summary()
             print(
                 f"model {summary['model']}: {summary['status']} "

@@ -149,6 +149,25 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 stored time levels")
+    coeffs = _chiral_coefficients(lambdas)
+    out = np.empty((len(coeffs), len(snapshots) - 2))
+    window = []  # (D, S) at the previous, current and next level
+    for k, y in enumerate(snapshots):
+        window.append(_chiral_level(y))
+        if k < 2:
+            continue
+        out[:, k - 2] = _chiral_curvature_at(window, coeffs, stencil, dt)
+        del window[0]
+    return out
+
+
+def _chiral_level(y):
+    """(D, S) = (u - v, u + v) of one (u, v) level."""
+    return y[0] - y[1], y[0] + y[1]
+
+
+def _chiral_coefficients(lambdas):
+    """(a, b, 2ab) of each spectral parameter; see ``chiral_curvature_max``."""
     coeffs = []
     for lam in lambdas:
         if lam == 0.0:
@@ -156,20 +175,16 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
         a = 0.25 * (1.0 + lam)
         b = 0.25 * (1.0 + 1.0 / lam)
         coeffs.append((a, b, 2.0 * a * b))
-    out = np.empty((len(coeffs), len(snapshots) - 2))
-    window = []  # (D, S) at the previous, current and next level
-    for k, y in enumerate(snapshots):
-        window.append((y[0] - y[1], y[0] + y[1]))
-        if k < 2:
-            continue
-        (d0, s0), (d, s), (d2, s2) = window
-        x = (d2 - d0) / (2.0 * dt) + stencil(d)
-        w = (s2 - s0) / (2.0 * dt) - stencil(s)
-        z = _cross(d, s)
-        for i, (a, b, ab2) in enumerate(coeffs):
-            out[i, k - 2] = np.max(np.abs(a * x - b * w - ab2 * z))
-        del window[0]
-    return out
+    return coeffs
+
+
+def _chiral_curvature_at(window, coeffs, stencil, dt):
+    """max |r| for each of ``coeffs`` at the middle of three (D, S) levels."""
+    (d0, s0), (d, s), (d2, s2) = window
+    x = (d2 - d0) / (2.0 * dt) + stencil(d)
+    w = (s2 - s0) / (2.0 * dt) - stencil(s)
+    z = _cross(d, s)
+    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
 
 
 @dataclass(frozen=True)
@@ -190,12 +205,21 @@ def invariant_drift(snapshots) -> DriftReport:
     """
     if len(snapshots) < 2:
         raise ValueError("need at least 2 stored time levels")
-    x0, y0 = (np.sum(f * f, axis=1) for f in snapshots[0])
+    base = _node_magnitudes(snapshots[0])
     xs = np.empty(len(snapshots))
     ys = np.empty(len(snapshots))
-    for k, (x, y) in enumerate(snapshots):
-        xs[k] = np.max(np.abs(np.sum(x * x, axis=1) - x0))
-        ys[k] = np.max(np.abs(np.sum(y * y, axis=1) - y0))
+    for k, pair in enumerate(snapshots):
+        xs[k], ys[k] = _magnitude_drift(base, _node_magnitudes(pair))
     return DriftReport(
         max_x=float(np.max(xs)), max_y=float(np.max(ys)), x_series=xs, y_series=ys
     )
+
+
+def _node_magnitudes(pair):
+    """Per-node |X|^2 and |Y|^2 of one (X, Y) level."""
+    return [np.sum(f * f, axis=1) for f in pair]
+
+
+def _magnitude_drift(base, magnitudes):
+    """Max |m - m0| over nodes of each ``_node_magnitudes`` pair against ``base``."""
+    return [np.max(np.abs(m - m0)) for m, m0 in zip(magnitudes, base)]

@@ -251,7 +251,7 @@ def _kernel_terms(q, m, n):
 
 
 def peakon_rhs(q, m, n, stencil: DerivativeStencil):
-    """Node-wise time derivatives (dq, dm, dn) of the peakon system.
+    """Node-wise time derivatives of the peakon system, one (3, N_s, A) array (dq, dm, dn).
 
     dQ^a/dt   = sum_b M_b K^{ab}
     dM_a/dt   = -d_s N_a - sum_c (M_a M_c - N_a N_c) D^{ac}
@@ -266,12 +266,12 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     d_s Q^a = -sum_b N_b K^{ab} is not imposed here; see
     ``s_constraint_residual`` for the matching diagnostic.
     """
-    dq, dm, dn = _kernel_terms(q, m, n)
+    terms = _kernel_terms(q, m, n)
     count = q.shape[1]
     slopes = stencil(np.concatenate((n, m), axis=1))  # d_s N and d_s M in one call
-    dm -= slopes[:, :count]
-    dn -= slopes[:, count:]
-    return dq, dm, dn
+    terms[1] -= slopes[:, :count]
+    terms[2] -= slopes[:, count:]
+    return terms
 
 
 def s_constraint_residual(q, n, stencil: DerivativeStencil):

@@ -2,10 +2,17 @@
 
 A scenario is a JSON object naming one of the registered models, a periodic
 (s, t) grid, model parameters with initial data, a list of diagnostics, and
-an output block.  ``run_scenario`` integrates with classical RK4, stores
-snapshots at a fixed step cadence, evaluates the requested diagnostics over
-the stored trajectory, and writes one CSV per field and per diagnostic plus
-a ``report.json``.  Identical configurations produce byte-identical files.
+an output block.  ``run_scenario`` integrates with classical RK4 and stores
+a level at a fixed step cadence.  It evaluates the requested diagnostics and
+reference errors in the same pass, as each level is stored, and then writes
+one CSV per field and per diagnostic plus a ``report.json``.  Identical
+configurations produce byte-identical files.
+
+The diagnostics are local in time: a centered kind reads the newest three
+stored levels, the drift kind the first and the newest, every other kind the
+newest alone.  So a run holds only those levels, unless it writes field CSVs
+or its caller asks for the snapshots (``keep_snapshots``); then it keeps
+every stored level.
 
 Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
 parser, initial data, right-hand side on the packed state array, field
@@ -37,11 +44,16 @@ from .analytic_solutions import (
     single_peakon_exact,
 )
 from .errors import BlowUpError, ConfigError, SimulationError, _integer, _number
-# chiral_lax is not called here any more; it stays a module attribute because
-# the benchmark tracer (perfbench/spans.py) wraps it by this name
+# chiral_lax and invariant_drift are not called here; they stay module
+# attributes because the benchmark tracer (perfbench/spans.py) wraps them by
+# these names
 from .integrability import (  # noqa: F401
+    _chiral_coefficients,
+    _chiral_curvature_at,
+    _chiral_level,
+    _magnitude_drift,
+    _node_magnitudes,
     aniso_lax,
-    chiral_curvature_max,
     chiral_lax,
     invariant_drift,
     zero_curvature_residual,
@@ -223,13 +235,10 @@ def _single_fields(p, s):
     return np.stack([f[:, None] for f in single_peakon_exact(p["profile"], s, 0.0)])
 
 
-def _single_errors(p, s, snaps, times):
-    columns = {"err_Q": [], "err_M": [], "err_N": []}
-    for t, y in zip(times, snaps):
-        exact = single_peakon_exact(p["profile"], s, t)
-        for series, field, ref in zip(columns.values(), y, exact):
-            series.append(np.max(np.abs(field - ref[:, None])))
-    return {key: np.array(series) for key, series in columns.items()}
+def _single_errors(p, s, y, t):
+    exact = single_peakon_exact(p["profile"], s, t)
+    return {key: np.max(np.abs(field - ref[:, None]))
+            for key, field, ref in zip(("err_Q", "err_M", "err_N"), y, exact)}
 
 
 def _parse_collision(params, s_length):
@@ -246,12 +255,9 @@ def _collision_fields(p, s):
     return np.stack([np.stack(sample[i:i + 2], axis=1) for i in (0, 2, 4)])
 
 
-def _collision_errors(p, s, snaps, times):
-    sol = p["solution"]
-    return {"err_X": np.array([
-        np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - sol.separation(s, t)))
-        for t, y in zip(times, snaps)
-    ])}
+def _collision_errors(p, s, y, t):
+    separation = p["solution"].separation(s, t)
+    return {"err_X": np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation))}
 
 
 def _spin_chain_rhs(p, sten):
@@ -260,61 +266,57 @@ def _spin_chain_rhs(p, sten):
 
 
 def _peakon_rhs(p, sten):
-    return lambda y: np.stack(peakon_rhs(y[0], y[1], y[2], sten))
+    return lambda y: peakon_rhs(y[0], y[1], y[2], sten)
 
 
 # --------------------------------------------------------------------------
-# diagnostics over stored snapshots; each returns its named series
+# diagnostics at one stored level; each returns its named values there, or
+# one value per lambda.  ``levels`` holds what the kind reads of the stored
+# levels (see Diagnostic).
 
 
-def _series_max(fields):
-    """Per-time max magnitude of a (T, ...) residual stack."""
-    return np.max(np.abs(fields.reshape(fields.shape[0], -1)), axis=1)
+def _chiral_curvature(cfg, sten, levels, lambdas):
+    coeffs = _chiral_coefficients(lambdas)
+    return _chiral_curvature_at(levels, coeffs, sten, cfg.dt * cfg.cadence)
 
 
-def _chiral_curvature(cfg, sten, snaps, lambdas):
-    return chiral_curvature_max(snaps, lambdas, sten, cfg.dt * cfg.cadence)
-
-
-def _aniso_curvature(cfg, sten, snaps, lambdas):
+def _aniso_curvature(cfg, sten, levels, lambdas):
     # curvature of the so(4) connection vanishes along trajectories of the
     # doubled fields; see aniso_lax
-    doubled = [2.0 * y for y in snaps]
+    doubled = [2.0 * y for y in levels]
     p = cfg.params["P"]
     dt = cfg.dt * cfg.cadence
     return [
-        _series_max(zero_curvature_residual(
-            [aniso_lax(d[0], d[1], lam, p) for d in doubled], sten, dt).fields)
+        zero_curvature_residual([aniso_lax(d[0], d[1], lam, p) for d in doubled],
+                                sten, dt).max_norm
         for lam in lambdas
     ]
 
 
-def _compatibility(cfg, sten, snaps, lambdas):
-    u = np.stack([y[0] for y in snaps])
-    v = np.stack([y[1] for y in snaps])
-    return {"residual": _series_max(compatibility_residual(u, v, sten, cfg.dt * cfg.cadence))}
+def _compatibility(cfg, sten, levels, lambdas):
+    u = np.stack([y[0] for y in levels])
+    v = np.stack([y[1] for y in levels])
+    residual = compatibility_residual(u, v, sten, cfg.dt * cfg.cadence)
+    return {"residual": np.max(np.abs(residual))}
 
 
-def _invariant_drift(cfg, sten, snaps, lambdas):
-    drift = invariant_drift(snaps)
-    return {"drift_X": drift.x_series, "drift_Y": drift.y_series}
+def _invariant_drift(cfg, sten, levels, lambdas):
+    drift_x, drift_y = _magnitude_drift(levels[0], levels[-1])
+    return {"drift_X": drift_x, "drift_Y": drift_y}
 
 
-def _s_constraint(cfg, sten, snaps, lambdas):
-    return {"residual": np.array([
-        np.max(np.abs(s_constraint_residual(y[0], y[2], sten)))
-        for y in snaps
-    ])}
+def _s_constraint(cfg, sten, levels, lambdas):
+    (y,) = levels
+    return {"residual": np.max(np.abs(s_constraint_residual(y[0], y[2], sten)))}
 
 
-def _conservation_sums(cfg, sten, snaps, lambdas):
+def _conservation_sums(cfg, sten, levels, lambdas):
+    (y,) = levels
     ds = cfg.s_length / cfg.n_nodes
-    columns = {"sum_M": np.array([np.sum(y[1]) * ds for y in snaps])}
-    if snaps[0].shape[2] == 2:
-        columns["sum_N_skew"] = np.array(
-            [np.sum(y[2][:, 0] - y[2][:, 1]) * ds for y in snaps]
-        )
-    return columns
+    values = {"sum_M": np.sum(y[1]) * ds}
+    if y.shape[2] == 2:
+        values["sum_N_skew"] = np.sum(y[2][:, 0] - y[2][:, 1]) * ds
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +326,12 @@ def _conservation_sums(cfg, sten, snaps, lambdas):
 class Diagnostic(NamedTuple):
     """One diagnostic kind of a model."""
 
-    evaluate: Callable  # (cfg, stencil, snapshots, lambdas) -> named series, or one per lambda
+    evaluate: Callable  # (cfg, stencil, levels, lambdas) -> named values, or one per lambda
     lambdas: tuple | None = None  # default spectral parameters; None: takes none
     pole_at_zero: bool = False  # reject lambda = 0
-    centered: bool = False  # centered time difference: needs 3 snapshots, interior times
+    centered: bool = False  # levels: the newest 3, evaluated at the middle one's time
+    from_first: bool = False  # levels: the first and the newest
+    level: Callable | None = None  # what evaluate reads of a level, formed once per level
 
 
 class ModelSpec(NamedTuple):
@@ -344,7 +348,7 @@ class ModelSpec(NamedTuple):
     rhs: Callable  # (parsed, stencil) -> function of the packed state
     fields: tuple  # output name of each slot of the packed state
     diagnostics: dict  # kind -> Diagnostic
-    reference: Callable | None = None  # (parsed, s, snapshots, times) -> error columns
+    reference: Callable | None = None  # (parsed, s, level, t) -> named errors at t
 
 
 _PEAKON_DIAGNOSTICS = {
@@ -365,7 +369,8 @@ MODEL_SPECS = (
         _parse_fields(("u", "v")), _harmonic_fields,
         lambda p, sten: lambda y: np.stack(chiral_rhs(y[0], y[1], sten)), ("u", "v"),
         {"zero_curvature": Diagnostic(_chiral_curvature, (0.5, 1.0, 2.0, -1.0),
-                                      pole_at_zero=True, centered=True)},
+                                      pole_at_zero=True, centered=True,
+                                      level=_chiral_level)},
     ),
     ModelSpec(
         "aniso_uv", "anisotropic chiral model in (u, v) variables",
@@ -379,7 +384,8 @@ MODEL_SPECS = (
         _parse_fields(("X", "Y"), P="anisotropy-P"), _harmonic_fields,
         lambda p, sten: lambda y: np.stack(aniso_rhs_XY(y[0], y[1], p["P"], sten)),
         ("X", "Y"),
-        {"invariant_drift": Diagnostic(_invariant_drift)},
+        {"invariant_drift": Diagnostic(_invariant_drift, from_first=True,
+                                        level=_node_magnitudes)},
     ),
     ModelSpec(
         "peakon", "Diff(R)-strand peakon system with free initial data",
@@ -576,7 +582,7 @@ class ScenarioConfig:
 
 
 # --------------------------------------------------------------------------
-# diagnostics and reference errors over a run
+# diagnostics and reference errors, one stored level at a time
 
 
 def _guard_finite(y):
@@ -584,25 +590,52 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _evaluate_diagnostics(cfg, sten, snaps, times):
+def _evaluate_diagnostics(cfg, sten, y, held, rows):
+    """Evaluate each diagnostic at the newly stored level ``y``.
+
+    ``held[kind]`` keeps what the kind reads of the stored levels, and the
+    values are appended to ``rows[kind]``.  A centered kind keeps the newest
+    three and is evaluated once it has them, at the middle one's time.
+    """
+    for entry in cfg.diagnostics:
+        kind = entry["kind"]
+        diag = _SPECS[cfg.model].diagnostics[kind]
+        levels = held[kind]
+        levels.append(y if diag.level is None else diag.level(y))
+        if diag.centered:
+            del levels[:-3]
+            if len(levels) < 3:
+                continue
+        elif len(levels) > (2 if diag.from_first else 1):
+            del levels[-2]
+        rows[kind].append(diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
+
+
+def _reference_errors(cfg, s, y, t):
+    """Errors of the stored level ``y`` against the model's reference at ``t``."""
+    return _SPECS[cfg.model].reference(cfg.params, s, y, t)
+
+
+def _columns(rows):
+    """One array per name from a list of per-level dicts of named values."""
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+def _diagnostic_series(cfg, rows, times):
+    """Named series of each diagnostic, with their times, from its per-level rows."""
     out = {}
     for entry in cfg.diagnostics:
         diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
-        columns = diag.evaluate(cfg, sten, snaps, entry.get("lambdas"))
-        if diag.lambdas is not None:
-            columns = dict(zip(_lambda_columns(entry["lambdas"]), columns))
+        values = rows[entry["kind"]]
+        if diag.lambdas is None:
+            columns = _columns(values)
+        else:
+            columns = dict(zip(_lambda_columns(entry["lambdas"]), np.column_stack(values)))
         out[entry["kind"]] = {
             "times": np.asarray(times[1:-1] if diag.centered else times),
             "columns": columns,
         }
     return out
-
-
-def _reference_errors(cfg, s, snaps, times):
-    reference = _SPECS[cfg.model].reference
-    if reference is None:
-        return None
-    return {"times": np.asarray(times), "columns": reference(cfg.params, s, snaps, times)}
 
 
 def _diagnostic_scalar(name, data):
@@ -620,12 +653,12 @@ def _diagnostic_scalar(name, data):
 
 @dataclass
 class RunReport:
-    """Stored trajectory plus diagnostic series for one scenario run."""
+    """Diagnostic series of one scenario run, plus its snapshots if they were kept."""
 
     model: str
     n_steps: int
     times: np.ndarray
-    snapshots: list
+    snapshots: list  # every stored level, or [] when the run kept none
     diagnostics: dict
     reference_error: dict | None
     status: str
@@ -679,7 +712,6 @@ def _write_csv(path, header, row_tails, blocks):
 
 def _write_outputs(cfg, report, directory):
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     n_nodes, ncols = report.snapshots[0].shape[1:]
     node_rows = [f",{idx}" + ",%.17g" * ncols + "\n" for idx in range(n_nodes)]
     for slot, name in enumerate(_SPECS[cfg.model].fields):
@@ -704,15 +736,29 @@ def _write_outputs(cfg, report, directory):
 # drivers
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
+def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> RunReport:
     """Integrate a scenario and evaluate its diagnostics.
 
     Writes CSV and report files when the config (or ``out_dir``) names an
-    output directory.  On blow-up or singular configurations the snapshots
-    collected so far are still written before the error is re-raised, so
-    partial trajectories stay inspectable; a failure on the very first
-    stage evaluation is reported against the initial data at t = 0.
+    output directory; the directory is made before the first step, and a
+    path that cannot be one is a ConfigError.  Diagnostics and reference
+    errors are evaluated as each level is stored, so a run holds only what
+    they read of the newest three stored levels and of the first.
+    ``RunReport.snapshots`` keeps every stored level when the run writes
+    files or ``keep_snapshots`` is true, and is ``[]`` otherwise.
+
+    On blow-up or singular configurations the snapshots collected so far are
+    still written before the error is re-raised, so partial trajectories stay
+    inspectable; a failure on the very first stage evaluation is reported
+    against the initial data at t = 0.
     """
+    directory = out_dir if out_dir is not None else cfg.directory
+    if directory is not None:
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {directory}: {exc}") from exc
+    keep = keep_snapshots or directory is not None
     spec = _SPECS[cfg.model]
     ds = cfg.s_length / cfg.n_nodes
     s = np.arange(cfg.n_nodes) * ds
@@ -726,30 +772,40 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
         _guard_finite(y)
         return model_rhs(y)
 
+    snaps, times, errors = [], [], []
+    held = {entry["kind"]: [] for entry in cfg.diagnostics}
+    rows = {entry["kind"]: [] for entry in cfg.diagnostics}
+
+    def store(y, t):
+        if keep:
+            snaps.append(y)
+        times.append(t)
+        _evaluate_diagnostics(cfg, sten, y, held, rows)
+        if spec.reference is not None:
+            errors.append(_reference_errors(cfg, s, y, t))
+
     y = spec.initial(cfg.params, s)
-    snaps = [y]
-    times = [0.0]
+    store(y, 0.0)
     failure = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(cfg.n_steps):
-                try:
-                    y = rk4_step(y, rhs, cfg.dt)
-                except SimulationError as exc:
-                    where = (
-                        "initial data, t = 0" if stages == 1
-                        else f"step {i + 1}, t = {(i + 1) * cfg.dt:.9g}"
-                    )
-                    raise type(exc)(f"{exc} ({where})") from exc
-                if (i + 1) % cfg.cadence == 0:
-                    snaps.append(y)
-                    times.append((i + 1) * cfg.dt)
-        except SimulationError as exc:
-            failure = exc
+    for i in range(cfg.n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                y = rk4_step(y, rhs, cfg.dt)
+            except SimulationError as exc:
+                where = (
+                    "initial data, t = 0" if stages == 1
+                    else f"step {i + 1}, t = {(i + 1) * cfg.dt:.9g}"
+                )
+                failure = type(exc)(f"{exc} ({where})")
+                failure.__cause__ = exc
+                break
+        if (i + 1) % cfg.cadence == 0:
+            store(y, (i + 1) * cfg.dt)
 
     if failure is None:
-        diagnostics = _evaluate_diagnostics(cfg, sten, snaps, times)
-        reference = _reference_errors(cfg, s, snaps, times)
+        diagnostics = _diagnostic_series(cfg, rows, times)
+        reference = None if spec.reference is None else {
+            "times": np.asarray(times), "columns": _columns(errors)}
         status = "ok"
     else:
         diagnostics = {}
@@ -765,7 +821,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunReport:
         reference_error=reference,
         status=status,
     )
-    directory = out_dir if out_dir is not None else cfg.directory
     if directory is not None:
         _write_outputs(cfg, report, directory)
     if failure is not None:
@@ -789,7 +844,7 @@ def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
     levels = []
     errors = {}
     for level_cfg in level_cfgs:
-        report = run_scenario(level_cfg, out_dir=None)
+        report = run_scenario(level_cfg, keep_snapshots=False)
         levels.append({"N_s": level_cfg.n_nodes, "dt": level_cfg.dt})
         for name, data in report.series().items():
             errors.setdefault(name, []).append(_diagnostic_scalar(name, data))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gstrand import sim_harness
+from gstrand import ConfigError, ScenarioConfig, cli, run_scenario, sim_harness
 from gstrand.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +56,44 @@ def test_run_out_flag_overrides(tmp_path, capsys):
     assert rc == 0
     assert (out / "report.json").exists()
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_run_and_converge_keep_no_snapshots(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(run):
+        def run_scenario(*args, **kwargs):
+            calls.append(kwargs["keep_snapshots"])
+            return run(*args, **kwargs)
+        return run_scenario
+
+    monkeypatch.setattr(cli, "run_scenario", spy(cli.run_scenario))
+    monkeypatch.setattr(sim_harness, "run_scenario", spy(sim_harness.run_scenario))
+    cfg = write_config(
+        tmp_path,
+        {("grid", "N_s"): 32, ("grid", "dt"): 0.025, ("grid", "t_end"): 0.2},
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["converge", "--config", str(cfg), "--levels", "3"]) == 0
+    assert calls == [False] * 4
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_out_path_that_cannot_be_a_directory_is_config_error(
+    tmp_path, capsys, monkeypatch, under_file
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under_file else blocker
+    steps = []
+    monkeypatch.setattr(sim_harness, "rk4_step", lambda *args: steps.append(args))
+    cfg = write_config(tmp_path)
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="cannot make output directory"):
+        run_scenario(ScenarioConfig.from_file(cfg), out_dir=out)
+    assert steps == []
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,23 @@ import pytest
 from gstrand import (
     BlowUpError,
     ConfigError,
+    DerivativeStencil,
     ScenarioConfig,
     SimulationError,
     SingularConfigurationError,
+    aniso_lax,
+    chiral_curvature_max,
+    compatibility_residual,
     convergence_study,
+    invariant_drift,
     list_scenarios,
     peakon_rhs,
     rk4_step,
     run_scenario,
+    s_constraint_residual,
     sim_harness,
+    single_peakon_exact,
+    zero_curvature_residual,
 )
 from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
 
@@ -672,6 +681,145 @@ def test_writer_renders_edge_values_like_oracle(tmp_path):
     sim_harness._write_outputs(ScenarioConfig.from_dict(chiral_dict()), report, tmp_path)
     assert_outputs_match_oracle("chiral", report, tmp_path)
     assert (tmp_path / "u.csv").read_text().splitlines()[1] == "-0,0,-0,4.9406564584124654e-324,1e-300"
+
+
+# ------------------------------------------------------------------ streaming
+
+
+STREAMED_RUNS = {**output_digests.small_runs(), **output_digests.workload_runs()}
+
+
+def run_or_failure(cfg, **kwargs):
+    try:
+        return run_scenario(cfg, **kwargs)
+    except SimulationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_series_equal(got, expected):
+    assert np.array_equal(got.times, expected.times)
+    assert list(got.series()) == list(expected.series())
+    for name, data in expected.series().items():
+        assert np.array_equal(got.series()[name]["times"], data["times"]), name
+        columns = got.series()[name]["columns"]
+        assert list(columns) == list(data["columns"]), name
+        for key, series in data["columns"].items():
+            assert np.array_equal(columns[key], series), (name, key)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+def test_streaming_equals_stored(name):
+    """Dropping the snapshots changes no diagnostic, reference error or summary."""
+    cfg = ScenarioConfig.from_dict(STREAMED_RUNS[name])
+    stored = run_or_failure(cfg)
+    streamed = run_or_failure(cfg, keep_snapshots=False)
+    if isinstance(stored, str):
+        assert streamed == stored
+        return
+    assert len(stored.snapshots) == len(stored.times)
+    assert streamed.snapshots == []
+    assert_series_equal(streamed, stored)
+    assert streamed.summary() == stored.summary()
+
+
+def trajectory_columns(cfg, snaps, times):
+    """Every series of a run from the list functions over its whole trajectory."""
+    sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
+    dt = cfg.dt * cfg.cadence
+    ds = cfg.s_length / cfg.n_nodes
+    out = {}
+    for entry in cfg.diagnostics:
+        kind, lambdas = entry["kind"], entry.get("lambdas")
+        if cfg.model == "chiral":
+            rows = chiral_curvature_max(snaps, lambdas, sten, dt)
+            columns = dict(zip(sim_harness._lambda_columns(lambdas), rows))
+        elif cfg.model == "spin_chain":
+            u, v = np.stack(snaps).swapaxes(0, 1)
+            residual = compatibility_residual(u, v, sten, dt)
+            columns = {"residual": np.max(np.abs(residual), axis=(1, 2))}
+        elif kind == "lax":
+            columns = {
+                name: np.max(np.abs(zero_curvature_residual(
+                    [aniso_lax(2.0 * y[0], 2.0 * y[1], lam, cfg.params["P"]) for y in snaps],
+                    sten, dt).fields), axis=(1, 2, 3))
+                for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas)
+            }
+        elif kind == "invariant_drift":
+            drift = invariant_drift(snaps)
+            columns = {"drift_X": drift.x_series, "drift_Y": drift.y_series}
+        elif kind == "s_constraint":
+            columns = {"residual": np.array([
+                np.max(np.abs(s_constraint_residual(y[0], y[2], sten))) for y in snaps])}
+        else:
+            columns = {"sum_M": np.array([np.sum(y[1]) * ds for y in snaps])}
+            if snaps[0].shape[2] == 2:
+                columns["sum_N_skew"] = np.array(
+                    [np.sum(y[2][:, 0] - y[2][:, 1]) * ds for y in snaps])
+        out[kind] = columns
+    s = np.arange(cfg.n_nodes) * ds
+    if cfg.model == "peakon_single_exact":
+        exact = [single_peakon_exact(cfg.params["profile"], s, t) for t in times]
+        out["reference_error"] = {
+            key: np.array([np.max(np.abs(y[i] - ref[i][:, None]))
+                           for y, ref in zip(snaps, exact)])
+            for i, key in enumerate(("err_Q", "err_M", "err_N"))
+        }
+    elif cfg.model == "peakon_collision_exact":
+        out["reference_error"] = {"err_X": np.array([
+            np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - cfg.params["solution"].separation(s, t)))
+            for y, t in zip(snaps, times)])}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(set(output_digests.small_runs()) - {BLOW_UP}))
+def test_per_level_series_equal_trajectory_functions(name):
+    """Each series evaluated level by level has the bits of the list functions
+    applied to the whole stored trajectory."""
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()[name])
+    report = run_scenario(cfg)
+    expected = trajectory_columns(cfg, report.snapshots, report.times)
+    series = report.series()
+    assert list(series) == list(expected)
+    for kind, columns in expected.items():
+        assert list(series[kind]["columns"]) == list(columns), kind
+        for key, values in columns.items():
+            assert np.array_equal(series[kind]["columns"][key], values), (kind, key)
+
+
+def chiral_memory_peak(steps, **kwargs):
+    """tracemalloc peak, in bytes, of a chiral zero_curvature run at N_s = 1024."""
+    d = output_digests.small_runs()["chiral"]
+    dt = TWO_PI / 1024 / 4.0
+    d["grid"] = {"S": TWO_PI, "N_s": 1024, "dt": dt, "t_end": steps * dt}
+    cfg = ScenarioConfig.from_dict(d)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_run_length():
+    """Without kept snapshots a run holds a few levels, however long it is;
+    with them its peak grows with the number of stored levels."""
+    short, long = (chiral_memory_peak(steps, keep_snapshots=False) for steps in (40, 320))
+    assert long == pytest.approx(short, rel=0.2)
+    short, long = (chiral_memory_peak(steps) for steps in (40, 320))
+    assert long > 4 * short
+
+
+def test_spin_chain_levels_are_stacked_three_at_a_time(monkeypatch):
+    shapes = []
+
+    def spy(u, v, sten, dt):
+        shapes.append(u.shape)
+        return compatibility_residual(u, v, sten, dt)
+
+    monkeypatch.setattr(sim_harness, "compatibility_residual", spy)
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["spin_chain"])
+    run_scenario(cfg, keep_snapshots=False)
+    assert shapes == [(3, cfg.n_nodes, 3)] * (cfg.n_steps - 1)
 
 
 def test_report_summary_structure():
