@@ -13,7 +13,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SingularConfigurationError, _integer, _number
+from .errors import (
+    ConfigError, SingularConfigurationError, _integer, _number, _require_keys, _terms,
+)
 from .peakon_dynamics import K0
 
 _WAVE_CHECK_TOL = 1e-6
@@ -21,6 +23,14 @@ _WAVE_CHECK_DELTA = 1e-4
 MAX_PROFILE_DEPTH = 16  # superpositions inside superpositions; flat parts lists need none
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def _harmonic_sum(terms, x, wave=np.sin):
+    """Sum of amp * wave(k * x + phase) over [amp, k, phase] terms, from zeros shaped like x."""
+    out = np.zeros(np.shape(x))  # float zeros; np.zeros_like costs more per call
+    for a, k, ph in terms:
+        out = out + a * wave(k * x + ph)
+    return out
 
 
 def _log_cosh(z):
@@ -79,17 +89,11 @@ class WaveProfile:
         if direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction}")
         terms = [(float(a), float(k), float(ph)) for a, k, ph in terms]
-
-        def f(xi):
-            return sum(a * np.sin(k * xi + ph) for a, k, ph in terms)
-
-        def fp(xi):
-            return sum(a * k * np.cos(k * xi + ph) for a, k, ph in terms)
-
+        slope = [(a * k, k, ph) for a, k, ph in terms]  # d/dxi, rounded as a * k * cos
         return cls(
-            h=lambda s, t: f(s - direction * t),
-            dh_dt=lambda s, t: -direction * fp(s - direction * t),
-            dh_ds=lambda s, t: fp(s - direction * t),
+            h=lambda s, t: _harmonic_sum(terms, s - direction * t),
+            dh_dt=lambda s, t: -direction * _harmonic_sum(slope, s - direction * t, np.cos),
+            dh_ds=lambda s, t: _harmonic_sum(slope, s - direction * t, np.cos),
             descriptor={"type": "traveling", "terms": [list(t_) for t_ in terms],
                         "direction": direction},
         )
@@ -125,55 +129,61 @@ class WaveProfile:
 
 
 _PROFILE_KEYS = {
-    "traveling": {"type", "terms", "direction"},
-    "standing": {"type", "amplitude", "wavenumber"},
-    "superposition": {"type", "parts"},
+    "traveling": ("type", "terms", "direction"),
+    "standing": ("type", "amplitude", "wavenumber"),
+    "superposition": ("type", "parts"),
 }
 
 
 def profile_from_descriptor(d) -> WaveProfile:
     """Rebuild a WaveProfile from its JSON descriptor.
 
-    Amplitudes, wavenumbers and phases must be finite JSON numbers and the
-    direction a JSON integer; anything else raises ConfigError.  The message
-    carries the prefix ``bad profile descriptor:`` once, however deep the
-    bad entry sits, and names it by its path, e.g. ``parts[1].terms[0][0]``.
-    A descriptor inside more than ``MAX_PROFILE_DEPTH`` superpositions is
-    rejected too.
+    Each kind takes exactly its keys: ``terms`` are checked like the harmonic
+    series of initial fields (``[]`` is zero), ``parts`` must be a non-empty
+    list, every number finite and the direction a JSON integer.  Anything
+    else raises ConfigError, whose message carries the prefix ``bad profile
+    descriptor:`` once and names the bad entry by its path, however deep, e.g.
+    ``parts[1].terms[0][0]``; so does nesting past ``MAX_PROFILE_DEPTH``.
     """
     try:
         return _parse_profile(d, "")
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, or WaveProfile's own checks
         raise ConfigError(f"bad profile descriptor: {exc}") from exc
 
 
 def _parse_profile(d, path):
     """Descriptor ``d`` at ``path`` (empty or ending in '.') to a WaveProfile."""
-    where = f"{path[:-1]}: " if path else ""
+    name = path[:-1] or "profile"
     if path.count("parts[") > MAX_PROFILE_DEPTH:
-        raise ConfigError(f"{where}superpositions nest more than {MAX_PROFILE_DEPTH} deep")
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"{where}must be a dict with a 'type' key, got {d!r}")
-    kind = d["type"]
+        raise ConfigError(f"{name}: superpositions nest more than {MAX_PROFILE_DEPTH} deep")
+    kind = d.get("type") if isinstance(d, dict) else None
     if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
-        raise ConfigError(f"{where}unknown profile type {kind!r}")
-    extra = set(d) - _PROFILE_KEYS[kind]
-    if extra:
-        raise ConfigError(f"{where}unknown profile keys {sorted(extra)}")
+        raise ConfigError(f"{name} must be an object of type {list(_PROFILE_KEYS)}, got {d!r}")
+    _require_keys(d, _PROFILE_KEYS[kind], (), name)
     if kind == "traveling":
-        terms = [
-            [_number(x, f"{path}terms[{i}][{j}]") for j, x in enumerate(term)]
-            for i, term in enumerate(d["terms"])
-        ]
-        return WaveProfile.traveling(terms, _integer(d["direction"], f"{path}direction"))
+        return WaveProfile.traveling(
+            _terms(d["terms"], f"{path}terms"), _integer(d["direction"], f"{path}direction")
+        )
     if kind == "standing":
         return WaveProfile.standing(
             _number(d["amplitude"], f"{path}amplitude"),
             _number(d["wavenumber"], f"{path}wavenumber"),
         )
+    if not isinstance(d["parts"], list) or not d["parts"]:
+        raise ConfigError(f"{path}parts must be a non-empty list of profiles")
     return WaveProfile.superpose(
         _parse_profile(part, f"{path}parts[{i}].") for i, part in enumerate(d["parts"])
     )
+
+
+def _descriptor_wavenumbers(d, path=""):
+    """(path, wavenumber) of every harmonic of a built profile's descriptor."""
+    if d["type"] == "traveling":
+        return [(f"{path}terms[{i}]", k) for i, (_, k, _) in enumerate(d["terms"])]
+    if d["type"] == "standing":
+        return [(f"{path}wavenumber", d["wavenumber"])]
+    return [pair for i, part in enumerate(d["parts"])
+            for pair in _descriptor_wavenumbers(part, f"{path}parts[{i}].")]
 
 
 def single_peakon_exact(profile: WaveProfile, s, t):
@@ -235,14 +245,6 @@ class CollisionSolution:
 
     def separation(self, s, t):
         return self.branch * 2.0 * _log_cosh(self.profile.h(s, t))
-
-    def separation_dt(self, s, t):
-        h = self.profile.h(s, t)
-        return self.branch * 2.0 * np.tanh(h) * self.profile.dh_dt(s, t)
-
-    def separation_ds(self, s, t):
-        h = self.profile.h(s, t)
-        return self.branch * 2.0 * np.tanh(h) * self.profile.dh_ds(s, t)
 
     def evaluate(self, s, t) -> CollisionSample:
         """Positions and momenta; M_1 = X_t / (2(K0 - K(X))), N_1 = -X_s / (2(K0 - K(X)))."""

@@ -39,11 +39,15 @@ import numpy as np
 from .algebra import DiagonalParams
 from .analytic_solutions import (
     CollisionSolution,
+    _descriptor_wavenumbers,
+    _harmonic_sum,
     collision_exact,
     profile_from_descriptor,
     single_peakon_exact,
 )
-from .errors import BlowUpError, ConfigError, SimulationError, _integer, _number
+from .errors import (
+    BlowUpError, ConfigError, SimulationError, _integer, _number, _require_keys, _terms,
+)
 # chiral_lax and invariant_drift are not called here; they stay module
 # attributes because the benchmark tracer (perfbench/spans.py) wraps them by
 # these names
@@ -99,17 +103,6 @@ def rk4_step(state, rhs, dt):
 # configuration values
 
 
-def _require_keys(d, required, optional, path):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path} must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{path} is missing required keys {missing}")
-    unknown = sorted(set(d) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{path} has unknown keys {unknown}")
-
-
 def _check_period(k, s_length, path):
     """Return wavenumber ``k`` if it fits a whole number of periods on the strand."""
     cycles = k * s_length / (2.0 * math.pi)
@@ -122,36 +115,11 @@ def _check_period(k, s_length, path):
 
 
 def _check_terms(terms, s_length, path):
-    """Validate a harmonic series: list of [amplitude, wavenumber, phase]."""
-    if not isinstance(terms, list):
-        raise ConfigError(f"{path} must be a list of [amp, k, phase] triples")
-    out = []
-    for i, term in enumerate(terms):
-        if not isinstance(term, list) or len(term) != 3:
-            raise ConfigError(f"{path}[{i}] must be an [amp, k, phase] triple")
-        amp = _number(term[0], f"{path}[{i}][0]")
-        k = _check_period(_number(term[1], f"{path}[{i}][1]"), s_length, f"{path}[{i}]")
-        out.append([amp, k, _number(term[2], f"{path}[{i}][2]")])
-    return out
-
-
-def _eval_terms(terms, s):
-    out = np.zeros_like(s)
-    for amp, k, ph in terms:
-        out = out + amp * np.sin(k * s + ph)
-    return out
-
-
-def _profile_wavenumbers(descriptor):
-    kind = descriptor["type"]
-    if kind == "traveling":
-        return [term[1] for term in descriptor["terms"]]
-    if kind == "standing":
-        return [descriptor["wavenumber"]]
-    ks = []
-    for part in descriptor["parts"]:
-        ks.extend(_profile_wavenumbers(part))
-    return ks
+    """A harmonic series whose every wavenumber is periodic on the strand."""
+    terms = _terms(terms, path)
+    for i, (_, k, _) in enumerate(terms):
+        _check_period(k, s_length, f"{path}[{i}]")
+    return terms
 
 
 def _check_profile(descriptor, s_length, path):
@@ -161,8 +129,8 @@ def _check_profile(descriptor, s_length, path):
             profile = profile_from_descriptor(descriptor)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    for k in _profile_wavenumbers(profile.descriptor):
-        _check_period(k, s_length, path)
+    for where, k in _descriptor_wavenumbers(profile.descriptor):
+        _check_period(k, s_length, f"{path}.{where}")
     return profile
 
 
@@ -197,7 +165,7 @@ def _initial_terms(initial, names, width, s_length):
 def _harmonic_fields(p, s):
     """Packed state from ``_initial_terms``: one (N_s, width) slot per field."""
     return np.stack([
-        np.stack([_eval_terms(terms, s) for terms in columns], axis=1)
+        np.stack([_harmonic_sum(terms, s) for terms in columns], axis=1)
         for columns in p["initial"]
     ])
 
@@ -741,15 +709,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
 
     Writes CSV and report files when the config (or ``out_dir``) names an
     output directory; the directory is made before the first step, and a
-    path that cannot be one is a ConfigError.  Diagnostics and reference
-    errors are evaluated as each level is stored, so a run holds only what
-    they read of the newest three stored levels and of the first.
+    path that cannot be one is a ConfigError, as is a file that cannot be
+    written after the run.  Diagnostics and reference errors are evaluated
+    as each level is stored, so a run holds only what they read of the
+    newest three stored levels and of the first.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.
 
     On blow-up or singular configurations the snapshots collected so far are
     still written before the error is re-raised, so partial trajectories stay
-    inspectable; a failure on the very first stage evaluation is reported
+    inspectable (if they cannot be written, the run's error is still the one
+    raised); a failure on the very first stage evaluation is reported
     against the initial data at t = 0.
     """
     directory = out_dir if out_dir is not None else cfg.directory
@@ -822,7 +792,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         status=status,
     )
     if directory is not None:
-        _write_outputs(cfg, report, directory)
+        try:
+            _write_outputs(cfg, report, directory)
+        except OSError as exc:
+            if failure is None:
+                raise ConfigError(f"cannot write output file: {exc}") from exc
     if failure is not None:
         raise failure
     return report

@@ -260,13 +260,15 @@ def test_collision_sample_structure():
     np.testing.assert_allclose(cs.q2, -0.5 * cs.x, rtol=0.0, atol=1e-16)
     np.testing.assert_array_equal(cs.m2, -cs.m1)
     np.testing.assert_array_equal(cs.n2, -cs.n1)
-    # reduction identities: X_t = (M1 - M2)(K0 - K(X)), X_s = -(N1 - N2)(K0 - K(X))
+    # reduction identities: X_t = (M1 - M2)(K0 - K(X)), X_s = -(N1 - N2)(K0 - K(X)),
+    # with X = 2 log cosh h, so X_t = 2 tanh(h) h_t and X_s = 2 tanh(h) h_s
     gap = -K0 * np.expm1(-np.abs(cs.x))
+    tanh_h = np.tanh(prof.h(s, t))
     np.testing.assert_allclose(
-        sol.separation_dt(s, t), 2.0 * cs.m1 * gap, rtol=0.0, atol=1e-13
+        2.0 * tanh_h * prof.dh_dt(s, t), 2.0 * cs.m1 * gap, rtol=0.0, atol=1e-13
     )
     np.testing.assert_allclose(
-        sol.separation_ds(s, t), -2.0 * cs.n1 * gap, rtol=0.0, atol=1e-13
+        2.0 * tanh_h * prof.dh_ds(s, t), -2.0 * cs.n1 * gap, rtol=0.0, atol=1e-13
     )
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gstrand import ConfigError, ScenarioConfig, cli, run_scenario, sim_harness
+from gstrand import BlowUpError, ConfigError, ScenarioConfig, cli, run_scenario, sim_harness
 from gstrand.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -94,6 +94,28 @@ def test_out_path_that_cannot_be_a_directory_is_config_error(
     with pytest.raises(ConfigError, match="cannot make output directory"):
         run_scenario(ScenarioConfig.from_file(cfg), out_dir=out)
     assert steps == []
+
+
+@pytest.mark.parametrize("blow_up", [False, True])
+def test_output_file_that_cannot_be_written(tmp_path, capsys, blow_up):
+    """After the run: ConfigError naming the file (exit 2), or the run's own error (exit 3)."""
+    bad_u = [[[1e160, 1.0, 0.0]], [], []]
+    cfg = write_config(tmp_path, {("params", "initial", "u"): bad_u} if blow_up else {})
+    out = tmp_path / "out"
+    (out / "u.csv").mkdir(parents=True)
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if blow_up:
+        assert rc == 3
+        assert "non-finite" in err
+        with pytest.raises(BlowUpError):
+            run_scenario(ScenarioConfig.from_file(cfg), out_dir=out)
+    else:
+        assert rc == 2
+        assert "cannot write output file" in err
+        assert str(out / "u.csv") in err
+        with pytest.raises(ConfigError, match="cannot write output file"):
+            run_scenario(ScenarioConfig.from_file(cfg), out_dir=out)
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

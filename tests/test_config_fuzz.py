@@ -1,18 +1,21 @@
-"""Config parsing under mutation: one valid config per model, one leaf replaced.
+"""Config parsing under mutation: one valid config per model, one node replaced.
 
 Whatever JSON value replaces a leaf, ``ScenarioConfig.from_dict`` either
 parses the result or raises ConfigError, never another exception.  A
-non-finite number or a bool in place of a number is always rejected.
+non-finite number or a bool in place of a number is always rejected.  Any
+list emptied gives a config that is rejected or that runs, and a malformed
+wave profile is rejected with a message that names the bad entry's path.
 """
 
 import copy
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstrand import ConfigError, ScenarioConfig, list_scenarios
+from gstrand import ConfigError, ScenarioConfig, SimulationError, list_scenarios, run_scenario
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -82,6 +85,17 @@ def leaves(node, path=()):
         yield path, node
 
 
+def list_nodes(node, path=()):
+    """Path of every non-empty list in a JSON tree."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from list_nodes(child, path + (key,))
+    elif isinstance(node, list) and node:
+        yield path
+        for i, child in enumerate(node):
+            yield from list_nodes(child, path + (i,))
+
+
 def replaced(d, path, value):
     out = copy.deepcopy(d)
     node = out
@@ -138,3 +152,55 @@ def test_non_finite_or_bool_number_always_rejected():
         for value in (math.nan, math.inf, -math.inf, True, False):
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(replaced(VALID[model], path, value))
+
+
+# the base configs, plus each exact model on each part of its profile alone,
+# so that a bare traveling profile loses its terms too
+BASES = dict(VALID)
+for model in ("peakon_single_exact", "peakon_collision_exact"):
+    for i, part in enumerate(VALID[model]["params"]["profile"]["parts"]):
+        BASES[f"{model}.parts[{i}]"] = replaced(VALID[model], ("params", "profile"), part)
+EMPTIED = [(base, path) for base, d in BASES.items() for path in list_nodes(d)]
+
+
+@pytest.mark.parametrize(
+    "base,path", EMPTIED, ids=[f"{b}:{'.'.join(map(str, p))}" for b, p in EMPTIED]
+)
+def test_emptied_list_is_rejected_or_runs(base, path):
+    """An empty harmonic series is a zero field; other lists may be rejected."""
+    try:
+        cfg = ScenarioConfig.from_dict(replaced(BASES[base], path, []))
+    except ConfigError:
+        return
+    try:
+        run_scenario(cfg, keep_snapshots=False)
+    except SimulationError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "bad,where",
+    [
+        pytest.param({"type": "standing", "amplitude": 0.5},
+                     "parts[1] is missing required keys ['wavenumber']", id="no-wavenumber"),
+        pytest.param({"type": "traveling", "terms": [[0.3, 1.0, 0.0]]},
+                     "parts[1] is missing required keys ['direction']", id="no-direction"),
+        pytest.param({"type": "traveling", "terms": [[0.3, 1.0]], "direction": 1},
+                     "parts[1].terms[0] must be an [amp, k, phase] triple", id="term-of-2"),
+        pytest.param({"type": "traveling", "terms": 5, "direction": 1},
+                     "parts[1].terms must be a list", id="terms-5"),
+        pytest.param({"type": "superposition", "parts": 5},
+                     "parts[1].parts must be a non-empty list", id="parts-5"),
+        pytest.param({"type": "superposition", "parts": []},
+                     "parts[1].parts must be a non-empty list", id="parts-empty"),
+    ],
+)
+def test_malformed_profile_is_rejected_by_its_path(bad, where):
+    d = copy.deepcopy(VALID["peakon_single_exact"])
+    d["params"]["profile"] = {"type": "superposition", "parts": [PROFILE["parts"][0], bad]}
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(d)
+    message = str(info.value)
+    assert message.startswith("params.profile: bad profile descriptor: ")
+    assert where in message
+    assert not re.search(r"unpack|not iterable|: '\w+'$", message), message
