@@ -42,9 +42,10 @@ def _log_cosh(z):
 class WaveProfile:
     """A solution h(s, t) of h_tt = h_ss with closed-form derivatives.
 
-    Build through the factory classmethods; the constructor accepts the three
-    evaluators directly and verifies the wave equation by finite differences
-    on a sample grid, rejecting inconsistent profiles.
+    The factory classmethods build exact derivatives, so their profiles are
+    not checked.  The constructor accepts the three evaluators directly and
+    verifies the wave equation by finite differences on a sample grid,
+    rejecting inconsistent profiles.
     """
 
     def __init__(
@@ -54,11 +55,17 @@ class WaveProfile:
         dh_ds: Callable,
         descriptor: dict,
     ):
-        self._h = h
-        self._dh_dt = dh_dt
-        self._dh_ds = dh_ds
+        self._h, self._dh_dt, self._dh_ds = h, dh_dt, dh_ds
         self.descriptor = dict(descriptor)
         self._self_check()
+
+    @classmethod
+    def _exact(cls, h, dh_dt, dh_ds, descriptor):
+        """Profile of a factory, whose derivatives are exact: no finite-difference check."""
+        profile = cls.__new__(cls)
+        profile._h, profile._dh_dt, profile._dh_ds = h, dh_dt, dh_ds
+        profile.descriptor = descriptor
+        return profile
 
     def h(self, s, t):
         return np.asarray(self._h(np.asarray(s, dtype=float), np.asarray(t, dtype=float)))
@@ -90,7 +97,7 @@ class WaveProfile:
             raise ValueError(f"direction must be +1 or -1, got {direction}")
         terms = [(float(a), float(k), float(ph)) for a, k, ph in terms]
         slope = [(a * k, k, ph) for a, k, ph in terms]  # d/dxi, rounded as a * k * cos
-        return cls(
+        return cls._exact(
             h=lambda s, t: _harmonic_sum(terms, s - direction * t),
             dh_dt=lambda s, t: -direction * _harmonic_sum(slope, s - direction * t, np.cos),
             dh_ds=lambda s, t: _harmonic_sum(slope, s - direction * t, np.cos),
@@ -103,7 +110,7 @@ class WaveProfile:
         """Standing wave amplitude * cos(k s) * cos(k t)."""
         a = float(amplitude)
         k = float(wavenumber)
-        return cls(
+        return cls._exact(
             h=lambda s, t: a * np.cos(k * s) * np.cos(k * t),
             dh_dt=lambda s, t: -a * k * np.cos(k * s) * np.sin(k * t),
             dh_ds=lambda s, t: -a * k * np.sin(k * s) * np.cos(k * t),
@@ -120,7 +127,7 @@ class WaveProfile:
         parts = list(parts)
         if not parts:
             raise ValueError("superposition needs at least one part")
-        return cls(
+        return cls._exact(
             h=lambda s, t: sum(p.h(s, t) for p in parts),
             dh_dt=lambda s, t: sum(p.dh_dt(s, t) for p in parts),
             dh_ds=lambda s, t: sum(p.dh_ds(s, t) for p in parts),
@@ -147,7 +154,7 @@ def profile_from_descriptor(d) -> WaveProfile:
     """
     try:
         return _parse_profile(d, "")
-    except ValueError as exc:  # ConfigError, or WaveProfile's own checks
+    except ConfigError as exc:
         raise ConfigError(f"bad profile descriptor: {exc}") from exc
 
 
@@ -161,9 +168,10 @@ def _parse_profile(d, path):
         raise ConfigError(f"{name} must be an object of type {list(_PROFILE_KEYS)}, got {d!r}")
     _require_keys(d, _PROFILE_KEYS[kind], (), name)
     if kind == "traveling":
-        return WaveProfile.traveling(
-            _terms(d["terms"], f"{path}terms"), _integer(d["direction"], f"{path}direction")
-        )
+        direction = _integer(d["direction"], f"{path}direction")
+        if direction not in (1, -1):
+            raise ConfigError(f"{path}direction must be +1 or -1, got {direction}")
+        return WaveProfile.traveling(_terms(d["terms"], f"{path}terms"), direction)
     if kind == "standing":
         return WaveProfile.standing(
             _number(d["amplitude"], f"{path}amplitude"),

@@ -27,7 +27,7 @@ wave-profile descriptor (see ``analytic_solutions``) and draw their initial
 data and reference values from the closed-form solutions.
 """
 
-import copy
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -123,10 +123,8 @@ def _check_terms(terms, s_length, path):
 
 
 def _check_profile(descriptor, s_length, path):
-    # the profile's self-check may overflow on wavenumbers the period check rejects
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            profile = profile_from_descriptor(descriptor)
+        profile = profile_from_descriptor(descriptor)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for where, k in _descriptor_wavenumbers(profile.descriptor):
@@ -434,6 +432,46 @@ def _validate_diagnostics(spec, diags, n_snapshots):
     return tuple(out)
 
 
+def _check_grid(s_length, n_nodes, dt, t_end, cadence):
+    """The grid fields of a config, checked: step count, CFL number and cadence."""
+    s_length = _number(s_length, "grid.S")
+    if s_length <= 0.0:
+        raise ConfigError(f"grid.S must be positive, got {s_length}")
+    n_nodes = _integer(n_nodes, "grid.N_s")
+    if n_nodes < MIN_NODES:
+        raise ConfigError(f"grid.N_s must be at least {MIN_NODES}, got {n_nodes}")
+    ds = s_length / _number(n_nodes, "grid.N_s")
+    if ds == 0.0:
+        raise ConfigError(f"grid spacing S / N_s = {s_length} / {n_nodes} underflows to 0")
+    dt = _number(dt, "grid.dt")
+    if dt <= 0.0:
+        raise ConfigError(f"grid.dt must be positive, got {dt}")
+    t_end = _number(t_end, "grid.t_end")
+    if t_end < dt:
+        raise ConfigError(f"grid.t_end must be at least one step, got {t_end} < {dt}")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"grid.t_end / grid.dt = {t_end} / {dt} overflows")
+    n_steps = round(steps)
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"grid.t_end / grid.dt = {t_end} / {dt} is {steps:.10g} steps, "
+            f"more than the limit of {MAX_STEPS}"
+        )
+    if abs(steps - n_steps) > DIVISIBILITY_TOL * max(1.0, n_steps):
+        raise ConfigError(f"grid.t_end = {t_end} is not an integer multiple of dt = {dt}")
+    cfl = dt / ds
+    if cfl > CFL_LIMIT + 1e-12:
+        raise ConfigError(f"CFL number dt/ds = {cfl:.6g} exceeds the limit {CFL_LIMIT}")
+    cadence = _integer(cadence, "output.cadence")
+    if cadence < 1:
+        raise ConfigError(f"output.cadence must be at least 1, got {cadence}")
+    if n_steps % cadence != 0:
+        raise ConfigError(f"output.cadence = {cadence} does not divide the {n_steps} steps")
+    return {"s_length": s_length, "n_nodes": n_nodes, "dt": dt, "t_end": t_end,
+            "n_steps": n_steps, "cadence": cadence}
+
+
 @dataclass
 class ScenarioConfig:
     """Validated run description; build with ``from_dict`` or ``from_file``."""
@@ -448,7 +486,6 @@ class ScenarioConfig:
     directory: str | None
     diagnostics: tuple
     params: dict
-    raw: dict
 
     @classmethod
     def from_dict(cls, d):
@@ -456,71 +493,22 @@ class ScenarioConfig:
         model = d["model"]
         if model not in MODEL_NAMES:
             raise ConfigError(f"unknown model {model!r}, expected one of {list(MODEL_NAMES)}")
-
-        grid = d["grid"]
+        grid, output = d["grid"], d["output"]
         _require_keys(grid, ("S", "N_s", "dt", "t_end"), (), "grid")
-        s_length = _number(grid["S"], "grid.S")
-        if s_length <= 0.0:
-            raise ConfigError(f"grid.S must be positive, got {s_length}")
-        n_nodes = _integer(grid["N_s"], "grid.N_s")
-        if n_nodes < MIN_NODES:
-            raise ConfigError(f"grid.N_s must be at least {MIN_NODES}, got {n_nodes}")
-        ds = s_length / _number(n_nodes, "grid.N_s")
-        if ds == 0.0:
-            raise ConfigError(f"grid spacing S / N_s = {s_length} / {n_nodes} underflows to 0")
-        dt = _number(grid["dt"], "grid.dt")
-        if dt <= 0.0:
-            raise ConfigError(f"grid.dt must be positive, got {dt}")
-        t_end = _number(grid["t_end"], "grid.t_end")
-        if t_end < dt:
-            raise ConfigError(f"grid.t_end must be at least one step, got {t_end} < {dt}")
-        steps = t_end / dt
-        if not math.isfinite(steps):
-            raise ConfigError(f"grid.t_end / grid.dt = {t_end} / {dt} overflows")
-        n_steps = round(steps)
-        if n_steps > MAX_STEPS:
-            raise ConfigError(
-                f"grid.t_end / grid.dt = {t_end} / {dt} is {steps:.10g} steps, "
-                f"more than the limit of {MAX_STEPS}"
-            )
-        if abs(steps - n_steps) > DIVISIBILITY_TOL * max(1.0, n_steps):
-            raise ConfigError(
-                f"grid.t_end = {t_end} is not an integer multiple of dt = {dt}"
-            )
-        cfl = dt / ds
-        if cfl > CFL_LIMIT + 1e-12:
-            raise ConfigError(
-                f"CFL number dt/ds = {cfl:.6g} exceeds the limit {CFL_LIMIT}"
-            )
-
-        output = d["output"]
         _require_keys(output, ("directory", "cadence"), (), "output")
+        fields = _check_grid(grid["S"], grid["N_s"], grid["dt"], grid["t_end"], output["cadence"])
         directory = output["directory"]
         if directory is not None and not isinstance(directory, str):
             raise ConfigError("output.directory must be a string or null")
-        cadence = _integer(output["cadence"], "output.cadence")
-        if cadence < 1:
-            raise ConfigError(f"output.cadence must be at least 1, got {cadence}")
-        if n_steps % cadence != 0:
-            raise ConfigError(
-                f"output.cadence = {cadence} does not divide the {n_steps} steps"
-            )
 
         spec = _SPECS[model]
-        params = spec.parse(d["params"], s_length)
-        diagnostics = _validate_diagnostics(spec, d["diagnostics"], n_steps // cadence + 1)
+        n_snapshots = fields["n_steps"] // fields["cadence"] + 1
         return cls(
             model=model,
-            s_length=s_length,
-            n_nodes=n_nodes,
-            dt=dt,
-            t_end=t_end,
-            n_steps=n_steps,
-            cadence=cadence,
             directory=directory,
-            diagnostics=diagnostics,
-            params=params,
-            raw=copy.deepcopy(d),
+            params=spec.parse(d["params"], fields["s_length"]),
+            diagnostics=_validate_diagnostics(spec, d["diagnostics"], n_snapshots),
+            **fields,
         )
 
     @classmethod
@@ -539,14 +527,16 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def refined(self, factor: int):
-        """Copy of the config with (ds, dt) divided by ``factor`` jointly."""
+        """Copy of the config with (ds, dt) divided by ``factor`` jointly.
+
+        Only the grid is checked again; params depend on S alone, and the
+        diagnostics' one grid check (3 stored levels) only gets easier.
+        """
         if not (isinstance(factor, int) and factor >= 1):
             raise ConfigError(f"refinement factor must be a positive integer, got {factor}")
-        raw = copy.deepcopy(self.raw)
-        raw["grid"]["N_s"] = self.n_nodes * factor
-        raw["grid"]["dt"] = self.dt / factor
-        raw["output"]["directory"] = None
-        return ScenarioConfig.from_dict(raw)
+        grid = _check_grid(self.s_length, self.n_nodes * factor, self.dt / factor,
+                           self.t_end, self.cadence)
+        return dataclasses.replace(self, directory=None, **grid)
 
 
 # --------------------------------------------------------------------------

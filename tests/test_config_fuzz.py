@@ -193,6 +193,8 @@ def test_emptied_list_is_rejected_or_runs(base, path):
                      "parts[1].parts must be a non-empty list", id="parts-5"),
         pytest.param({"type": "superposition", "parts": []},
                      "parts[1].parts must be a non-empty list", id="parts-empty"),
+        pytest.param({"type": "traveling", "terms": [[0.3, 1.0, 0.0]], "direction": 2},
+                     "parts[1].direction must be +1 or -1, got 2", id="direction-2"),
     ],
 )
 def test_malformed_profile_is_rejected_by_its_path(bad, where):

@@ -1,6 +1,7 @@
 """Scenario validation, RK4 stepping, run reports, and file outputs."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,6 +18,7 @@ from gstrand import (
     ScenarioConfig,
     SimulationError,
     SingularConfigurationError,
+    WaveProfile,
     aniso_lax,
     chiral_curvature_max,
     compatibility_residual,
@@ -378,6 +380,16 @@ def test_profile_nesting_bound():
     ScenarioConfig.from_dict(nested(MAX_PROFILE_DEPTH))
     with pytest.raises(ConfigError, match=f"more than {MAX_PROFILE_DEPTH} deep"):
         ScenarioConfig.from_dict(nested(MAX_PROFILE_DEPTH + 1))
+
+
+@pytest.mark.parametrize("profile", [standing, traveling], ids=["standing", "traveling"])
+def test_exact_profiles_parse_at_every_periodic_wavenumber(profile):
+    """Factory profiles are exact, so no finite-difference check may reject them;
+    one did from k = 10 (standing) and k = 23 (traveling) up."""
+    for k in range(1, 2001):
+        d = single_exact_dict()
+        d["params"]["profile"] = profile(amp=1.0, k=k)
+        ScenarioConfig.from_dict(d)
 
 
 def test_from_file_errors(tmp_path):
@@ -837,6 +849,113 @@ def test_out_dir_argument_overrides_config(tmp_path):
     cfg = ScenarioConfig.from_dict(chiral_dict())
     run_scenario(cfg, out_dir=tmp_path / "override")
     assert (tmp_path / "override" / "report.json").exists()
+
+
+# ------------------------------------------------------------------ refinement
+
+
+def assert_parsed_equal(got, expected, where):
+    """Equal parsed values: profiles by descriptor, dataclasses field by field."""
+    assert type(got) is type(expected), where
+    if isinstance(expected, WaveProfile):
+        assert got.descriptor == expected.descriptor, where
+    elif dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            assert_parsed_equal(getattr(got, field.name), getattr(expected, field.name),
+                                f"{where}.{field.name}")
+    elif isinstance(expected, dict):
+        assert list(got) == list(expected), where
+        for key, value in expected.items():
+            assert_parsed_equal(got[key], value, f"{where}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(got) == len(expected), where
+        for i, (a, b) in enumerate(zip(got, expected)):
+            assert_parsed_equal(a, b, f"{where}[{i}]")
+    elif isinstance(expected, np.ndarray):
+        assert np.array_equal(got, expected), where
+    else:
+        assert got == expected, where
+
+
+def hand_refined(d, factor):
+    d = copy.deepcopy(d)
+    d["grid"]["N_s"] *= factor
+    d["grid"]["dt"] /= factor
+    d["output"]["directory"] = None
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(output_digests.small_runs()))
+def test_refined_equals_parse_of_refined_dict(name):
+    """``refined`` gives the config, and the run, of the hand-refined scenario."""
+    d = output_digests.small_runs()[name]
+    fine = ScenarioConfig.from_dict(d).refined(2)
+    expected = ScenarioConfig.from_dict(hand_refined(d, 2))
+    assert_parsed_equal(fine, expected, "cfg")
+    got, want = run_or_failure(fine), run_or_failure(expected)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a, b)
+    assert_series_equal(got, want)
+    assert got.summary() == want.summary()
+
+
+def test_refined_parses_nothing_again(monkeypatch):
+    """Only the grid is checked again: no model parser and no diagnostics check runs."""
+    calls = []
+
+    def spy(function):
+        def call(*args):
+            calls.append(function)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(sim_harness, "_validate_diagnostics",
+                        spy(sim_harness._validate_diagnostics))
+    for name, spec in sim_harness._SPECS.items():
+        monkeypatch.setitem(sim_harness._SPECS, name, spec._replace(parse=spy(spec.parse)))
+    for d in output_digests.small_runs().values():
+        cfg = ScenarioConfig.from_dict(d)
+        assert len(calls) == 2  # the spies see the parse
+        calls.clear()
+        for factor in (1, 2, 4):
+            fine = cfg.refined(factor)
+            assert fine.params is cfg.params and fine.diagnostics is cfg.diagnostics
+        assert calls == []
+
+
+def small_run_with_lambdas(name):
+    d = output_digests.small_runs()[name]
+    if name == "chiral":
+        d["diagnostics"] = [{"kind": "zero_curvature", "lambdas": [0.5, 2.0]}]
+    return d
+
+
+@pytest.mark.parametrize(
+    "name,path,value",
+    [
+        pytest.param("chiral", ("params", "initial", "u", 0, 0, 0), 0.9, id="initial-term"),
+        pytest.param("chiral", ("diagnostics", 0, "lambdas", 0), 3.0, id="lambda"),
+        pytest.param("spin_chain", ("params", "A", 0), 5.0, id="inertia"),
+        pytest.param("peakon_single_exact",
+                     ("params", "profile", "parts", 0, "terms", 0, 0), 0.5, id="profile-amp"),
+    ],
+)
+def test_parse_does_not_alias_its_input(name, path, value):
+    """Changing the input dict after the parse changes nothing in the run."""
+    d = small_run_with_lambdas(name)
+    cfg = ScenarioConfig.from_dict(d)
+    expected = run_scenario(cfg, keep_snapshots=False).summary()
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert run_scenario(cfg, keep_snapshots=False).summary() == expected
+    changed = run_scenario(ScenarioConfig.from_dict(d), keep_snapshots=False).summary()
+    assert changed != expected  # the changed entry matters to the run
 
 
 # ------------------------------------------------------------------ convergence
