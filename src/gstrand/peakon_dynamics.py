@@ -142,7 +142,8 @@ def _checked_kernel(q):
     The condition bound is max ||K||_inf times max ||K^{-1}||_inf over the
     nodes.  The spectral radius of a symmetric matrix is at most its
     inf-norm, so the bound is at least the ratio of the largest to the
-    smallest eigenvalue over all nodes, and equal to it for A = 2.
+    smallest eigenvalue over all nodes, and equal to it for A = 2.  With
+    A = 1 there are no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
     """
     n_nodes, count = q.shape
     index = np.argsort(q, axis=-1)
@@ -152,8 +153,6 @@ def _checked_kernel(q):
     gaps, gap = _gaps(qs)
     _check_gap(gap)
     kmat = kernel(qs[:, None, :], qs[None, :, :])
-    if count == 1:  # no gaps: K = 1/2 and K^{-1} = 2 at every node
-        return SortedKernel(index, kmat, gaps, gaps, 1.0)
     with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
         gap_diag = 2.0 / np.expm1(2.0 * gaps)
         gap_off = -1.0 / np.sinh(gaps)
@@ -265,9 +264,20 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     frame, since they follow peakon labels.  The space-slope relation
     d_s Q^a = -sum_b N_b K^{ab} is not imposed here; see
     ``s_constraint_residual`` for the matching diagnostic.
+
+    A lone peakon (A = 1) has no interaction: D = 0 and G = 0, so the system
+    is dQ = K0 M, dM = -d_s N, dN = -d_s M, formed without the kernel.  It
+    has no gap to check and its condition bound is 1, so no guard is lost.
+    The general path's sums start from +0.0; the closed form keeps those
+    additions, so every bit, signed zeros included, is the same.
     """
-    terms = _kernel_terms(q, m, n)
     count = q.shape[1]
+    if count == 1:
+        terms = np.zeros((3,) + q.shape)  # K^{-1} G is +0.0
+        terms[0] += K0 * m  # K M summed from +0.0
+        np.subtract(n * 0.0, m * 0.0, out=terms[1])
+    else:
+        terms = _kernel_terms(q, m, n)
     slopes = stencil(np.concatenate((n, m), axis=1))  # d_s N and d_s M in one call
     terms[1] -= slopes[:, :count]
     terms[2] -= slopes[:, count:]
@@ -278,8 +288,12 @@ def s_constraint_residual(q, n, stencil: DerivativeStencil):
     """Residual field d_s Q^a + sum_b N_b K^{ab} of the space-slope relation.
 
     Takes the (N_s, A) arrays q and n, like ``peakon_rhs``.  No K^{-1} is
-    applied, so the positions need no gap check.
+    applied, so the positions need no gap check.  For a lone peakon (A = 1)
+    the sum is K0 N, formed, like the einsum, from +0.0 and without
+    ``kernel_matrix``.
     """
+    if q.shape[1] == 1:
+        return stencil(q) + (K0 * n + 0.0)
     kn = np.einsum("nab,nb->na", kernel_matrix(q), n)
     return stencil(q) + kn
 

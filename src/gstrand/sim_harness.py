@@ -694,6 +694,13 @@ def _write_outputs(cfg, report, directory):
 # drivers
 
 
+def _located(exc, where):
+    """A copy of the simulation error ``exc`` that says where the run failed."""
+    located = type(exc)(f"{exc} ({where})")
+    located.__cause__ = exc
+    return located
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> RunReport:
     """Integrate a scenario and evaluate its diagnostics.
 
@@ -709,8 +716,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     On blow-up or singular configurations the snapshots collected so far are
     still written before the error is re-raised, so partial trajectories stay
     inspectable (if they cannot be written, the run's error is still the one
-    raised); a failure on the very first stage evaluation is reported
-    against the initial data at t = 0.
+    raised); a failure while forming the initial data, or on the very first
+    stage evaluation, is reported against the initial data at t = 0.
     """
     directory = out_dir if out_dir is not None else cfg.directory
     if directory is not None:
@@ -744,7 +751,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         if spec.reference is not None:
             errors.append(_reference_errors(cfg, s, y, t))
 
-    y = spec.initial(cfg.params, s)
+    try:
+        y = spec.initial(cfg.params, s)
+    except SimulationError as exc:
+        raise _located(exc, "initial data, t = 0") from exc
     store(y, 0.0)
     failure = None
     for i in range(cfg.n_steps):
@@ -756,8 +766,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
                     "initial data, t = 0" if stages == 1
                     else f"step {i + 1}, t = {(i + 1) * cfg.dt:.9g}"
                 )
-                failure = type(exc)(f"{exc} ({where})")
-                failure.__cause__ = exc
+                failure = _located(exc, where)
                 break
         if (i + 1) % cfg.cadence == 0:
             store(y, (i + 1) * cfg.dt)

@@ -157,6 +157,24 @@ def test_blow_up_is_simulation_error(tmp_path, capsys):
     assert "step 1" in captured.err
 
 
+def test_singular_initial_data_is_located_and_writes_no_files(tmp_path, capsys):
+    """A collision profile that is zero at t = 0 fails in the initial data (exit 3)."""
+    out = tmp_path / "out"
+    profile = {"type": "traveling", "terms": [], "direction": 1}
+    cfg = write_config(tmp_path, {
+        ("model",): "peakon_collision_exact",
+        ("params",): {"profile": profile, "branch": 1},
+        ("diagnostics",): [],
+        ("output", "directory"): str(out),
+    })
+    rc = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: collision instant: h = 0")
+    assert err.endswith(" (initial data, t = 0)\n")
+    assert list(out.iterdir()) == []
+
+
 def test_converge_prints_study_json(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -168,9 +168,44 @@ def test_rhs_single_peakon_reduction():
     n = rng.standard_normal((n_nodes, 1))
     st = PeakonState(length=TWO_PI, q=q, m=m, n=n)
     dq, dm, dn = peakon_rhs(st.q, st.m, st.n, sten)
-    np.testing.assert_allclose(dq, K0 * m, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(dm, -sten(n), rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(dn, -sten(m), rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(dq, K0 * m)
+    np.testing.assert_array_equal(dm, -sten(n))
+    np.testing.assert_array_equal(dn, -sten(m))
+
+
+def lone_peakon_cases(rng, n_cases=200, n_nodes=24):
+    """(q, m, n) with A = 1, each field drawn as one of: random normal; random
+    with +0.0 and -0.0 entries scattered in; all +0.0; all -0.0."""
+    for _ in range(n_cases):
+        fields = rng.standard_normal((3, n_nodes, 1))
+        for f, kind in zip(fields, rng.integers(0, 4, size=3)):
+            if kind == 1:
+                zero = rng.random(f.shape) < 0.4
+                f[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+            elif kind > 1:
+                f[:] = 0.0 if kind == 2 else -0.0
+        yield tuple(fields)
+
+
+def assert_same_bits(got, expect):
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_lone_peakon_shortcut_matches_the_kernel_path_bit_for_bit():
+    """A = 1 skips the kernel; its terms and s-constraint keep every bit, signed zeros too."""
+    sten = DerivativeStencil(2, TWO_PI / 24)
+    for q, m, n in lone_peakon_cases(np.random.default_rng(69)):
+        for stencil in (sten, zero_stencil):
+            expect = pk._kernel_terms(q, m, n)
+            slopes = stencil(np.concatenate((n, m), axis=1))
+            expect[1] -= slopes[:, :1]
+            expect[2] -= slopes[:, 1:]
+            assert_same_bits(peakon_rhs(q, m, n, stencil), expect)
+            assert_same_bits(
+                s_constraint_residual(q, n, stencil),
+                stencil(q) + np.einsum("nab,nb->na", kernel_matrix(q), n),
+            )
 
 
 def test_rhs_antisymmetric_pair_position_equation():
@@ -394,6 +429,14 @@ def test_condition_bound_is_exact_for_a_pair():
     e = math.exp(-_min_gap(q))
     expect = (1.0 + e) / (1.0 - e)
     assert abs(_checked_kernel(q).cond - expect) <= 1e-12 * expect
+
+
+def test_lone_peakon_kernel_has_no_gaps_and_unit_bound():
+    """A = 1 takes the general path: K = 1/2, no gap tables, condition bound exactly 1."""
+    sk = _checked_kernel(np.random.default_rng(403).standard_normal((16, 1)))
+    np.testing.assert_array_equal(sk.kmat, np.full((1, 1, 16), K0))
+    assert sk.gap_diag.shape == sk.gap_off.shape == (0, 16)
+    assert sk.cond == 1.0
 
 
 # ------------------------------------------------------------------ s-constraint

@@ -25,6 +25,7 @@ from gstrand import (
     convergence_study,
     invariant_drift,
     list_scenarios,
+    peakon_dynamics,
     peakon_rhs,
     rk4_step,
     run_scenario,
@@ -525,6 +526,25 @@ def test_single_peakon_conservation_has_no_skew_column():
     d["diagnostics"] = [{"kind": "conservation_sums"}]
     rep = run_scenario(ScenarioConfig.from_dict(d))
     assert set(rep.diagnostics["conservation_sums"]["columns"]) == {"sum_M"}
+
+
+@pytest.mark.parametrize("model", ["peakon_single_exact", "peakon"])
+def test_lone_peakon_run_never_builds_the_kernel(model, monkeypatch):
+    """A = 1: neither the right-hand side nor the s-constraint forms the kernel."""
+    def forbidden(*args):
+        raise AssertionError("kernel formed for a lone peakon")
+
+    for name in ("_checked_kernel", "_sorted_terms", "kernel_matrix"):
+        monkeypatch.setattr(peakon_dynamics, name, forbidden)
+    if model == "peakon":
+        d = model_dict("peakon")
+        d["params"]["initial"]["n"] = [[[0.2, 1.0, 0.0]]]
+        d["diagnostics"] = [{"kind": "s_constraint"}]
+    else:
+        d = single_exact_dict()
+    report = run_scenario(ScenarioConfig.from_dict(d))
+    assert report.status == "ok"
+    assert report.diagnostics["s_constraint"]["columns"]["residual"].shape == (9,)
 
 
 def test_collision_hits_interaction_node(tmp_path, monkeypatch):
