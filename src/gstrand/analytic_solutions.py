@@ -25,11 +25,11 @@ MAX_PROFILE_DEPTH = 16  # superpositions inside superpositions; flat parts lists
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 
-def _harmonic_sum(terms, x, wave=np.sin):
-    """Sum of amp * wave(k * x + phase) over [amp, k, phase] terms, from zeros shaped like x."""
+def _harmonic_sum(terms, x):
+    """Sum of amp * sin(k * x + phase) over [amp, k, phase] terms, from zeros shaped like x."""
     out = np.zeros(np.shape(x))  # float zeros; np.zeros_like costs more per call
     for a, k, ph in terms:
-        out = out + a * wave(k * x + ph)
+        out = out + a * np.sin(k * x + ph)
     return out
 
 
@@ -42,10 +42,12 @@ def _log_cosh(z):
 class WaveProfile:
     """A solution h(s, t) of h_tt = h_ss with closed-form derivatives.
 
-    The factory classmethods build exact derivatives, so their profiles are
-    not checked.  The constructor accepts the three evaluators directly and
-    verifies the wave equation by finite differences on a sample grid,
-    rejecting inconsistent profiles.
+    A profile is one evaluator, ``jet(s, t) -> (h, h_t, h_s)``, which forms
+    the value and both first derivatives together; ``h``, ``dh_dt`` and
+    ``dh_ds`` read it.  The factory classmethods build exact jets, so their
+    profiles are not checked.  The constructor accepts the three evaluators
+    directly, wraps them into a jet and verifies the wave equation by finite
+    differences on a sample grid, rejecting inconsistent profiles.
     """
 
     def __init__(
@@ -55,26 +57,31 @@ class WaveProfile:
         dh_ds: Callable,
         descriptor: dict,
     ):
-        self._h, self._dh_dt, self._dh_ds = h, dh_dt, dh_ds
+        self._jet = lambda s, t: (h(s, t), dh_dt(s, t), dh_ds(s, t))
         self.descriptor = dict(descriptor)
         self._self_check()
 
     @classmethod
-    def _exact(cls, h, dh_dt, dh_ds, descriptor):
-        """Profile of a factory, whose derivatives are exact: no finite-difference check."""
+    def _exact(cls, jet, descriptor):
+        """Profile of a factory, whose jet is exact: no finite-difference check."""
         profile = cls.__new__(cls)
-        profile._h, profile._dh_dt, profile._dh_ds = h, dh_dt, dh_ds
+        profile._jet = jet
         profile.descriptor = descriptor
         return profile
 
+    def jet(self, s, t):
+        """(h, h_t, h_s) at the broadcast (s, t)."""
+        h, h_t, h_s = self._jet(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        return np.asarray(h), np.asarray(h_t), np.asarray(h_s)
+
     def h(self, s, t):
-        return np.asarray(self._h(np.asarray(s, dtype=float), np.asarray(t, dtype=float)))
+        return self.jet(s, t)[0]
 
     def dh_dt(self, s, t):
-        return np.asarray(self._dh_dt(np.asarray(s, dtype=float), np.asarray(t, dtype=float)))
+        return self.jet(s, t)[1]
 
     def dh_ds(self, s, t):
-        return np.asarray(self._dh_ds(np.asarray(s, dtype=float), np.asarray(t, dtype=float)))
+        return self.jet(s, t)[2]
 
     def _self_check(self):
         s = np.linspace(0.0, 2.0 * np.pi, 7)[:, None]
@@ -92,30 +99,42 @@ class WaveProfile:
 
     @classmethod
     def traveling(cls, terms, direction):
-        """Profile f(s - direction*t) with f a sum of amp*sin(k*xi + phase) terms."""
+        """Profile f(s - direction*t) with f a sum of amp*sin(k*xi + phase) terms.
+
+        Each term's argument is formed once, for one sin and one cos; then
+        h_s = f'(xi) and h_t = -direction * h_s, exactly.
+        """
         if direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction}")
         terms = [(float(a), float(k), float(ph)) for a, k, ph in terms]
-        slope = [(a * k, k, ph) for a, k, ph in terms]  # d/dxi, rounded as a * k * cos
-        return cls._exact(
-            h=lambda s, t: _harmonic_sum(terms, s - direction * t),
-            dh_dt=lambda s, t: -direction * _harmonic_sum(slope, s - direction * t, np.cos),
-            dh_ds=lambda s, t: _harmonic_sum(slope, s - direction * t, np.cos),
-            descriptor={"type": "traveling", "terms": [list(t_) for t_ in terms],
-                        "direction": direction},
-        )
+        slopes = [(a, k, ph, a * k) for a, k, ph in terms]  # f' rounded as (a * k) * cos
+
+        def jet(s, t):
+            xi = s - direction * t
+            h = h_s = np.zeros(np.shape(xi))  # float zeros; np.zeros_like costs more per call
+            for a, k, ph, ak in slopes:
+                arg = k * xi + ph
+                h = h + a * np.sin(arg)
+                h_s = h_s + ak * np.cos(arg)
+            return h, -direction * h_s, h_s
+
+        return cls._exact(jet, {"type": "traveling", "terms": [list(t_) for t_ in terms],
+                                "direction": direction})
 
     @classmethod
     def standing(cls, amplitude, wavenumber):
         """Standing wave amplitude * cos(k s) * cos(k t)."""
         a = float(amplitude)
         k = float(wavenumber)
-        return cls._exact(
-            h=lambda s, t: a * np.cos(k * s) * np.cos(k * t),
-            dh_dt=lambda s, t: -a * k * np.cos(k * s) * np.sin(k * t),
-            dh_ds=lambda s, t: -a * k * np.sin(k * s) * np.cos(k * t),
-            descriptor={"type": "standing", "amplitude": a, "wavenumber": k},
-        )
+        minus_ak = -a * k
+
+        def jet(s, t):
+            ks, kt = k * s, k * t
+            cos_s, cos_t = np.cos(ks), np.cos(kt)
+            return (a * cos_s * cos_t, minus_ak * cos_s * np.sin(kt),
+                    minus_ak * np.sin(ks) * cos_t)
+
+        return cls._exact(jet, {"type": "standing", "amplitude": a, "wavenumber": k})
 
     @classmethod
     def constant(cls, value):
@@ -124,15 +143,20 @@ class WaveProfile:
 
     @classmethod
     def superpose(cls, parts):
+        """Sum of profiles; each output is summed from 0, as ``sum`` does."""
         parts = list(parts)
         if not parts:
             raise ValueError("superposition needs at least one part")
-        return cls._exact(
-            h=lambda s, t: sum(p.h(s, t) for p in parts),
-            dh_dt=lambda s, t: sum(p.dh_dt(s, t) for p in parts),
-            dh_ds=lambda s, t: sum(p.dh_ds(s, t) for p in parts),
-            descriptor={"type": "superposition", "parts": [p.descriptor for p in parts]},
-        )
+
+        def jet(s, t):
+            h = h_t = h_s = 0
+            for part in parts:
+                p_h, p_t, p_s = part.jet(s, t)
+                h, h_t, h_s = h + p_h, h_t + p_t, h_s + p_s
+            return h, h_t, h_s
+
+        return cls._exact(jet, {"type": "superposition",
+                                "parts": [p.descriptor for p in parts]})
 
 
 _PROFILE_KEYS = {
@@ -201,11 +225,8 @@ def single_peakon_exact(profile: WaveProfile, s, t):
     which together with the momentum equations makes Q solve the wave
     equation.
     """
-    return (
-        profile.h(s, t),
-        profile.dh_dt(s, t) / K0,
-        -profile.dh_ds(s, t) / K0,
-    )
+    h, h_t, h_s = profile.jet(s, t)
+    return h, h_t / K0, -h_s / K0
 
 
 def collision_F(x):
@@ -256,7 +277,7 @@ class CollisionSolution:
 
     def evaluate(self, s, t) -> CollisionSample:
         """Positions and momenta; M_1 = X_t / (2(K0 - K(X))), N_1 = -X_s / (2(K0 - K(X)))."""
-        h = self.profile.h(s, t)
+        h, h_t, h_s = self.profile.jet(s, t)
         th = np.tanh(h)
         if np.any(th == 0.0):
             raise SingularConfigurationError(
@@ -264,8 +285,8 @@ class CollisionSolution:
             )
         x = self.branch * 2.0 * _log_cosh(h)
         # K0 - K(X) = K0 tanh^2 h, so the momentum quotients reduce to h_t,s / (K0 tanh h)
-        m1 = self.branch * self.profile.dh_dt(s, t) / (K0 * th)
-        n1 = -self.branch * self.profile.dh_ds(s, t) / (K0 * th)
+        m1 = self.branch * h_t / (K0 * th)
+        n1 = -self.branch * h_s / (K0 * th)
         return CollisionSample(
             q1=0.5 * x, q2=-0.5 * x, m1=m1, m2=-m1, n1=n1, n2=-n1, x=x
         )

@@ -202,9 +202,8 @@ def _single_fields(p, s):
 
 
 def _single_errors(p, s, y, t):
-    exact = single_peakon_exact(p["profile"], s, t)
-    return {key: np.max(np.abs(field - ref[:, None]))
-            for key, field, ref in zip(("err_Q", "err_M", "err_N"), y, exact)}
+    errors = np.max(np.abs(y[:, :, 0] - single_peakon_exact(p["profile"], s, t)), axis=1)
+    return dict(zip(("err_Q", "err_M", "err_N"), errors))
 
 
 def _parse_collision(params, s_length):
@@ -214,6 +213,18 @@ def _parse_collision(params, s_length):
         raise ConfigError(f"params.branch must be +1 or -1, got {branch}")
     profile = _check_profile(params["profile"], s_length, "params.profile")
     return {"solution": CollisionSolution(profile, branch)}
+
+
+def _check_collision_nodes(p, s):
+    """Reject a profile that is exactly 0 at a node at t = 0: there the exact
+    momenta, which divide by tanh h, are singular."""
+    zero = np.flatnonzero(p["solution"].profile.h(s, 0.0) == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise ConfigError(
+            f"params.profile: h = 0 at node {i} (s = {s[i]:.9g}) at t = 0, the collision "
+            "instant, where the exact momenta are singular"
+        )
 
 
 def _collision_fields(p, s):
@@ -315,6 +326,7 @@ class ModelSpec(NamedTuple):
     fields: tuple  # output name of each slot of the packed state
     diagnostics: dict  # kind -> Diagnostic
     reference: Callable | None = None  # (parsed, s, level, t) -> named errors at t
+    check_nodes: Callable | None = None  # (parsed, s) -> None; rejects data singular on s
 
 
 _PEAKON_DIAGNOSTICS = {
@@ -365,7 +377,7 @@ MODEL_SPECS = (
     ModelSpec(
         "peakon_collision_exact", "antisymmetric peakon-antipeakon pair from a wave profile",
         _parse_collision, _collision_fields, _peakon_rhs, ("Q", "M", "N"),
-        _PEAKON_DIAGNOSTICS, _collision_errors,
+        _PEAKON_DIAGNOSTICS, _collision_errors, _check_collision_nodes,
     ),
 )
 MODEL_NAMES = tuple(spec.name for spec in MODEL_SPECS)
@@ -430,6 +442,17 @@ def _validate_diagnostics(spec, diags, n_snapshots):
             )
         out.append(parsed)
     return tuple(out)
+
+
+def _nodes(s_length, n_nodes):
+    """Positions of the grid's nodes on the periodic strand."""
+    return np.arange(n_nodes) * (s_length / n_nodes)
+
+
+def _check_nodes(spec, params, grid):
+    """The model's check of its parsed data on the nodes of ``grid``, if it has one."""
+    if spec.check_nodes is not None:
+        spec.check_nodes(params, _nodes(grid["s_length"], grid["n_nodes"]))
 
 
 def _check_grid(s_length, n_nodes, dt, t_end, cadence):
@@ -503,13 +526,11 @@ class ScenarioConfig:
 
         spec = _SPECS[model]
         n_snapshots = fields["n_steps"] // fields["cadence"] + 1
-        return cls(
-            model=model,
-            directory=directory,
-            params=spec.parse(d["params"], fields["s_length"]),
-            diagnostics=_validate_diagnostics(spec, d["diagnostics"], n_snapshots),
-            **fields,
-        )
+        params = spec.parse(d["params"], fields["s_length"])
+        diagnostics = _validate_diagnostics(spec, d["diagnostics"], n_snapshots)
+        _check_nodes(spec, params, fields)
+        return cls(model=model, directory=directory, params=params,
+                   diagnostics=diagnostics, **fields)
 
     @classmethod
     def from_file(cls, path):
@@ -529,13 +550,15 @@ class ScenarioConfig:
     def refined(self, factor: int):
         """Copy of the config with (ds, dt) divided by ``factor`` jointly.
 
-        Only the grid is checked again; params depend on S alone, and the
-        diagnostics' one grid check (3 stored levels) only gets easier.
+        Only the grid is checked again, with the model's check of its data on
+        the nodes, since refining adds nodes; params depend on S alone, and
+        the diagnostics' one grid check (3 stored levels) only gets easier.
         """
         if not (isinstance(factor, int) and factor >= 1):
             raise ConfigError(f"refinement factor must be a positive integer, got {factor}")
         grid = _check_grid(self.s_length, self.n_nodes * factor, self.dt / factor,
                            self.t_end, self.cadence)
+        _check_nodes(_SPECS[self.model], self.params, grid)
         return dataclasses.replace(self, directory=None, **grid)
 
 
@@ -727,16 +750,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
             raise ConfigError(f"cannot make output directory {directory}: {exc}") from exc
     keep = keep_snapshots or directory is not None
     spec = _SPECS[cfg.model]
-    ds = cfg.s_length / cfg.n_nodes
-    s = np.arange(cfg.n_nodes) * ds
-    sten = DerivativeStencil(order=2, ds=ds)
+    s = _nodes(cfg.s_length, cfg.n_nodes)
+    sten = DerivativeStencil(order=2, ds=cfg.s_length / cfg.n_nodes)
     model_rhs = spec.rhs(cfg.params, sten)
     stages = 0
+    stepped = None  # the state rk4_step last returned, which it has scanned
 
     def rhs(y):
         nonlocal stages
         stages += 1
-        _guard_finite(y)
+        if y is not stepped:
+            _guard_finite(y)
         return model_rhs(y)
 
     snaps, times, errors = [], [], []
@@ -760,7 +784,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     for i in range(cfg.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                y = rk4_step(y, rhs, cfg.dt)
+                y = stepped = rk4_step(y, rhs, cfg.dt)
             except SimulationError as exc:
                 where = (
                     "initial data, t = 0" if stages == 1

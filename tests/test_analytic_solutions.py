@@ -18,6 +18,7 @@ from gstrand import (
     PeakonState,
     SingularConfigurationError,
     WaveProfile,
+    analytic_solutions,
     collision_F,
     collision_F_inverse,
     collision_exact,
@@ -113,6 +114,142 @@ def test_profile_descriptor_round_trip():
 def test_profile_descriptor_rejects(bad):
     with pytest.raises(ConfigError):
         profile_from_descriptor(bad)
+
+
+def _old_harmonic_sum(terms, x, wave):
+    out = np.zeros(np.shape(x))
+    for a, k, ph in terms:
+        out = out + a * wave(k * x + ph)
+    return out
+
+
+def old_evaluators(d):
+    """(h, dh_dt, dh_ds) of descriptor ``d``, as three separate evaluators
+    formed the way profiles formed them before the jet: the bitwise oracle.
+    Each takes float arrays and, like the old public methods, returns arrays."""
+    if d["type"] == "traveling":
+        terms, direction = [tuple(term) for term in d["terms"]], d["direction"]
+        slope = [(a * k, k, ph) for a, k, ph in terms]
+        evaluators = (
+            lambda s, t: _old_harmonic_sum(terms, s - direction * t, np.sin),
+            lambda s, t: -direction * _old_harmonic_sum(slope, s - direction * t, np.cos),
+            lambda s, t: _old_harmonic_sum(slope, s - direction * t, np.cos),
+        )
+    elif d["type"] == "standing":
+        a, k = d["amplitude"], d["wavenumber"]
+        evaluators = (
+            lambda s, t: a * np.cos(k * s) * np.cos(k * t),
+            lambda s, t: -a * k * np.cos(k * s) * np.sin(k * t),
+            lambda s, t: -a * k * np.sin(k * s) * np.cos(k * t),
+        )
+    else:
+        parts = [old_evaluators(part) for part in d["parts"]]
+        evaluators = tuple(
+            lambda s, t, i=i: sum(part[i](s, t) for part in parts) for i in range(3)
+        )
+    return tuple(lambda s, t, f=f: np.asarray(f(s, t)) for f in evaluators)
+
+
+JET_PROFILES = {
+    "traveling+": WaveProfile.traveling([(0.3, 1.0, 0.2), (-0.1, 2.0, 4.0), (0.7, 3.0, 0.0)], 1),
+    "traveling-": WaveProfile.traveling([(0.3, 1.0, 0.2), (0.05, 5.0, -1.0)], -1),
+    "traveling-zero-terms": WaveProfile.traveling([], 1),
+    "traveling-signed-zeros": WaveProfile.traveling([(-0.0, 1.0, 0.0), (0.0, 2.0, 1.0)], -1),
+    "standing": WaveProfile.standing(0.5, 2.0),
+    "standing-negative-zero": WaveProfile.standing(-0.0, 1.0),
+    "constant": WaveProfile.constant(1.5),
+    "constant-zero": WaveProfile.constant(0.0),
+    "superposition": WaveProfile.superpose([
+        WaveProfile.traveling([(0.3, 1.0, 0.1)], 1),
+        WaveProfile.traveling([(0.1, 2.0, 5.0)], -1),
+        WaveProfile.standing(0.2, 3.0),
+    ]),
+    # each part's h_t is -0.0; summed from 0, as before the jet, the total is +0.0
+    "superposition-of-zeros": WaveProfile.superpose(
+        [WaveProfile.constant(0.0), WaveProfile.traveling([], 1)]),
+    "nested": WaveProfile.superpose([
+        WaveProfile.constant(-0.0),
+        WaveProfile.superpose([
+            WaveProfile.traveling([], -1),
+            WaveProfile.superpose([WaveProfile.standing(0.4, 1.0), WaveProfile.constant(1.0)]),
+        ]),
+        WaveProfile.traveling([(0.2, 4.0, 1.0)], 1),
+    ]),
+}
+
+_S = np.array([0.0, -0.0, 0.3, 1.1, 2.5, 4.0, 6.0])
+_T = np.array([0.0, -0.0, 0.25, 0.7, 1.5])
+JET_POINTS = {
+    "scalars": (1.1, 0.7),
+    "signed-zero-scalars": (-0.0, 0.0),
+    "0-d arrays": (np.asarray(2.0), np.asarray(0.4)),
+    "vector-scalar": (_S, 0.3),
+    "scalar-vector": (0.9, _T),
+    "broadcast": (_S[:, None], _T[None, :]),
+}
+
+
+def assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("point", list(JET_POINTS))
+@pytest.mark.parametrize("name", list(JET_PROFILES))
+def test_jet_has_the_bits_of_the_three_old_evaluators(name, point):
+    """The jet, and h, dh_dt and dh_ds that read it, give the bits, signed
+    zeros and shapes of the separate evaluators it replaced."""
+    prof = JET_PROFILES[name]
+    s, t = JET_POINTS[point]
+    want = [f(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+            for f in old_evaluators(prof.descriptor)]
+    for got, expected in zip(prof.jet(s, t), want):
+        assert_same_bits(got, expected)
+    for got, expected in zip((prof.h(s, t), prof.dh_dt(s, t), prof.dh_ds(s, t)), want):
+        assert_same_bits(got, expected)
+
+
+def test_zero_space_slope_gives_negative_zero_time_slope():
+    """h_t = -direction * h_s keeps the sign of zero: on a constant profile
+    (direction +1) h_s is +0.0 and h_t is -0.0, as dh_dt gave before the jet."""
+    _, h_t, h_s = WaveProfile.constant(2.0).jet(_S, 0.5)
+    assert np.all(h_s == 0.0) and not np.any(np.signbit(h_s))
+    assert np.all(h_t == 0.0) and np.all(np.signbit(h_t))
+
+
+class CountingNumpy:
+    """Stands in for numpy in ``analytic_solutions`` and counts sin and cos calls."""
+
+    def __init__(self):
+        self.calls = {"sin": 0, "cos": 0}
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        if name not in self.calls:
+            return function
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+
+def test_one_reference_evaluates_each_traveling_harmonic_once(monkeypatch):
+    """One single-peakon or collision reference makes one sin and one cos
+    call per traveling harmonic (before the jet it made one sin and two cos)."""
+    prof = WaveProfile.superpose([
+        WaveProfile.traveling([(0.3, 1.0, 0.1), (0.1, 2.0, 0.0)], 1),
+        WaveProfile.traveling([(0.2, 3.0, 0.5)], -1),
+        WaveProfile.constant(1.0),
+    ])
+    spy = CountingNumpy()
+    monkeypatch.setattr(analytic_solutions, "np", spy)
+    s = np.linspace(0.0, 6.0, 32)
+    single_peakon_exact(prof, s, 0.4)
+    assert spy.calls == {"sin": 4, "cos": 4}
+    spy.calls = {"sin": 0, "cos": 0}
+    CollisionSolution(prof, 1).evaluate(s, 0.4)
+    assert spy.calls == {"sin": 4, "cos": 4}
 
 
 # -------------------------------------------------------- single peakon closed form

@@ -157,22 +157,40 @@ def test_blow_up_is_simulation_error(tmp_path, capsys):
     assert "step 1" in captured.err
 
 
-def test_singular_initial_data_is_located_and_writes_no_files(tmp_path, capsys):
-    """A collision profile that is zero at t = 0 fails in the initial data (exit 3)."""
-    out = tmp_path / "out"
-    profile = {"type": "traveling", "terms": [], "direction": 1}
-    cfg = write_config(tmp_path, {
+def collision_config(tmp_path, profile, out):
+    return write_config(tmp_path, {
         ("model",): "peakon_collision_exact",
         ("params",): {"profile": profile, "branch": 1},
         ("diagnostics",): [],
         ("output", "directory"): str(out),
     })
+
+
+def test_zero_collision_profile_is_config_error_and_writes_no_files(tmp_path, capsys):
+    """A collision profile that is exactly 0 at a node at t = 0 is rejected
+    before the run (exit 2), by the node's index and s."""
+    out = tmp_path / "out"
+    cfg = collision_config(tmp_path, {"type": "traveling", "terms": [], "direction": 1}, out)
+    rc = main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: params.profile: h = 0 at node 0 (s = 0) at t = 0, the collision instant, "
+        "where the exact momenta are singular\n"
+    )
+    assert not out.exists()
+
+
+def test_singular_initial_data_is_located(tmp_path, capsys):
+    """On 64 nodes the standing wave 0.5 cos(s) cos(t) is 3e-17, not 0, at
+    s = pi/2: it passes config, and the coincident-peakon guard of the first
+    stage reports the initial data (exit 3)."""
+    profile = {"type": "standing", "amplitude": 0.5, "wavenumber": 1.0}
+    cfg = collision_config(tmp_path, profile, tmp_path / "out")
     rc = main(["run", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.startswith("error: collision instant: h = 0")
+    assert err.startswith("error: coincident peakons")
     assert err.endswith(" (initial data, t = 0)\n")
-    assert list(out.iterdir()) == []
 
 
 def test_converge_prints_study_json(tmp_path, capsys):

@@ -590,6 +590,32 @@ def test_blow_up_annotated_and_partial_outputs_written(tmp_path):
     assert report["status"].startswith("failed")
 
 
+def test_each_state_is_scanned_for_non_finite_values_once(monkeypatch):
+    """The first stage of every step after the first reads the state that
+    rk4_step has just checked, so only the initial data and the three inner
+    stages of each step are scanned: 3 n + 1 scans for n steps."""
+    scans = []
+    guard = sim_harness._guard_finite
+    monkeypatch.setattr(sim_harness, "_guard_finite", lambda y: scans.append(guard(y)))
+    cfg = ScenarioConfig.from_dict(chiral_dict())
+    run_scenario(cfg, keep_snapshots=False)
+    assert cfg.n_steps == 8 and len(scans) == 3 * 8 + 1
+
+
+def test_non_finite_initial_data_fails_in_the_first_stage(tmp_path):
+    """Initial data that overflows is still caught by the first stage, located at
+    t = 0, with the initial level written."""
+    d = chiral_dict()
+    d["params"]["initial"]["u"] = [[[1e308, 1.0, 0.0], [1e308, 1.0, 0.0]], [], []]
+    out = tmp_path / "boom"
+    d["output"]["directory"] = str(out)
+    with pytest.raises(BlowUpError) as info, np.errstate(over="ignore"):
+        run_scenario(ScenarioConfig.from_dict(d))
+    assert str(info.value) == (
+        "non-finite field values during stage evaluation (initial data, t = 0)")
+    assert len((out / "u.csv").read_text().splitlines()) == 1 + 64
+
+
 def test_runs_are_deterministic(tmp_path):
     d = chiral_dict()
     outs = []
@@ -945,6 +971,79 @@ def test_refined_parses_nothing_again(monkeypatch):
             fine = cfg.refined(factor)
             assert fine.params is cfg.params and fine.diagnostics is cfg.diagnostics
         assert calls == []
+
+
+def collision_dict(profile, n_nodes=64):
+    return {
+        "model": "peakon_collision_exact",
+        "grid": {"S": TWO_PI, "N_s": n_nodes, "dt": 0.0125, "t_end": 0.05},
+        "params": {"profile": profile, "branch": 1},
+        "diagnostics": [],
+        "output": {"directory": None, "cadence": 1},
+    }
+
+
+def test_zero_collision_profile_is_rejected_at_its_node():
+    """h exactly 0 at a node at t = 0 is a ConfigError naming the node and s."""
+    with pytest.raises(ConfigError, match=r"^params\.profile: h = 0 at node 0 \(s = 0\) at t = 0"):
+        ScenarioConfig.from_dict(collision_dict(traveling(amp=0.0)))
+    # sin(s - t) is 0 at s = 0; standing waves on 64 nodes are 3e-17 at s = pi/2
+    with pytest.raises(ConfigError, match=r"node 0 \(s = 0\)"):
+        ScenarioConfig.from_dict(collision_dict(traveling(amp=1.0)))
+    ScenarioConfig.from_dict(collision_dict(standing()))
+
+
+def test_refinement_that_puts_a_node_on_a_zero_is_rejected(monkeypatch):
+    """sin(s - pi/16) is 0 only between the nodes of 16, on node 1 of 32: the
+    coarse grid parses, its refinement and a study over it do not, and the
+    study runs no level."""
+    d = collision_dict(traveling(amp=1.0, phase=-math.pi / 16.0), n_nodes=16)
+    d["grid"]["dt"] = 0.05
+    d["grid"]["t_end"] = 0.2
+    cfg = ScenarioConfig.from_dict(d)
+    with pytest.raises(ConfigError, match=r"node 1 \(s = 0\.196349541\) at t = 0"):
+        cfg.refined(2)
+    runs = []
+    monkeypatch.setattr(sim_harness, "run_scenario", lambda *a, **k: runs.append(a))
+    with pytest.raises(ConfigError, match="node 1"):
+        convergence_study(cfg, 3)
+    assert runs == []
+
+
+def test_only_the_collision_model_checks_its_nodes(monkeypatch):
+    """No other model evaluates its data while it is configured or refined."""
+    def evaluated(*args):
+        raise AssertionError("evaluated at config time")
+
+    monkeypatch.setattr(WaveProfile, "jet", evaluated)
+    monkeypatch.setattr(sim_harness, "_harmonic_sum", evaluated)
+    for d in output_digests.small_runs().values():
+        if d["model"] != "peakon_collision_exact":
+            ScenarioConfig.from_dict(d).refined(2)
+    with pytest.raises(AssertionError, match="config time"):
+        ScenarioConfig.from_dict(output_digests.small_runs()["peakon_collision_exact"])
+
+
+def test_single_errors_equal_the_per_field_loop():
+    """One subtract/abs/max pass over the packed level gives the bits of
+    the per-field errors, NaN and signed zeros included."""
+    cfg = ScenarioConfig.from_dict(single_exact_dict())
+    s = sim_harness._nodes(cfg.s_length, cfg.n_nodes)
+    rng = np.random.default_rng(7)
+    for t in (0.0, 0.05, 0.1):
+        exact = single_peakon_exact(cfg.params["profile"], s, t)
+        for noise in (0.0, 1e-9, 1.0):
+            y = np.stack([f[:, None] for f in exact]) + noise * rng.standard_normal((3, 64, 1))
+            y[1, 5, 0] = -0.0
+            if noise == 1.0:
+                y[2, 7, 0] = np.nan
+            got = sim_harness._single_errors(cfg.params, s, y, t)
+            want = {key: np.max(np.abs(field - ref[:, None]))
+                    for key, field, ref in zip(("err_Q", "err_M", "err_N"), y, exact)}
+            assert list(got) == list(want)
+            for key in want:
+                assert type(got[key]) is type(want[key])
+                assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
 def small_run_with_lambdas(name):
