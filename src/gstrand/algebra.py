@@ -51,12 +51,13 @@ def _cross(a, b):
     b = np.asarray(b)
     if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
         raise ValueError(f"cross product needs 3-vectors, got shapes {a.shape} and {b.shape}")
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape, np.result_type(a, b))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ANTISYMMETRY_TOL, DiagonalParams, _cross, build_J, embed_so4, hat
-from .stencil import DerivativeStencil
+from .stencil import DerivativeStencil, slot_derivatives
 
 
 @dataclass
@@ -124,7 +124,7 @@ def zero_curvature_residual(
     du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
     u_mid = u[1:-1]
     v_mid = v[1:-1]
-    dv_ds = np.stack([stencil(vk) for vk in v_mid])
+    dv_ds = slot_derivatives(stencil, v_mid)
     comm = u_mid @ v_mid - v_mid @ u_mid
     fields = du_dt - dv_ds + comm
     return CurvatureResidual(max_norm=float(np.max(np.abs(fields))), fields=fields)
@@ -144,8 +144,8 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
     (len(lambdas), len(snapshots) - 2) array, max |r| over nodes and
     components at each interior time for ``lambdas[i]``, equals the per-time
     max norm of ``zero_curvature_residual`` over ``chiral_lax`` connections
-    up to round-off.  Only three levels of (D, S) are held at a time and no
-    3x3 matrix is built.
+    up to round-off.  Only three packed (D, S) levels are held at a time and
+    no 3x3 matrix is built.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 stored time levels")
@@ -162,8 +162,11 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
 
 
 def _chiral_level(y):
-    """(D, S) = (u - v, u + v) of one (u, v) level."""
-    return y[0] - y[1], y[0] + y[1]
+    """(D, S) = (u - v, u + v) of one (u, v) level, as one (2, N_s, 3) array."""
+    out = np.empty_like(y, dtype=float)
+    np.subtract(y[0], y[1], out=out[0])
+    np.add(y[0], y[1], out=out[1])
+    return out
 
 
 def _chiral_coefficients(lambdas):
@@ -179,11 +182,16 @@ def _chiral_coefficients(lambdas):
 
 
 def _chiral_curvature_at(window, coeffs, stencil, dt):
-    """max |r| for each of ``coeffs`` at the middle of three (D, S) levels."""
-    (d0, s0), (d, s), (d2, s2) = window
-    x = (d2 - d0) / (2.0 * dt) + stencil(d)
-    w = (s2 - s0) / (2.0 * dt) - stencil(s)
-    z = _cross(d, s)
+    """max |r| for each of ``coeffs`` at the middle of three packed (D, S) levels."""
+    first, mid, last = window
+    rates = last - first  # (D_t, S_t) once divided
+    rates /= 2.0 * dt
+    slopes = slot_derivatives(stencil, mid)
+    rates[0] += slopes[0]  # x = D_t + D_s
+    rates[1] -= slopes[1]  # w = S_t - S_s
+    del slopes
+    x, w = rates
+    z = _cross(mid[0], mid[1])
     return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
 
 

@@ -85,15 +85,34 @@ def rk4_step(state, rhs, dt):
     """One classical four-stage Runge-Kutta step.
 
     ``state`` is a (possibly scalar) ndarray, ``rhs`` a pure function of it.
+    Each stage input and the update are formed in fresh arrays, in the
+    operation order of ``state + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``; nothing is
+    written into ``state`` or into an array that ``rhs`` returned.  The update
+    is accumulated as the stages arrive, so no more than two stage
+    derivatives are held at a time.
     Raises BlowUpError when the stepped state contains non-finite values.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    half = 0.5 * dt
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = k1 * half
+    stage += state
+    k2 = rhs(stage)
+    stage = k2 * half
+    stage += state
+    out = 2.0 * k2
+    out += k1
+    del k1, k2
+    k3 = rhs(stage)
+    stage = k3 * dt
+    stage += state
+    out += 2.0 * k3
+    del k3
+    out += rhs(stage)
+    del stage
+    out *= dt / 6.0
+    out += state
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite field values after step")
     return out
@@ -239,7 +258,7 @@ def _collision_errors(p, s, y, t):
 
 def _spin_chain_rhs(p, sten):
     params = SpinChainParams(p["A"], p["B"])
-    return lambda y: np.stack(spin_chain_rhs(y[0], y[1], params, sten))
+    return lambda y: spin_chain_rhs(y, params, sten)
 
 
 def _peakon_rhs(p, sten):
@@ -345,7 +364,7 @@ MODEL_SPECS = (
     ModelSpec(
         "chiral", "SO(3) chiral model u_t = v_s, v_t = u_s - u x v",
         _parse_fields(("u", "v")), _harmonic_fields,
-        lambda p, sten: lambda y: np.stack(chiral_rhs(y[0], y[1], sten)), ("u", "v"),
+        lambda p, sten: lambda y: chiral_rhs(y, sten), ("u", "v"),
         {"zero_curvature": Diagnostic(_chiral_curvature, (0.5, 1.0, 2.0, -1.0),
                                       pole_at_zero=True, centered=True,
                                       level=_chiral_level)},
@@ -353,14 +372,14 @@ MODEL_SPECS = (
     ModelSpec(
         "aniso_uv", "anisotropic chiral model in (u, v) variables",
         _parse_fields(("u", "v"), P="anisotropy-P"), _harmonic_fields,
-        lambda p, sten: lambda y: np.stack(aniso_rhs_uv(y[0], y[1], p["P"], sten)),
+        lambda p, sten: lambda y: aniso_rhs_uv(y, p["P"], sten),
         ("u", "v"),
         {"lax": Diagnostic(_aniso_curvature, (0.0, 0.5, 1.0), centered=True)},
     ),
     ModelSpec(
         "aniso_xy", "anisotropic chiral model in counter-propagating (X, Y) variables",
         _parse_fields(("X", "Y"), P="anisotropy-P"), _harmonic_fields,
-        lambda p, sten: lambda y: np.stack(aniso_rhs_XY(y[0], y[1], p["P"], sten)),
+        lambda p, sten: lambda y: aniso_rhs_XY(y, p["P"], sten),
         ("X", "Y"),
         {"invariant_drift": Diagnostic(_invariant_drift, from_first=True,
                                         level=_node_magnitudes)},

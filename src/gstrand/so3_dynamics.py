@@ -2,9 +2,13 @@
 
 All fields live on a uniform periodic grid of N_s nodes covering [0, S).
 States carry two vector fields u(s), v(s): the time and space angular
-velocities of the strand.  Right-hand sides take the (N_s, 3) field arrays
-directly, without re-validating them, and return node-wise time
-derivatives for method-of-lines integration.
+velocities of the strand.  Right-hand sides take the packed state, one
+(2, N_s, 3) array holding both fields, without re-validating it, and return
+the node-wise time derivatives of both fields as one packed array for
+method-of-lines integration.  The chiral and anisotropic right-hand sides
+differentiate both fields in one stencil call on the node-first view (see
+``stencil.slot_derivatives``) and form each pair of slot-for-slot cross
+terms in one ``_cross`` call.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DiagonalParams, _cross
-from .stencil import DerivativeStencil
+from .stencil import DerivativeStencil, slot_derivatives
 
 MIN_NODES = 8  # fewest strand nodes of any model, the peakon system included
 
@@ -97,53 +101,61 @@ class SpinChainParams:
             raise ValueError(f"second operator must have role 'inertia-B', got {self.b.role!r}")
 
 
-def spin_chain_rhs(u, v, params: SpinChainParams, stencil: DerivativeStencil):
-    """Euler-Poincare spin-chain equations.
+def spin_chain_rhs(y, params: SpinChainParams, stencil: DerivativeStencil):
+    """Euler-Poincare spin-chain equations on the packed state y = (u, v).
 
     d/dt(Au) + u x (Au) + d/ds(Bv) + v x (Bv) = 0 solved for u_t, together
-    with the compatibility equation v_t = u_s + v x u.
+    with the compatibility equation v_t = u_s + v x u.  Returns (u_t, v_t)
+    as one (2, N_s, 3) array.
     """
+    u, v = y
     au = params.a.apply(u)
     bv = params.b.apply(v)
-    du = -params.a.solve(_cross(u, au) + stencil(bv) + _cross(v, bv))
-    dv = stencil(u) + _cross(v, u)
-    return du, dv
+    out = np.empty_like(y, dtype=float)
+    np.negative(params.a.solve(_cross(u, au) + stencil(bv) + _cross(v, bv)), out=out[0])
+    np.add(stencil(u), _cross(v, u), out=out[1])
+    return out
 
 
-def chiral_rhs(u, v, stencil: DerivativeStencil):
-    """Principal chiral model: u_t = v_s, v_t = u_s - u x v."""
-    return stencil(v), stencil(u) - _cross(u, v)
+def chiral_rhs(y, stencil: DerivativeStencil):
+    """Principal chiral model on the packed state y = (u, v):
+    u_t = v_s, v_t = u_s - u x v, returned as one (2, N_s, 3) array."""
+    out = slot_derivatives(stencil, y[::-1])
+    out[1] -= _cross(y[0], y[1])
+    return out
 
 
-def lie_poisson_rhs_spin_chain(m_field, v_field, params: SpinChainParams, stencil: DerivativeStencil):
-    """Lie-Poisson form of the spin chain in momentum variables m = Au.
+def lie_poisson_rhs_spin_chain(y, params: SpinChainParams, stencil: DerivativeStencil):
+    """Lie-Poisson form of the spin chain on the packed state y = (m, v), m = Au.
 
     m_t = ad*_{dh/dm} m + d/ds(dh/dv) - ad*_v(dh/dv) and
     v_t = d/ds(dh/dm) - ad_{dh/dm} v, with variational derivatives
-    dh/dm = A^{-1} m and dh/dv = -Bv.
+    dh/dm = A^{-1} m and dh/dv = -Bv.  Returns (m_t, v_t) as one
+    (2, N_s, 3) array.
     """
-    m = np.asarray(m_field, dtype=float)
-    v = np.asarray(v_field, dtype=float)
+    m, v = np.asarray(y, dtype=float)
     dh_dm = params.a.solve(m)
     dh_dv = -params.b.apply(v)
-    dm = _cross(m, dh_dm) + stencil(dh_dv) - _cross(dh_dv, v)
-    dv = stencil(dh_dm) - _cross(dh_dm, v)
-    return dm, dv
+    out = np.empty((2,) + m.shape)
+    np.subtract(_cross(m, dh_dm) + stencil(dh_dv), _cross(dh_dv, v), out=out[0])
+    np.subtract(stencil(dh_dm), _cross(dh_dm, v), out=out[1])
+    return out
 
 
-def aniso_rhs_uv(u, v, p: DiagonalParams, stencil: DerivativeStencil):
-    """Anisotropic chiral model in (u, v) variables with coupling weights P.
+def aniso_rhs_uv(y, p: DiagonalParams, stencil: DerivativeStencil):
+    """Anisotropic chiral model with coupling weights P on the packed state
+    y = (u, v), returned as one (2, N_s, 3) array:
 
     u_t = v_s - v x (Pv) + u x (Pu)
     v_t = u_s - u x (Pv) + v x (Pu)
     """
     if p.role != "anisotropy-P":
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    pu = p.apply(u)
-    pv = p.apply(v)
-    du = stencil(v) - _cross(v, pv) + _cross(u, pu)
-    dv = stencil(u) - _cross(u, pv) + _cross(v, pu)
-    return du, dv
+    py = p.apply(y)
+    out = slot_derivatives(stencil, y[::-1])
+    out -= _cross(y[::-1], py[1])
+    out += _cross(y, py[0])
+    return out
 
 
 def to_XY(state: So3StrandState) -> XYState:
@@ -156,8 +168,9 @@ def from_XY(xy: XYState) -> So3StrandState:
     return So3StrandState(length=xy.length, u=0.5 * (xy.x - xy.y), v=-0.5 * (xy.x + xy.y))
 
 
-def aniso_rhs_XY(x, y, p: DiagonalParams, stencil: DerivativeStencil):
-    """Anisotropic chiral model in the counter-propagating variables.
+def aniso_rhs_XY(y, p: DiagonalParams, stencil: DerivativeStencil):
+    """Anisotropic chiral model in the counter-propagating variables, on the
+    packed state y = (X, Y), returned as one (2, N_s, 3) array:
 
     X_t = -X_s - X x (PY),  Y_t = +Y_s + Y x (PX).
 
@@ -167,9 +180,12 @@ def aniso_rhs_XY(x, y, p: DiagonalParams, stencil: DerivativeStencil):
     """
     if p.role != "anisotropy-P":
         raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    dx = -stencil(x) - _cross(x, p.apply(y))
-    dy = stencil(y) + _cross(y, p.apply(x))
-    return dx, dy
+    out = slot_derivatives(stencil, y)
+    cross = _cross(y, p.apply(y[::-1]))
+    np.negative(out[0], out=out[0])
+    out[0] -= cross[0]
+    out[1] += cross[1]
+    return out
 
 
 def compatibility_residual(u_snaps, v_snaps, stencil: DerivativeStencil, dt: float):
@@ -189,5 +205,5 @@ def compatibility_residual(u_snaps, v_snaps, stencil: DerivativeStencil, dt: flo
     dv_dt = (v[2:] - v[:-2]) / (2.0 * dt)
     u_mid = u[1:-1]
     v_mid = v[1:-1]
-    du_ds = np.stack([stencil(u_k) for u_k in u_mid])
+    du_ds = slot_derivatives(stencil, u_mid)
     return dv_dt - du_ds + _cross(u_mid, v_mid)

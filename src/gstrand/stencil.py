@@ -35,6 +35,15 @@ class DerivativeStencil:
         return d1
 
 
+def slot_derivatives(stencil, y):
+    """s-derivative of every slot of a stack ``y`` shaped (k, N_s, ...), in one call.
+
+    ``stencil`` runs along axis 0 of the node-first view (N_s, k, ...), so
+    each slot's slopes are the bits that a call on that slot alone gives.
+    """
+    return stencil(y.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def _centered_difference(f, k):
     """f[i + k] - f[i - k] for every row i of f, periodic along axis 0.
 

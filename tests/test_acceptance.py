@@ -105,8 +105,10 @@ def test_criterion_02_euler_poincare_lie_poisson_equivalence():
         st = So3StrandState(
             TWO_PI, rng.standard_normal((64, 3)), rng.standard_normal((64, 3))
         )
-        du, dv = spin_chain_rhs(st.u, st.v, params, sten)
-        dm, dv_lp = lie_poisson_rhs_spin_chain(params.a.apply(st.u), st.v, params, sten)
+        du, dv = spin_chain_rhs(np.stack((st.u, st.v)), params, sten)
+        dm, dv_lp = lie_poisson_rhs_spin_chain(
+            np.stack((params.a.apply(st.u), st.v)), params, sten
+        )
         worst = max(
             worst,
             float(np.max(np.abs(params.a.apply(du) - dm))),
@@ -240,8 +242,8 @@ def test_criterion_05_isotropic_rescaling_identity():
             TWO_PI, rng.standard_normal((64, 3)), rng.standard_normal((64, 3))
         )
         half = So3StrandState(TWO_PI, 0.5 * st.u, 0.5 * st.v)
-        du_c, dv_c = chiral_rhs(st.u, st.v, sten)
-        du_a, dv_a = aniso_rhs_uv(half.u, half.v, p, sten)
+        du_c, dv_c = chiral_rhs(np.stack((st.u, st.v)), sten)
+        du_a, dv_a = aniso_rhs_uv(np.stack((half.u, half.v)), p, sten)
         worst = max(
             worst,
             float(np.max(np.abs(du_c - 2.0 * du_a))),

@@ -91,6 +91,42 @@ def test_cross_bitwise_equals_numpy(case):
         assert_bitwise(_cross(a, b), np.cross(a, b))
 
 
+def assignment_cross(a, b):
+    """The component cross product as it was before each difference was
+    written into its output slot: broadcast shape always computed, each
+    component assigned from a temporary."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_cross_cases()))
+def test_cross_bitwise_equals_assignment_form(case):
+    a, b = _cross_cases()[case]
+    with np.errstate(invalid="ignore"):
+        assert_bitwise(_cross(a, b), assignment_cross(a, b))
+
+
+def test_cross_signed_zeros_match_assignment_form():
+    """Packed (2, N_s, 3) operands with +-0.0 entries, equal shapes and broadcast."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 32, 3))
+    b = rng.standard_normal((2, 32, 3))
+    for x in (a, b):
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+    for left, right in ((a, b), (a, b[::-1]), (a, b[1]), (a[0], b), (a[::-1], a)):
+        got, want = _cross(left, right), assignment_cross(left, right)
+        assert_bitwise(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_cross_rejects_non_3_vectors(length):
     a = np.ones((5, length))

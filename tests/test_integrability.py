@@ -25,6 +25,7 @@ from gstrand import (
     zero_curvature_residual,
 )
 from gstrand.algebra import build_J
+from gstrand.integrability import _chiral_coefficients, _chiral_curvature_at, _chiral_level
 
 TWO_PI = 2.0 * math.pi
 E3 = np.array([0.0, 0.0, 1.0])
@@ -43,8 +44,7 @@ def integrate_chiral(n, dt, steps):
     sten = st.stencil()
 
     def rhs(y):
-        du, dv = chiral_rhs(y[0], y[1], sten)
-        return np.stack([du, dv])
+        return chiral_rhs(y, sten)
 
     y = np.stack([st.u, st.v])
     traj = [y]
@@ -215,6 +215,62 @@ def test_curvature_max_rejects_zero_lambda_and_two_levels():
         chiral_curvature_max(snaps[:2], (1.0,), sten, 0.05)
 
 
+def signed_zero_levels(rng, n, count):
+    """Random packed (2, n, 3) levels with +-0.0 entries and flat stretches."""
+    levels = rng.standard_normal((count, 2, n, 3))
+    levels[:, :, n // 2:n // 2 + 3] = levels[:, :, n // 2 - 1:n // 2]
+    levels[rng.random(levels.shape) < 0.25] = 0.0
+    levels[rng.random(levels.shape) < 0.25] = -0.0
+    return list(levels)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def per_field_level(y):
+    """(D, S) as the tuple of two fields that the level hook returned before."""
+    return y[0] - y[1], y[0] + y[1]
+
+
+def per_field_curvature_at(window, coeffs, stencil, dt):
+    """The curvature maxima from three (D, S) tuples, one stencil call per field."""
+    (d0, s0), (d, s), (d2, s2) = window
+    x = (d2 - d0) / (2.0 * dt) + stencil(d)
+    w = (s2 - s0) / (2.0 * dt) - stencil(s)
+    z = np.cross(d, s)
+    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_packed_curvature_levels_bitwise_equal_per_field_form(order, monkeypatch):
+    rng = np.random.default_rng(40 + order)
+    n, dt = 16, 0.05
+    sten = DerivativeStencil(order, TWO_PI / n)
+    levels = signed_zero_levels(rng, n, 6)
+    coeffs = _chiral_coefficients(EQUIVALENCE_LAMBDAS)
+    packed = [_chiral_level(y) for y in levels]
+    for y, level in zip(levels, packed):
+        assert_same_bits(level, np.stack(per_field_level(y)))
+    want = [per_field_curvature_at([per_field_level(y) for y in levels[k:k + 3]],
+                                   coeffs, sten, dt)
+            for k in range(len(levels) - 2)]
+    saved = [level.copy() for level in packed]
+    calls = []
+    original = DerivativeStencil.__call__
+    monkeypatch.setattr(DerivativeStencil, "__call__",
+                        lambda self, f: calls.append(np.shape(f)) or original(self, f))
+    got = [_chiral_curvature_at(packed[k:k + 3], coeffs, sten, dt)
+           for k in range(len(levels) - 2)]
+    assert got == want
+    # one stencil call per evaluated level, and the held levels are left as they were
+    assert calls == [(n, 2, 3)] * (len(levels) - 2)
+    for level, before in zip(packed, saved):
+        assert level.tobytes() == before.tobytes()
+
+
 # ------------------------------------------------------------------- aniso_lax
 
 
@@ -334,8 +390,7 @@ def test_doubled_field_aniso_residual_converges_raw_does_not():
     sten = DerivativeStencil(2, TWO_PI / n)
 
     def rhs(y):
-        du, dv = aniso_rhs_uv(y[0], y[1], p, sten)
-        return np.stack([du, dv])
+        return aniso_rhs_uv(y, p, sten)
 
     y = np.stack([u, v])
     traj = [y]
@@ -355,6 +410,38 @@ def test_doubled_field_aniso_residual_converges_raw_does_not():
     assert doubled < 1e-3
     assert raw > 0.05
     assert raw / doubled > 50.0
+
+
+def per_level_zero_curvature(connections, stencil, dt):
+    """The curvature fields with one stencil call per interior level."""
+    u = np.stack([c.U_field for c in connections])
+    v = np.stack([c.V_field for c in connections])
+    du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
+    dv_ds = np.stack([stencil(vk) for vk in v[1:-1]])
+    return du_dt - dv_ds + (u[1:-1] @ v[1:-1] - v[1:-1] @ u[1:-1])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("pair", ["chiral", "aniso"])
+def test_zero_curvature_residual_bitwise_equals_per_level_loop(pair, order, monkeypatch):
+    rng = np.random.default_rng(order)
+    n, dt = 16, 0.05
+    sten = DerivativeStencil(order, TWO_PI / n)
+    p = DiagonalParams(np.array([1.5, 0.0, -2.0]), "anisotropy-P")
+    conns = [
+        chiral_lax(y[0], y[1], 0.5) if pair == "chiral" else aniso_lax(y[0], y[1], 0.5, p)
+        for y in signed_zero_levels(rng, n, 6)
+    ]
+    want = per_level_zero_curvature(conns, sten, dt)
+    calls = []
+    original = DerivativeStencil.__call__
+    monkeypatch.setattr(DerivativeStencil, "__call__",
+                        lambda self, f: calls.append(np.shape(f)) or original(self, f))
+    res = zero_curvature_residual(conns, sten, dt)
+    assert_same_bits(res.fields, want)
+    assert res.max_norm == float(np.max(np.abs(want)))
+    dim = conns[0].algebra_dim
+    assert calls == [(n, 4, dim, dim)]
 
 
 # -------------------------------------------------------------- invariant drift

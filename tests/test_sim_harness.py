@@ -110,6 +110,79 @@ def test_rk4_flags_non_finite_result():
         rk4_step(np.array([1.0]), lambda y: y * np.inf, 0.1)
 
 
+def sum_form_rk4(state, rhs, dt):
+    """The step as one expression, as rk4_step formed it before it accumulated
+    the update in place; a bitwise oracle."""
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def signed_zero_packed(rng, shape=(2, 16, 3)):
+    y = rng.standard_normal(shape)
+    y[rng.random(shape) < 0.25] = 0.0
+    y[rng.random(shape) < 0.25] = -0.0
+    return y
+
+
+def read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("model", ["spin_chain", "chiral", "aniso_uv", "aniso_xy"])
+def test_rk4_bitwise_equals_sum_form(model):
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()[model])
+    sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
+    rhs = sim_harness._SPECS[model].rhs(cfg.params, sten)
+    rng = np.random.default_rng(17)
+    for dt in (0.02, 1.0 / 3.0):
+        y = signed_zero_packed(rng, (2, cfg.n_nodes, 3))
+        got, want = rk4_step(y, rhs, dt), sum_form_rk4(y, rhs, dt)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def read_only_rhs(log):
+    """An RHS whose every result is read-only; the third is a view of its input."""
+
+    def rhs(y):
+        k = read_only(y.view() if len(log) == 2 else np.sin(y) * y - 0.5 * y)
+        log.append((k, k.copy()))
+        return k
+
+    return rhs
+
+
+def test_rk4_writes_into_nothing_it_was_handed():
+    """A read-only state and read-only stage derivatives, one of them the
+    stage input itself: the step raises nothing and returns the old bits."""
+    state = read_only(signed_zero_packed(np.random.default_rng(4)))
+    before = state.copy()
+    returned = []
+    got = rk4_step(state, read_only_rhs(returned), 0.1)
+    want = sum_form_rk4(before, read_only_rhs([]), 0.1)
+    assert len(returned) == 4
+    assert state.tobytes() == before.tobytes()
+    for k, saved in returned:
+        assert k.tobytes() == saved.tobytes()
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("state", [0.75, -0.0, np.float64(0.75), read_only(np.array(0.75)),
+                                   read_only(np.array([0.75, -0.0]))])
+def test_rk4_scalar_and_zero_dim_states(state):
+    def rhs(y):
+        return -y * y
+
+    got, want = rk4_step(state, rhs, 0.1), sum_form_rk4(state, rhs, 0.1)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ------------------------------------------------------------ config validation
 
 
@@ -600,6 +673,22 @@ def test_each_state_is_scanned_for_non_finite_values_once(monkeypatch):
     cfg = ScenarioConfig.from_dict(chiral_dict())
     run_scenario(cfg, keep_snapshots=False)
     assert cfg.n_steps == 8 and len(scans) == 3 * 8 + 1
+
+
+@pytest.mark.parametrize("model", ["chiral", "aniso_uv", "aniso_xy"])
+def test_one_stencil_call_per_rhs_evaluation_and_curvature_level(model, monkeypatch):
+    """Each stage differentiates both fields in one call on the node-first
+    view, and so does each stored level of the chiral curvature."""
+    calls = []
+    original = DerivativeStencil.__call__
+    monkeypatch.setattr(DerivativeStencil, "__call__",
+                        lambda self, f: calls.append(np.shape(f)) or original(self, f))
+    d = output_digests.small_runs()[model]
+    d["diagnostics"] = [{"kind": "zero_curvature"}] if model == "chiral" else []
+    cfg = ScenarioConfig.from_dict(d)
+    run_scenario(cfg, keep_snapshots=False)
+    curvature_levels = cfg.n_steps // cfg.cadence - 1 if model == "chiral" else 0
+    assert calls == [(cfg.n_nodes, 2, 3)] * (4 * cfg.n_steps + curvature_levels)
 
 
 def test_non_finite_initial_data_fails_in_the_first_stage(tmp_path):
