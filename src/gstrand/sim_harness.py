@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _g17
 from .algebra import DiagonalParams
 from .analytic_solutions import (
     CollisionSolution,
@@ -78,6 +79,7 @@ CFL_LIMIT = 0.5
 MAX_STEPS = 10**7  # step-count limit: a larger t_end / dt would not finish
 PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
+CSV_CHUNK = 4096  # values formatted per write; bounds the writer's working memory
 ORDER_FLOOR = 1e-13
 
 
@@ -695,37 +697,64 @@ class RunReport:
         return out
 
 
-def _write_csv(path, header, row_tails, blocks):
-    """One CSV file: the header line, then one block of rows per (t, values).
+def _write_csv(path, header, times, blocks, index=False):
+    """One CSV file: the header line, then one block of rows per entry of ``times``.
 
-    Every row of a block starts with the block's time t.  ``row_tails`` are
-    the ``%`` templates of the rest of each row, newline included, and the
-    flat list ``values`` fills them in order.  Floats print as %.17g, which
-    reads back to the same doubles; t is formatted once per block.
+    ``blocks`` holds one (rows, ncols) float array per time, all of one
+    shape.  Each row is the block's time t, then, with ``index``, the row's
+    index within its block, then the row's values.  Floats print as %.17g,
+    which reads back to the same doubles.  The values are formatted
+    ``CSV_CHUNK`` at a time, wherever the cut falls, by ``_g17.cells``: each
+    chunk's rows are laid out side by side in one byte array, and its zero
+    bytes are dropped.
     """
-    tails = [""] + row_tails
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, values in blocks:
-            fh.write(("%.17g" % t).join(tails) % tuple(values))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        per_block, ncols = np.shape(blocks[0])
+        labels = np.array([b",%d" % i if index else b"" for i in range(per_block)])
+        labels = labels.view(np.uint8).reshape(per_block, -1)
+        prefix = _g17.WIDTH + labels.shape[1]
+        block_size = per_block * ncols
+        total = len(times) * block_size
+        for start in range(0, total, CSV_CHUNK):
+            stop = min(start + CSV_CHUNK, total)
+            b0, b1 = start // block_size, (stop - 1) // block_size + 1
+            r0, r1 = start // ncols, (stop - 1) // ncols + 1
+            lead = start - r0 * ncols  # values of row r0 that the last chunk wrote
+            values = np.asarray(blocks[b0:b1]).ravel()[start - b0 * block_size:][:stop - start]
+            formatted = _g17.cells(np.concatenate((times[b0:b1], values)))
+            cells = np.zeros(((r1 - r0) * ncols, 1 + _g17.WIDTH), np.uint8)
+            cells[lead:lead + stop - start, 0] = ord(",")
+            cells[lead:lead + stop - start, 1:] = formatted[b1 - b0:]
+            rows = np.arange(r0, r1)
+            text = np.concatenate([
+                formatted[rows // per_block - b0],
+                labels[rows % per_block],
+                cells.reshape(r1 - r0, -1),
+                np.full((r1 - r0, 1), ord("\n"), np.uint8),
+            ], axis=1)
+            del formatted, cells  # hold only the text while it is compacted
+            if lead:
+                text[0, :prefix] = 0
+            if stop % ncols:
+                text[-1, -1] = 0
+            text = text.ravel()
+            fh.write(text[text != 0])
 
 
 def _write_outputs(cfg, report, directory):
     directory = Path(directory)
-    n_nodes, ncols = report.snapshots[0].shape[1:]
-    node_rows = [f",{idx}" + ",%.17g" * ncols + "\n" for idx in range(n_nodes)]
+    ncols = report.snapshots[0].shape[2]
     for slot, name in enumerate(_SPECS[cfg.model].fields):
         header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
-        blocks = ((t, y[slot].ravel().tolist())
-                  for t, y in zip(report.times, report.snapshots))
-        _write_csv(directory / f"{name}.csv", header, node_rows, blocks)
+        _write_csv(directory / f"{name}.csv", header, report.times,
+                   [y[slot] for y in report.snapshots], index=True)
 
     for name, data in report.series().items():
         columns = data["columns"]
         header = "t," + ",".join(columns)
-        rows = np.column_stack(tuple(columns.values())).tolist()
-        _write_csv(directory / f"{name}.csv", header, [",%.17g" * len(columns) + "\n"],
-                   zip(data["times"], rows))
+        _write_csv(directory / f"{name}.csv", header, data["times"],
+                   np.column_stack(tuple(columns.values()))[:, None])
 
     with open(directory / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)

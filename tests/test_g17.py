@@ -1,0 +1,130 @@
+"""The vectorised %.17g formatter against the interpreter's own '%.17g'."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gstrand import _g17
+
+
+def formatted(values):
+    """What ``_g17.cells`` makes of each value, as text."""
+    rows = _g17.cells(np.asarray(values, dtype=float))
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+def assert_like_percent(values):
+    values = np.asarray(values, dtype=float)
+    assert formatted(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def fast_flags(values):
+    """Where each value takes the vectorised path instead of '%.17g'."""
+    return _g17._round17(np.abs(np.asarray(values, dtype=float)))[2]
+
+
+SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@SETTINGS
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_any_float(values):
+    """Subnormals, +-0.0, infinities and nans included."""
+    assert_like_percent(values)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-10**17, 10**17), st.integers(-20, 20)),
+                min_size=1, max_size=64))
+def test_decimal_rounded_floats(pairs):
+    """Short decimals such as 0.1 or 123.456 sit next to a tie at 17 digits."""
+    assert_like_percent([float(f"{m}e{e}") for m, e in pairs])
+
+
+@SETTINGS
+@given(st.lists(st.integers(-10**18, 10**18), min_size=1, max_size=64))
+def test_integer_valued_floats(values):
+    assert_like_percent([float(v) for v in values])
+
+
+def neighbours(value, steps=2):
+    """``value`` and its ``steps`` nearest doubles on either side."""
+    out = [value]
+    below = above = value
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+def test_neighbours_of_powers_of_ten():
+    values = [v for p in range(-330, 309) for v in neighbours(float(f"1e{p}"))]
+    assert_like_percent(values + [-v for v in values])
+
+
+def test_fast_path_edges():
+    """Both ends of 1e-4 <= |x| < 1e16, on both sides, and the points where
+    the fixed-point part grows by one digit."""
+    edges = [1e-4, 1e16, 0.001, 1.0, 9999999999999998.0, 999999999999999.9]
+    values = [v for edge in edges for v in neighbours(edge, steps=4)]
+    assert_like_percent(values + [-v for v in values])
+    assert fast_flags([1e-4, np.nextafter(1e-4, 0), 1e16]).tolist() == [True, False, False]
+
+
+def test_every_exponent_of_the_fast_path():
+    rng = np.random.default_rng(17)
+    values = rng.uniform(1, 10, (20, 200)) * 10.0 ** np.arange(-4, 16)[:, None]
+    values[:, ::2] *= -1
+    fast = fast_flags(values.ravel()).reshape(values.shape)
+    assert fast.any(axis=1).all()
+    # from about 1e11 up, a double has so few fractional bits that y is often
+    # an exact tie, which the fallback takes
+    assert fast[:15].all()
+    assert_like_percent(values.ravel())
+
+
+def test_exact_ties_take_the_fallback():
+    """y = |x| 10^(16 - k) halfway between integers, which '%.17g' rounds
+    half to even."""
+    ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+            100000000000000.375, -1000000000000000.25]
+    for x in ties:
+        scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(abs(x))))
+        assert scaled.denominator == 2
+    assert not fast_flags(ties).any()
+    assert formatted(ties) == ["1000000000000000.2", "1000000000000000.8",
+                               "100000000000000.12", "100000000000000.38",
+                               "-1000000000000000.2"]
+    assert_like_percent(ties)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_an_exponent_off_by_one_takes_the_fallback(monkeypatch, shift):
+    """A log10 one too small makes D reach 1e17 (a carry past 17 digits); one
+    too large leaves D under 1e16.  Either way the value goes to '%.17g'."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(1, 10, 400) * 10.0 ** rng.integers(-4, 16, 400)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert not fast_flags(values).any()
+    assert_like_percent(values)
+
+
+def test_rows_are_zero_padded_ascii():
+    """No output byte is zero, so dropping zero bytes recovers each value."""
+    values = np.array([-0.0, 0.0, 1.5, -2.5e-300, np.nan, -np.inf, 123456.789, 5e-324])
+    rows = _g17.cells(values)
+    assert rows.shape == (values.size, _g17.WIDTH) and rows.dtype == np.uint8
+    assert max(len("%.17g" % v) for v in values.tolist()) <= _g17.WIDTH
+    assert formatted(values) == ["-0", "0", "1.5", "-2.5e-300", "nan",
+                                 "-inf", "123456.789", "4.9406564584124654e-324"]
+
+
+def test_empty_and_shaped_input():
+    assert _g17.cells(np.array([])).shape == (0, _g17.WIDTH)
+    grid = np.arange(6.0).reshape(2, 3) / 7
+    assert formatted(grid) == ["%.17g" % v for v in grid.ravel().tolist()]

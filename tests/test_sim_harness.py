@@ -830,6 +830,76 @@ def test_writer_renders_edge_values_like_oracle(tmp_path):
     assert (tmp_path / "u.csv").read_text().splitlines()[1] == "-0,0,-0,4.9406564584124654e-324,1e-300"
 
 
+def run_writing(d, directory, monkeypatch):
+    """Run scenario dict ``d`` into ``directory``; the report that was written.
+
+    A run that blows up writes its partial report before raising.
+    """
+    written = []
+
+    def keep_report(cfg, report, out):
+        written.append(report)
+        return write(cfg, report, out)
+
+    write = sim_harness._write_outputs
+    monkeypatch.setattr(sim_harness, "_write_outputs", keep_report)
+    try:
+        run_scenario(ScenarioConfig.from_dict(d), out_dir=directory)
+    except BlowUpError:
+        pass
+    (report,) = written
+    return report
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 100])
+@pytest.mark.parametrize("name", ["chiral", "peakon_A1", "peakon_A3", BLOW_UP])
+def test_chunk_cuts_keep_every_byte(tmp_path, monkeypatch, chunk, name):
+    """The writer formats CSV_CHUNK values at a time.  Small chunks cut the
+    files mid-level (96 values a level here) and mid-row (3 values a row but
+    for peakon_A1); 672 field values are no multiple of 100, and the blow-up
+    run's partial report holds one level."""
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
+    d = output_digests.small_runs()[name]
+    report = run_writing(d, tmp_path, monkeypatch)
+    assert len(report.snapshots) == (1 if name == BLOW_UP else 7)
+    assert_outputs_match_oracle(d["model"], report, tmp_path)
+
+
+def read_floats(path):
+    """Header and every cell of a CSV file, parsed with float()."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+def assert_same_bits(got, expected):
+    expected = np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("name", sorted(output_digests.small_runs()))
+def test_every_csv_value_reads_back_exactly(tmp_path, monkeypatch, name):
+    """Every float of every CSV parses back to the double that was written."""
+    d = output_digests.small_runs()[name]
+    report = run_writing(d, tmp_path, monkeypatch)
+    levels = len(report.snapshots)
+    n_nodes, ncols = report.snapshots[0].shape[1:]
+    for slot, field in enumerate(FIELDS[d["model"]]):
+        header, cells = read_floats(tmp_path / f"{field}.csv")
+        assert header[:2] == ["t", "s_index"] and len(header) == 2 + ncols
+        assert_same_bits(cells[:, 0], np.repeat(report.times, n_nodes))
+        assert_same_bits(cells[:, 1], np.tile(np.arange(n_nodes), levels))
+        assert_same_bits(cells[:, 2:].reshape(levels, n_nodes, ncols),
+                         [y[slot] for y in report.snapshots])
+    for series, data in report.series().items():
+        header, cells = read_floats(tmp_path / f"{series}.csv")
+        assert header == ["t", *data["columns"]]
+        assert_same_bits(cells[:, 0], data["times"])
+        for j, column in enumerate(data["columns"].values()):
+            assert_same_bits(cells[:, 1 + j], column)
+
+
 # ------------------------------------------------------------------ streaming
 
 
