@@ -5,10 +5,13 @@
 Runs one small scenario per model (the free peakon model twice, with one
 and with three peakons, so the CSV column counts differ), one run that
 blows up and writes partial outputs, and seed 1 of every perfbench workload
-generator, each with an output directory.  The scenarios come from this
-checkout; the gstrand that runs them is imported from ``CHECKOUT/src``
-(default: this checkout).  One line per file, ``<run>/<file> <sha256>``.
-Two checkouts write the same bytes when their tables are equal:
+generator, each with an output directory, then the single_converge
+workload's seed-1 scenario through ``gstrand converge --levels 4``.  The
+scenarios come from this checkout; the gstrand that runs them is imported
+from ``CHECKOUT/src`` (default: this checkout).  One line per file,
+``<run>/<file> <sha256>``, and one for the JSON that ``converge`` prints,
+``single_converge-1/converge <sha256>``.  Two checkouts write the same
+bytes when their tables are equal:
 
     diff <(python3 scripts/output_digests.py /path/to/parent) \\
          <(python3 scripts/output_digests.py)
@@ -17,7 +20,10 @@ Two checkouts write the same bytes when their tables are equal:
 tests in ``tests/test_sim_harness.py``.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import sys
 import tempfile
@@ -120,6 +126,18 @@ def digests(scenarios, out_root):
     return lines
 
 
+def converge_digest(scenario, levels, tmp):
+    """SHA-256 of what ``gstrand converge`` prints for ``scenario``."""
+    from gstrand.cli import main
+
+    config = Path(tmp) / "converge.json"
+    config.write_text(json.dumps(scenario), encoding="utf-8")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        main(["converge", "--config", str(config), "--levels", str(levels)])
+    return hashlib.sha256(printed.getvalue().encode()).hexdigest()
+
+
 def main(argv):
     if len(argv) > 1:
         sys.exit(__doc__)
@@ -128,6 +146,8 @@ def main(argv):
     sys.path.insert(0, str(checkout / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         print("\n".join(digests(scenarios, tmp)))
+        converge = converge_digest(scenarios["single_converge-1"], 4, tmp)
+        print(f"single_converge-1/converge {converge}")
 
 
 if __name__ == "__main__":

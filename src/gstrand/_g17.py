@@ -10,8 +10,8 @@ point, and the row is formed in five steps:
 
 1. k = floor(log10|x|);
 2. y = |x| 10^(16 - k), formed exactly as a Dekker two-product hi + lo
-   (10^p is exact in binary64 for p <= 22, and hi is an integer because
-   y >= 1e16 > 2^53);
+   (10^p is exact in binary64 for p <= 22, and hi is an even integer
+   because y >= 1e16 > 2^53);
 3. D = hi + rint(lo), y rounded to an integer: the 17 digits;
 4. D's digits, as 4-digit words from a table of 10,000;
 5. the sign, the integer digits (a "0" if k < 0), the point, the zeros
@@ -19,13 +19,12 @@ point, and the row is formed in five steps:
    the row; digits that are not in a part, trailing fractional zeros and a
    point with no fraction after it are zero bytes.
 
-Every other value takes ``'%.17g'`` itself, so the fallback is the oracle
-rather than an approximation: zero, |x| < 1e-4, |x| >= 1e16 (subnormals,
-infinities and nans among them), exact ties lo = +-1/2, and any D outside
-[1e16, 1e17), which a log10 that is off by one or a rounding carry gives.
-(hi is even, so hi + rint(lo) would round a tie to even as dtoa does; the
-fallback settles ties by dtoa itself.  Below |x| = 1e11 fewer than one
-double in 5,000 is a tie; from 1e14 up, as many as half are.)
+As hi is even, step 3 rounds an exact tie lo = +-1/2 (as many as half the
+doubles from 1e14 up) half to even, as ``'%.17g'`` does.  Every other
+value takes ``'%.17g'`` itself, so the fallback is the oracle rather than
+an approximation: zero, |x| < 1e-4, |x| >= 1e16 (subnormals, infinities and
+nans among them), and any D outside [1e16, 1e17), which a log10 that is off
+by one or a rounding carry gives.
 """
 
 import numpy as np
@@ -78,9 +77,8 @@ def _round17(a):
     a2 = a - a1
     p1, p2 = _POW_HI[p], _POW_LO[p]
     lo = ((a1 * p1 - hi) + a1 * p2 + a2 * p1) + a2 * p2  # hi + lo == a 10^p exactly
-    r = np.rint(lo)
-    d = hi.astype(np.int64) + r.astype(np.int64)
-    fast &= (np.abs(lo - r) != 0.5) & (d >= 10**16) & (d < 10**17)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= (d >= 10**16) & (d < 10**17)
     return np.where(fast, k, 0), np.where(fast, d, 10**16), fast
 
 

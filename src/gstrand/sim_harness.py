@@ -575,7 +575,7 @@ class ScenarioConfig:
         the nodes, since refining adds nodes; params depend on S alone, and
         the diagnostics' one grid check (3 stored levels) only gets easier.
         """
-        if not (isinstance(factor, int) and factor >= 1):
+        if isinstance(factor, bool) or not (isinstance(factor, int) and factor >= 1):
             raise ConfigError(f"refinement factor must be a positive integer, got {factor}")
         grid = _check_grid(self.s_length, self.n_nodes * factor, self.dt / factor,
                            self.t_end, self.cadence)
@@ -703,29 +703,26 @@ def _write_csv(path, header, times, blocks, index=False):
     ``blocks`` holds one (rows, ncols) float array per time, all of one
     shape.  Each row is the block's time t, then, with ``index``, the row's
     index within its block, then the row's values.  Floats print as %.17g,
-    which reads back to the same doubles.  The values are formatted
-    ``CSV_CHUNK`` at a time, wherever the cut falls, by ``_g17.cells``: each
-    chunk's rows are laid out side by side in one byte array, and its zero
-    bytes are dropped.
+    which reads back to the same doubles.  The rows are formatted
+    ``max(1, CSV_CHUNK // ncols)`` at a time, across block boundaries, by
+    ``_g17.cells``: each chunk's rows are laid out side by side in one byte
+    array, and its zero bytes are dropped.
     """
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         per_block, ncols = np.shape(blocks[0])
         labels = np.array([b",%d" % i if index else b"" for i in range(per_block)])
         labels = labels.view(np.uint8).reshape(per_block, -1)
-        prefix = _g17.WIDTH + labels.shape[1]
-        block_size = per_block * ncols
-        total = len(times) * block_size
-        for start in range(0, total, CSV_CHUNK):
-            stop = min(start + CSV_CHUNK, total)
-            b0, b1 = start // block_size, (stop - 1) // block_size + 1
-            r0, r1 = start // ncols, (stop - 1) // ncols + 1
-            lead = start - r0 * ncols  # values of row r0 that the last chunk wrote
-            values = np.asarray(blocks[b0:b1]).ravel()[start - b0 * block_size:][:stop - start]
-            formatted = _g17.cells(np.concatenate((times[b0:b1], values)))
-            cells = np.zeros(((r1 - r0) * ncols, 1 + _g17.WIDTH), np.uint8)
-            cells[lead:lead + stop - start, 0] = ord(",")
-            cells[lead:lead + stop - start, 1:] = formatted[b1 - b0:]
+        total = len(times) * per_block
+        step = max(1, CSV_CHUNK // ncols)
+        for r0 in range(0, total, step):
+            r1 = min(r0 + step, total)
+            b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
+            values = np.asarray(blocks[b0:b1]).reshape(-1, ncols)[r0 - b0 * per_block:][:r1 - r0]
+            formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel())))
+            cells = np.empty((r1 - r0, ncols, 1 + _g17.WIDTH), np.uint8)
+            cells[:, :, 0] = ord(",")
+            cells[:, :, 1:] = formatted[b1 - b0:].reshape(r1 - r0, ncols, -1)
             rows = np.arange(r0, r1)
             text = np.concatenate([
                 formatted[rows // per_block - b0],
@@ -734,10 +731,6 @@ def _write_csv(path, header, times, blocks, index=False):
                 np.full((r1 - r0, 1), ord("\n"), np.uint8),
             ], axis=1)
             del formatted, cells  # hold only the text while it is compacted
-            if lead:
-                text[0, :prefix] = 0
-            if stop % ncols:
-                text[-1, -1] = 0
             text = text.ravel()
             fh.write(text[text != 0])
 

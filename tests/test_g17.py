@@ -1,6 +1,5 @@
 """The vectorised %.17g formatter against the interpreter's own '%.17g'."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -80,25 +79,41 @@ def test_every_exponent_of_the_fast_path():
     values = rng.uniform(1, 10, (20, 200)) * 10.0 ** np.arange(-4, 16)[:, None]
     values[:, ::2] *= -1
     fast = fast_flags(values.ravel()).reshape(values.shape)
-    assert fast.any(axis=1).all()
-    # from about 1e11 up, a double has so few fractional bits that y is often
-    # an exact tie, which the fallback takes
-    assert fast[:15].all()
+    # every one takes the fast path, the exact ties that are common from
+    # about 1e11 up included
+    assert fast.all()
     assert_like_percent(values.ravel())
 
 
-def test_exact_ties_take_the_fallback():
-    """y = |x| 10^(16 - k) halfway between integers, which '%.17g' rounds
-    half to even."""
+def is_tie(x):
+    """Whether y = |x| 10^(16 - k) lies halfway between integers, for |x| >= 1."""
+    k = len(str(int(abs(x)))) - 1
+    return (Fraction(x) * 10 ** (16 - k)).denominator == 2
+
+
+def test_exact_ties_take_the_fast_path():
+    """y halfway between integers, which '%.17g' rounds half to even; so
+    does hi + rint(lo), as hi is even."""
     ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
             100000000000000.375, -1000000000000000.25]
-    for x in ties:
-        scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(abs(x))))
-        assert scaled.denominator == 2
-    assert not fast_flags(ties).any()
+    assert all(is_tie(x) for x in ties)
+    assert fast_flags(ties).all()
     assert formatted(ties) == ["1000000000000000.2", "1000000000000000.8",
                                "100000000000000.12", "100000000000000.38",
                                "-1000000000000000.2"]
+    assert_like_percent(ties)
+
+
+def test_tie_sweep_at_the_two_top_exponents():
+    """1,000 exact ties at k = 14, n + odd/8 in [5.6e14, 1e15), and 1,000 at
+    k = 15, n + 1/4 in [1e15, 2.25e15); every such double is one."""
+    rng = np.random.default_rng(14)
+    k14 = rng.integers(560 * 10**12, 10**15, 1000) + rng.choice([1, 3, 5, 7], 1000) / 8
+    k15 = rng.integers(10**15, 2250 * 10**12, 1000) + 0.25
+    ties = np.concatenate((k14, k15))
+    ties[::2] *= -1
+    assert all(is_tie(x) for x in ties.tolist())
+    assert fast_flags(ties).all()
     assert_like_percent(ties)
 
 

@@ -493,6 +493,14 @@ def test_refined_halves_jointly():
         cfg.refined(0)
 
 
+@pytest.mark.parametrize("factor", [True, False, 2.0, "2"])
+def test_refined_rejects_a_factor_that_is_no_integer(factor):
+    """A bool is no factor, though True == 1 is an int to isinstance."""
+    cfg = ScenarioConfig.from_dict(chiral_dict())
+    with pytest.raises(ConfigError, match="refinement factor must be a positive integer"):
+        cfg.refined(factor)
+
+
 # ----------------------------------------------------------------- run_scenario
 
 
@@ -854,15 +862,60 @@ def run_writing(d, directory, monkeypatch):
 @pytest.mark.parametrize("chunk", [2, 7, 100])
 @pytest.mark.parametrize("name", ["chiral", "peakon_A1", "peakon_A3", BLOW_UP])
 def test_chunk_cuts_keep_every_byte(tmp_path, monkeypatch, chunk, name):
-    """The writer formats CSV_CHUNK values at a time.  Small chunks cut the
-    files mid-level (96 values a level here) and mid-row (3 values a row but
-    for peakon_A1); 672 field values are no multiple of 100, and the blow-up
-    run's partial report holds one level."""
+    """The writer formats max(1, CSV_CHUNK // ncols) rows at a time.  Small
+    chunks cut the files mid-level (32 rows a level here), a chunk of 2 holds
+    one row of 3 values, and 224 field rows are no multiple of 33 or of 100;
+    the blow-up run's partial report holds one level."""
     monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
     d = output_digests.small_runs()[name]
     report = run_writing(d, tmp_path, monkeypatch)
     assert len(report.snapshots) == (1 if name == BLOW_UP else 7)
     assert_outputs_match_oracle(d["model"], report, tmp_path)
+
+
+class RecordedFile:
+    """A file opened by the writer, whose writes are kept in ``writes``."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 100])
+@pytest.mark.parametrize("name", sorted(output_digests.small_runs()))
+def test_every_csv_write_holds_whole_rows(tmp_path, monkeypatch, chunk, name):
+    """After its header, each write of a CSV file ends a row and holds at
+    most max(1, CSV_CHUNK // ncols) rows of ncols values."""
+    files = {}
+
+    def recording_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).suffix != ".csv":
+            return fh
+        files[Path(path).name] = []
+        return RecordedFile(fh, files[Path(path).name])
+
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
+    monkeypatch.setattr(sim_harness, "open", recording_open, raising=False)
+    run_writing(output_digests.small_runs()[name], tmp_path, monkeypatch)
+    assert files and sorted(files) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for file in files:
+        header, *data = files[file]
+        assert header.endswith(b"\n") and data
+        ncols = header.count(b",") - header.startswith(b"t,s_index,")
+        rows = max(1, chunk // ncols)
+        for text in data:
+            assert text.endswith(b"\n") and 1 <= text.count(b"\n") <= rows, file
+        assert b"".join(files[file]) == (tmp_path / file).read_bytes()
 
 
 def read_floats(path):
