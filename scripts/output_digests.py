@@ -8,7 +8,8 @@ blows up and writes partial outputs, and seed 1 of every perfbench workload
 generator, each with an output directory, then the single_converge
 workload's seed-1 scenario through ``gstrand converge --levels 4``.  The
 scenarios come from this checkout; the gstrand that runs them is imported
-from ``CHECKOUT/src`` (default: this checkout).  One line per file,
+from ``CHECKOUT/src`` (default: this checkout), and the script exits with
+status 1 when that is not the gstrand it imported.  One line per file,
 ``<run>/<file> <sha256>``, and one for the JSON that ``converge`` prints,
 ``single_converge-1/converge <sha256>``.  Two checkouts write the same
 bytes when their tables are equal:
@@ -143,7 +144,15 @@ def main(argv):
         sys.exit(__doc__)
     checkout = Path(argv[0]).resolve() if argv else HERE
     scenarios = {**small_runs(), **workload_runs()}  # before gstrand is imported
-    sys.path.insert(0, str(checkout / "src"))
+    src = checkout / "src"
+    if not (src / "gstrand" / "__init__.py").is_file():
+        sys.exit(f"output_digests: no gstrand sources under {src}")
+    sys.path.insert(0, str(src))
+    import gstrand
+
+    # an installed or already imported gstrand would make two tables compare one program
+    if Path(gstrand.__file__).resolve().parent != (src / "gstrand").resolve():
+        sys.exit(f"output_digests: imported gstrand from {gstrand.__file__}, not {src}")
     with tempfile.TemporaryDirectory() as tmp:
         print("\n".join(digests(scenarios, tmp)))
         converge = converge_digest(scenarios["single_converge-1"], 4, tmp)

@@ -42,12 +42,14 @@ def _log_cosh(z):
 class WaveProfile:
     """A solution h(s, t) of h_tt = h_ss with closed-form derivatives.
 
-    A profile is one evaluator, ``jet(s, t) -> (h, h_t, h_s)``, which forms
-    the value and both first derivatives together; ``h``, ``dh_dt`` and
-    ``dh_ds`` read it.  The factory classmethods build exact jets, so their
-    profiles are not checked.  The constructor accepts the three evaluators
-    directly, wraps them into a jet and verifies the wave equation by finite
-    differences on a sample grid, rejecting inconsistent profiles.
+    A profile has two evaluators: ``jet(s, t) -> (h, h_t, h_s)``, which
+    forms the value and both first derivatives together and which
+    ``dh_dt`` and ``dh_ds`` read, and ``h(s, t)``, which forms the value
+    alone with the bits of ``jet(s, t)[0]``.  The factory classmethods build
+    exact evaluators, so their profiles are not checked.  The constructor
+    accepts the three evaluators directly, wraps them into a jet and
+    verifies the wave equation by finite differences on a sample grid,
+    rejecting inconsistent profiles.
     """
 
     def __init__(
@@ -57,14 +59,16 @@ class WaveProfile:
         dh_ds: Callable,
         descriptor: dict,
     ):
+        self._value = h
         self._jet = lambda s, t: (h(s, t), dh_dt(s, t), dh_ds(s, t))
         self.descriptor = dict(descriptor)
         self._self_check()
 
     @classmethod
-    def _exact(cls, jet, descriptor):
-        """Profile of a factory, whose jet is exact: no finite-difference check."""
+    def _exact(cls, value, jet, descriptor):
+        """Profile of a factory, whose evaluators are exact: no finite-difference check."""
         profile = cls.__new__(cls)
+        profile._value = value
         profile._jet = jet
         profile.descriptor = descriptor
         return profile
@@ -75,7 +79,8 @@ class WaveProfile:
         return np.asarray(h), np.asarray(h_t), np.asarray(h_s)
 
     def h(self, s, t):
-        return self.jet(s, t)[0]
+        """h alone at the broadcast (s, t), without the derivatives of the jet."""
+        return np.asarray(self._value(np.asarray(s, dtype=float), np.asarray(t, dtype=float)))
 
     def dh_dt(self, s, t):
         return self.jet(s, t)[1]
@@ -102,7 +107,8 @@ class WaveProfile:
         """Profile f(s - direction*t) with f a sum of amp*sin(k*xi + phase) terms.
 
         Each term's argument is formed once, for one sin and one cos; then
-        h_s = f'(xi) and h_t = -direction * h_s, exactly.
+        h_s = f'(xi) and h_t = -direction * h_s, exactly.  The value alone is
+        ``_harmonic_sum`` of xi, the jet's operations on h.
         """
         if direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction}")
@@ -118,8 +124,12 @@ class WaveProfile:
                 h_s = h_s + ak * np.cos(arg)
             return h, -direction * h_s, h_s
 
-        return cls._exact(jet, {"type": "traveling", "terms": [list(t_) for t_ in terms],
-                                "direction": direction})
+        def value(s, t):
+            return _harmonic_sum(terms, s - direction * t)
+
+        return cls._exact(value, jet, {"type": "traveling",
+                                       "terms": [list(t_) for t_ in terms],
+                                       "direction": direction})
 
     @classmethod
     def standing(cls, amplitude, wavenumber):
@@ -134,7 +144,10 @@ class WaveProfile:
             return (a * cos_s * cos_t, minus_ak * cos_s * np.sin(kt),
                     minus_ak * np.sin(ks) * cos_t)
 
-        return cls._exact(jet, {"type": "standing", "amplitude": a, "wavenumber": k})
+        def value(s, t):
+            return a * np.cos(k * s) * np.cos(k * t)
+
+        return cls._exact(value, jet, {"type": "standing", "amplitude": a, "wavenumber": k})
 
     @classmethod
     def constant(cls, value):
@@ -155,8 +168,11 @@ class WaveProfile:
                 h, h_t, h_s = h + p_h, h_t + p_t, h_s + p_s
             return h, h_t, h_s
 
-        return cls._exact(jet, {"type": "superposition",
-                                "parts": [p.descriptor for p in parts]})
+        def value(s, t):
+            return sum(part.h(s, t) for part in parts)
+
+        return cls._exact(value, jet, {"type": "superposition",
+                                       "parts": [p.descriptor for p in parts]})
 
 
 _PROFILE_KEYS = {

@@ -9,7 +9,7 @@ v = -sum_a N_a K(x, Q^a).
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -107,21 +107,55 @@ class SortedKernel(NamedTuple):
     """The kernel at one set of positions, in the per-node sorted frame.
 
     Arrays put the node axis last, so every operation runs over all N_s
-    nodes at once, whatever A is.  ``index`` (A N_s,) holds flat indices
-    into a C-ordered (N_s, A) field f: ``f.take(index).reshape(A, N_s)`` is
-    f in the sorted frame, where row a holds the a-th peakon from the left.
-    ``kmat`` (A, A, N_s) is K on the sorted positions.  ``gap_diag`` and
-    ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap: K^{-1} = 2 I plus, for
-    each gap i, the block [[gap_diag_i, gap_off_i], [gap_off_i, gap_diag_i]]
-    on sorted peakons i and i + 1.  ``cond`` is the condition bound that was
-    checked against ``CONDITION_LIMIT``.
+    nodes at once, whatever A is.  Row a of the frame holds the a-th peakon
+    from the left.  When every node's positions strictly increase with the
+    peakon label, the frame is the transpose of the caller's (N_s, A)
+    fields and ``index`` is None.  Otherwise ``index`` (A N_s,) holds flat
+    indices into a C-ordered (N_s, A) field f, and
+    ``f.take(index).reshape(A, N_s)`` is f in the sorted frame.
+
+    ``kmat`` and ``deriv`` (A, A, N_s) are K and D = ``kernel_deriv`` on the
+    sorted positions, gathered from one row table [K0, 0, e, -e] of the
+    A(A-1)/2 pair exponentials e_ab = K0 exp(x_a - x_b), a < b: K takes K0
+    on the diagonal and e_ab at (a, b) and (b, a); D takes 0 on the
+    diagonal, e_ab at (a, b) and -e_ab at (b, a).  For a < b the rounded
+    x_a - x_b is exactly -|x_b - x_a|, since IEEE subtraction is
+    antisymmetric, so K is ``kernel_matrix`` and D is ``kernel_deriv`` bit
+    for bit, but for D's diagonal: +0.0 where ``kernel_deriv`` has -0.0.
+
+    ``gap_diag`` and ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap:
+    K^{-1} = 2 I plus, for each gap i, the block [[gap_diag_i, gap_off_i],
+    [gap_off_i, gap_diag_i]] on sorted peakons i and i + 1.  ``cond`` is the
+    condition bound that was checked against ``CONDITION_LIMIT``.
     """
 
-    index: np.ndarray
+    index: Optional[np.ndarray]
     kmat: np.ndarray
+    deriv: np.ndarray
     gap_diag: np.ndarray
     gap_off: np.ndarray
     cond: float
+
+
+@functools.lru_cache(maxsize=MAX_PEAKONS)
+def _pair_layout(count):
+    """Pairs and table rows of ``SortedKernel`` for A = ``count``, as read-only arrays.
+
+    ``left`` and ``right`` (P,) list the P = A(A-1)/2 pairs a < b of the
+    sorted frame; ``rows`` (2, A, A) indexes the row table [K0, 0, e, -e],
+    whose row 2 + p is pair p's exponential and row 2 + P + p its negative:
+    ``rows[0]`` picks K and ``rows[1]`` picks D.
+    """
+    left, right = np.triu_indices(count, k=1)
+    pair = 2 + np.arange(left.size)
+    diag = np.arange(count)
+    rows = np.empty((2, count, count), dtype=np.intp)
+    rows[:, diag, diag] = ((0,), (1,))
+    rows[0, left, right] = rows[0, right, left] = rows[1, left, right] = pair
+    rows[1, right, left] = pair + left.size
+    for a in (left, right, rows):
+        a.flags.writeable = False
+    return left, right, rows
 
 
 def _checked_kernel(q):
@@ -130,6 +164,11 @@ def _checked_kernel(q):
     Raises ``SingularConfigurationError`` when two peakons of one node are
     closer than ``MIN_GAP``, and ``ConditioningError`` when the condition
     bound exceeds ``CONDITION_LIMIT``.
+
+    Positions that strictly increase with the label at every node are
+    already sorted and skip the argsort; peakons cannot pass each other
+    without tripping the gap guard, so ordered data stays ordered.  Any
+    other input, a NaN position or a (0.0, -0.0) pair included, is sorted.
 
     On sorted positions with gaps g_i, K = C/2 with C_ij = exp(-|x_i - x_j|),
     the product of exp(-g_k) over the gaps between i and j.  Its inverse is
@@ -146,13 +185,26 @@ def _checked_kernel(q):
     A = 1 there are no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
     """
     n_nodes, count = q.shape
-    index = np.argsort(q, axis=-1)
-    index += count * np.arange(n_nodes)[:, None]
-    index = index.T.ravel()
-    qs = q.take(index).reshape(count, n_nodes)
+    qs = q.T.copy()
+    if (qs[1:] > qs[:-1]).all():
+        index = None
+    else:
+        index = np.argsort(q, axis=-1)
+        index += count * np.arange(n_nodes)[:, None]
+        index = index.T.ravel()
+        qs = q.take(index).reshape(count, n_nodes)
     gaps, gap = _gaps(qs)
     _check_gap(gap)
-    kmat = kernel(qs[:, None, :], qs[None, :, :])
+    left, right, rows = _pair_layout(count)
+    table = np.empty((2 + 2 * left.size, n_nodes))
+    table[0] = K0
+    table[1] = 0.0
+    pairs = table[2:2 + left.size]
+    np.subtract(qs.take(left, axis=0), qs.take(right, axis=0), out=pairs)  # = -|x_a - x_b|
+    np.exp(pairs, out=pairs)
+    pairs *= K0
+    np.negative(pairs, out=table[2 + left.size:])
+    kmat, deriv = table.take(rows, axis=0)
     with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
         gap_diag = 2.0 / np.expm1(2.0 * gaps)
         gap_off = -1.0 / np.sinh(gaps)
@@ -165,7 +217,7 @@ def _checked_kernel(q):
         raise ConditioningError(
             f"kernel matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    return SortedKernel(index, kmat, gap_diag, gap_off, cond)
+    return SortedKernel(index, kmat, deriv, gap_diag, gap_off, cond)
 
 
 def _spd_solve(kmat, rhs):
@@ -193,60 +245,56 @@ def _spd_solve(kmat, rhs):
     return y
 
 
-@functools.lru_cache(maxsize=MAX_PEAKONS)
-def _sign_pattern(count):
-    """sign(c - a) as an (A, A, 1) array: D = K times it on sorted positions."""
-    idx = np.arange(count)
-    pattern = np.sign(idx - idx[:, None])[:, :, None].astype(float)
-    pattern.flags.writeable = False
-    return pattern
-
-
 def _sorted_terms(sk: SortedKernel, m, n):
-    """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``, shaped (3, A N_s).
+    """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``, shaped (3, A, N_s).
 
     The rows are K M, -sum_c (M_a M_c - N_a N_c) D^{ac} and K^{-1} G for the
-    momenta m, n (N_s, A), each in the flat order of ``sk.index``.  In the
-    sorted frame D is K times the sign pattern of the order, equal to
-    ``kernel_deriv`` bit for bit, and K^{-1} is the gap-by-gap tridiagonal
-    of ``sk``.
+    momenta m, n (N_s, A), with K and D the tables of ``sk`` and K^{-1} its
+    gap-by-gap tridiagonal.  The momenta are laid out in the sorted frame
+    as contiguous (A, N_s) arrays in both kinds of frame, so the einsums
+    run the same loops and sum in the same order.
     """
-    shape = sk.kmat.shape[1:]
-    ms = m.take(sk.index).reshape(shape)
-    ns = n.take(sk.index).reshape(shape)
-    deriv = sk.kmat * _sign_pattern(shape[0])
+    if sk.index is None:
+        ms = m.T.copy()
+        ns = n.T.copy()
+    else:
+        shape = sk.kmat.shape[1:]
+        ms = m.take(sk.index).reshape(shape)
+        ns = n.take(sk.index).reshape(shape)
 
-    out = np.empty((3,) + shape)
+    out = np.empty((3,) + ms.shape)
     km = np.einsum("abn,bn->an", sk.kmat, ms, out=out[0])
     kn = np.einsum("abn,bn->an", sk.kmat, ns)
-    dm_sum = np.einsum("acn,cn->an", deriv, ms)
-    dn_sum = np.einsum("acn,cn->an", deriv, ns)
+    dm_sum = np.einsum("acn,cn->an", sk.deriv, ms)
+    dn_sum = np.einsum("acn,cn->an", sk.deriv, ns)
     np.subtract(ns * dn_sum, ms * dm_sum, out=out[1])
     # G = (K N)(D M) - (K M)(D N) + D (N (K M) - M (K N)), the sum over b done first
-    g = np.einsum("ecn,cn->en", deriv, ns * km - ms * kn)
+    g = np.einsum("ecn,cn->en", sk.deriv, ns * km - ms * kn)
     g += kn * dm_sum
     g -= km * dn_sum
     sol = np.multiply(2.0, g, out=out[2])
     sol[:-1] += sk.gap_diag * g[:-1] + sk.gap_off * g[1:]
     sol[1:] += sk.gap_diag * g[1:] + sk.gap_off * g[:-1]
-    return out.reshape(3, -1)
+    return out
 
 
 def _kernel_terms(q, m, n):
     """The three kernel terms of ``peakon_rhs`` in the caller's order, shaped (3, N_s, A).
 
-    The momenta are gathered into the per-node sorted frame of
-    ``_checked_kernel``, the terms formed there (``_sorted_terms``) and
-    gathered back to the caller's peakon labels once.  Kept apart from
-    ``peakon_rhs`` and ``_sorted_terms`` so that the sorted-frame work arrays
-    are freed before the gather back and the s-derivatives: the right-hand
-    side is the peak of a peakon run's memory.
+    The terms are formed in the per-node sorted frame of ``_checked_kernel``
+    (``_sorted_terms``) and brought back to the caller's peakon labels
+    once: transposed when the labels are in position order, gathered
+    otherwise.  Kept apart from ``peakon_rhs`` and ``_sorted_terms`` so
+    that the sorted-frame work arrays are freed before that copy and the
+    s-derivatives: the right-hand side is the peak of a peakon run's memory.
     """
     sk = _checked_kernel(q)
     sorted_terms = _sorted_terms(sk, m, n)
+    if sk.index is None:
+        return sorted_terms.transpose(0, 2, 1).copy()
     back = np.empty_like(sk.index)  # back[i] is the sorted place of flat entry i
     back[sk.index] = np.arange(back.size)
-    return sorted_terms.take(back, axis=1).reshape((3,) + q.shape)
+    return sorted_terms.reshape(3, -1).take(back, axis=1).reshape((3,) + q.shape)
 
 
 def peakon_rhs(q, m, n, stencil: DerivativeStencil):

@@ -115,7 +115,7 @@ def rk4_step(state, rhs, dt):
     del stage
     out *= dt / 6.0
     out += state
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise BlowUpError("non-finite field values after step")
     return out
 
@@ -588,7 +588,7 @@ class ScenarioConfig:
 
 
 def _guard_finite(y):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise BlowUpError("non-finite field values during stage evaluation")
 
 

@@ -252,6 +252,29 @@ def test_one_reference_evaluates_each_traveling_harmonic_once(monkeypatch):
     assert spy.calls == {"sin": 4, "cos": 4}
 
 
+@pytest.mark.parametrize("point", list(JET_POINTS))
+@pytest.mark.parametrize("name", list(JET_PROFILES))
+def test_value_alone_has_the_bits_of_the_jet(name, point):
+    """h, formed without the derivatives, equals jet(s, t)[0] bit for bit."""
+    prof = JET_PROFILES[name]
+    s, t = JET_POINTS[point]
+    assert_same_bits(prof.h(s, t), prof.jet(s, t)[0])
+
+
+def test_value_alone_forms_no_derivatives(monkeypatch):
+    """h of a traveling and standing superposition makes one sin per traveling
+    harmonic and two cos per standing part, and never calls a jet."""
+    prof = WaveProfile.superpose([
+        WaveProfile.traveling([(0.3, 1.0, 0.1), (0.1, 2.0, 0.0)], 1),
+        WaveProfile.standing(0.5, 1.0),
+    ])
+    spy = CountingNumpy()
+    monkeypatch.setattr(analytic_solutions, "np", spy)
+    monkeypatch.setattr(WaveProfile, "jet", None)
+    CollisionSolution(prof, 1).separation(np.linspace(0.0, 6.0, 32), 0.4)
+    assert spy.calls == {"sin": 2, "cos": 2}
+
+
 # -------------------------------------------------------- single peakon closed form
 
 

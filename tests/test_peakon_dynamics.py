@@ -27,7 +27,6 @@ from gstrand.peakon_dynamics import (
     K0,
     _checked_kernel,
     _min_gap,
-    _sign_pattern,
     _spd_solve,
 )
 
@@ -371,15 +370,89 @@ def test_zero_gap_is_reported_without_sign():
         _checked_kernel(q)
 
 
-def test_sorted_frame_tables_are_exact():
-    """kmat is K of the sorted positions and kmat x sign pattern is kernel_deriv, bit for bit."""
-    rng = np.random.default_rng(301)
-    q = rng.permuted(spread_positions(rng, 16, 5), axis=1)
+@pytest.mark.parametrize("pair", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_pair_raises_the_coincidence_error(pair):
+    """Neither order of a (0.0, -0.0) pair strictly increases, so it is sorted and caught."""
+    rng = np.random.default_rng(304)
+    q = spread_positions(rng, 8, 2)
+    q[5] = pair
+    m, n = rng.standard_normal((2, 8, 2))
+    with pytest.raises(SingularConfigurationError, match=r"gap 0\.000e\+00 <"):
+        peakon_rhs(q, m, n, DerivativeStencil(2, TWO_PI / 8))
+
+
+@pytest.mark.parametrize("count", [2, 5, 8])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_sorted_frame_tables_are_exact(count, order):
+    """kmat is kernel_matrix and deriv is kernel_deriv of the sorted positions, bit for bit.
+
+    The one exception is D's diagonal: kernel_deriv forms it as -K0 x 0.0 =
+    -0.0, and the table holds +0.0, the value the right-hand side sums.
+    """
+    rng = np.random.default_rng(301 + count)
+    q = spread_positions(rng, 16, count)
+    if order == "shuffled":
+        q = rng.permuted(q, axis=1)
     sk = _checked_kernel(q)
     qs = np.sort(q, axis=-1)
-    np.testing.assert_array_equal(np.moveaxis(sk.kmat, -1, 0), kernel_matrix(qs))
-    np.testing.assert_array_equal(
-        np.moveaxis(sk.kmat * _sign_pattern(5), -1, 0), kernel_deriv(qs))
+    assert_same_bits(np.moveaxis(sk.kmat, -1, 0), kernel_matrix(qs))
+    deriv = np.moveaxis(sk.deriv, -1, 0)
+    off = ~np.eye(count, dtype=bool)
+    assert_same_bits(deriv[:, off], kernel_deriv(qs)[:, off])
+    assert_same_bits(deriv[:, ~off], np.zeros((16, count)))
+
+
+def test_label_ordered_positions_take_the_transpose_frame():
+    rng = np.random.default_rng(305)
+    q = spread_positions(rng, 16, 4)
+    assert _checked_kernel(q).index is None
+    assert _checked_kernel(q[:, ::-1]).index is not None
+    q[3, 1:3] = q[3, 2:0:-1]  # one node out of order
+    assert _checked_kernel(q).index is not None
+
+
+def test_nan_position_takes_the_argsort_path():
+    """NaN compares false, so a NaN position is sorted; the other nodes keep their bits."""
+    rng = np.random.default_rng(306)
+    q = spread_positions(rng, 16, 3)
+    m, n = rng.standard_normal((2, 16, 3))
+    expect = peakon_rhs(q, m, n, zero_stencil)
+    q[7, 1] = np.nan
+    assert _checked_kernel(q).index is not None
+    got = peakon_rhs(q, m, n, zero_stencil)
+    others = np.arange(16) != 7
+    assert_same_bits(got[:, others], expect[:, others])
+    assert np.isnan(got[:, 7]).any()
+
+
+@pytest.mark.parametrize("count", [2, 3, 8])
+def test_shuffled_labels_match_the_transpose_frame_bit_for_bit(count):
+    """The argsort path and the transpose frame give the same bits, signed zeros included.
+
+    Label-ordered input takes the transpose frame and per-node shuffled
+    input the argsort path; the kernel terms of the shuffled input are the
+    shuffled terms of the ordered input.  Some nodes carry only signed
+    zero momenta, so the signs of zero sums are checked too.
+    """
+    rng = np.random.default_rng(307 + count)
+    n_nodes = 64
+    q = spread_positions(rng, n_nodes, count)
+    m, n = rng.standard_normal((2, n_nodes, count))
+    for f in (m, n):
+        zero = rng.random(f.shape) < 0.3
+        f[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        f[::5] = np.where(rng.random(f[::5].shape) < 0.5, 0.0, -0.0)
+    assert _checked_kernel(q).index is None
+    ordered = peakon_rhs(q, m, n, zero_stencil)
+    assert np.signbit(ordered[ordered == 0.0]).any()
+    assert (~np.signbit(ordered[ordered == 0.0])).any()
+    for seed in range(4):
+        shuffled = shuffle_per_node(np.random.default_rng(seed), q, m, n)
+        assert _checked_kernel(shuffled[0]).index is not None
+        got = peakon_rhs(*shuffled, zero_stencil)
+        expect = shuffle_per_node(np.random.default_rng(seed), *ordered)
+        for g, e in zip(got, expect):
+            assert_same_bits(g, e)
 
 
 def test_closed_form_inverse_matches_dense_inverse():

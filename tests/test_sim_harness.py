@@ -1228,6 +1228,7 @@ def test_only_the_collision_model_checks_its_nodes(monkeypatch):
         raise AssertionError("evaluated at config time")
 
     monkeypatch.setattr(WaveProfile, "jet", evaluated)
+    monkeypatch.setattr(WaveProfile, "h", evaluated)
     monkeypatch.setattr(sim_harness, "_harmonic_sum", evaluated)
     for d in output_digests.small_runs().values():
         if d["model"] != "peakon_collision_exact":
