@@ -12,7 +12,9 @@ The diagnostics are local in time: a centered kind reads the newest three
 stored levels, the drift kind the first and the newest, every other kind the
 newest alone.  So a run holds only those levels, unless it writes field CSVs
 or its caller asks for the snapshots (``keep_snapshots``); then it keeps
-every stored level.
+every stored level.  What does grow with the run is its series: each stored
+time and each value of a diagnostic or reference error is appended to one
+float64 column per name, about 8 bytes a value.
 
 Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
 parser, initial data, right-hand side on the packed state array, field
@@ -30,6 +32,7 @@ data and reference values from the closed-form solutions.
 import dataclasses
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -330,6 +333,7 @@ class Diagnostic(NamedTuple):
     centered: bool = False  # levels: the newest 3, evaluated at the middle one's time
     from_first: bool = False  # levels: the first and the newest
     level: Callable | None = None  # what evaluate reads of a level, formed once per level
+    drift: bool = False  # the series' convergence scalar is its largest change from t = 0
 
 
 class ModelSpec(NamedTuple):
@@ -352,7 +356,7 @@ class ModelSpec(NamedTuple):
 
 _PEAKON_DIAGNOSTICS = {
     "s_constraint": Diagnostic(_s_constraint),
-    "conservation_sums": Diagnostic(_conservation_sums),
+    "conservation_sums": Diagnostic(_conservation_sums, drift=True),
 }
 
 
@@ -592,12 +596,13 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _evaluate_diagnostics(cfg, sten, y, held, rows):
+def _evaluate_diagnostics(cfg, sten, y, held, series):
     """Evaluate each diagnostic at the newly stored level ``y``.
 
     ``held[kind]`` keeps what the kind reads of the stored levels, and the
-    values are appended to ``rows[kind]``.  A centered kind keeps the newest
-    three and is evaluated once it has them, at the middle one's time.
+    values are appended to the columns ``series[kind]`` (see ``_append``).  A
+    centered kind keeps the newest three and is evaluated once it has them,
+    at the middle one's time.
     """
     for entry in cfg.diagnostics:
         kind = entry["kind"]
@@ -610,7 +615,7 @@ def _evaluate_diagnostics(cfg, sten, y, held, rows):
                 continue
         elif len(levels) > (2 if diag.from_first else 1):
             del levels[-2]
-        rows[kind].append(diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
+        _append(series[kind], diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
 
 
 def _reference_errors(cfg, s, y, t):
@@ -618,35 +623,52 @@ def _reference_errors(cfg, s, y, t):
     return _SPECS[cfg.model].reference(cfg.params, s, y, t)
 
 
-def _columns(rows):
-    """One array per name from a list of per-level dicts of named values."""
-    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+def _new_columns(entry):
+    """Empty series of a diagnostic entry: one column per spectral parameter, if
+    it takes them; otherwise ``_append`` names them from the first level."""
+    lambdas = entry.get("lambdas")
+    return {} if lambdas is None else {name: array("d") for name in _lambda_columns(lambdas)}
 
 
-def _diagnostic_series(cfg, rows, times):
-    """Named series of each diagnostic, with their times, from its per-level rows."""
+def _append(columns, values):
+    """Append one level's values to ``columns``, one float64 ``array`` per name.
+
+    ``values`` is a dict of named values, whose names and order the first
+    level fixes, or the values of the existing columns in their order.
+    """
+    if isinstance(values, dict):
+        if not columns:
+            columns.update((key, array("d")) for key in values)
+        values = [values[key] for key in columns]
+    for column, value in zip(columns.values(), values):
+        column.append(value)
+
+
+def _columns(columns):
+    """The stored columns as float64 arrays on their own buffers, uncopied."""
+    return {key: np.frombuffer(column) for key, column in columns.items()}
+
+
+def _diagnostic_series(cfg, series, times):
+    """Named series of each diagnostic, with their times (an array of every
+    stored time)."""
     out = {}
     for entry in cfg.diagnostics:
         diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
-        values = rows[entry["kind"]]
-        if diag.lambdas is None:
-            columns = _columns(values)
-        else:
-            columns = dict(zip(_lambda_columns(entry["lambdas"]), np.column_stack(values)))
         out[entry["kind"]] = {
-            "times": np.asarray(times[1:-1] if diag.centered else times),
-            "columns": columns,
+            "times": times[1:-1] if diag.centered else times,
+            "columns": _columns(series[entry["kind"]]),
         }
     return out
 
 
-def _diagnostic_scalar(name, data):
-    """Collapse a diagnostic series to the scalar used for convergence orders."""
-    if name == "conservation_sums":
-        return max(
-            float(np.max(np.abs(series - series[0]))) for series in data["columns"].values()
-        )
-    return max(float(np.max(np.abs(series))) for series in data["columns"].values())
+def _diagnostic_scalar(data, drift=False):
+    """Collapse a series to the scalar used for convergence orders: its largest
+    |value|, or with ``drift`` its largest change from the first value."""
+    columns = data["columns"].values()
+    if drift:
+        return max(float(np.max(np.abs(series - series[0]))) for series in columns)
+    return max(float(np.max(np.abs(series))) for series in columns)
 
 
 # --------------------------------------------------------------------------
@@ -674,10 +696,11 @@ class RunReport:
 
     def summary(self):
         """JSON-ready dict of scalar maxima, deterministic key order."""
+        kinds = _SPECS[self.model].diagnostics
         diag = {}
         for name, data in self.diagnostics.items():
             diag[name] = {
-                "max": _diagnostic_scalar(name, data),
+                "max": _diagnostic_scalar(data, kinds[name].drift),
                 "columns": {
                     key: float(np.max(np.abs(series)))
                     for key, series in data["columns"].items()
@@ -772,10 +795,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     output directory; the directory is made before the first step, and a
     path that cannot be one is a ConfigError, as is a file that cannot be
     written after the run.  Diagnostics and reference errors are evaluated
-    as each level is stored, so a run holds only what they read of the
-    newest three stored levels and of the first.
+    as each level is stored, so of the fields a run holds only what they
+    read of the newest three stored levels and of the first.
     ``RunReport.snapshots`` keeps every stored level when the run writes
-    files or ``keep_snapshots`` is true, and is ``[]`` otherwise.
+    files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
+    from those, what a run keeps grows by about 8 bytes per stored value: each
+    stored time, and each value of a diagnostic or reference error at a
+    stored level, goes into a float64 column of its series.
 
     On blow-up or singular configurations the snapshots collected so far are
     still written before the error is re-raised, so partial trajectories stay
@@ -804,17 +830,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
             _guard_finite(y)
         return model_rhs(y)
 
-    snaps, times, errors = [], [], []
+    snaps, times, errors = [], array("d"), {}
     held = {entry["kind"]: [] for entry in cfg.diagnostics}
-    rows = {entry["kind"]: [] for entry in cfg.diagnostics}
+    series = {entry["kind"]: _new_columns(entry) for entry in cfg.diagnostics}
 
     def store(y, t):
         if keep:
             snaps.append(y)
         times.append(t)
-        _evaluate_diagnostics(cfg, sten, y, held, rows)
+        _evaluate_diagnostics(cfg, sten, y, held, series)
         if spec.reference is not None:
-            errors.append(_reference_errors(cfg, s, y, t))
+            _append(errors, _reference_errors(cfg, s, y, t))
 
     try:
         y = spec.initial(cfg.params, s)
@@ -836,10 +862,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         if (i + 1) % cfg.cadence == 0:
             store(y, (i + 1) * cfg.dt)
 
+    times = np.frombuffer(times)
     if failure is None:
-        diagnostics = _diagnostic_series(cfg, rows, times)
+        diagnostics = _diagnostic_series(cfg, series, times)
         reference = None if spec.reference is None else {
-            "times": np.asarray(times), "columns": _columns(errors)}
+            "times": times, "columns": _columns(errors)}
         status = "ok"
     else:
         diagnostics = {}
@@ -849,7 +876,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     report = RunReport(
         model=cfg.model,
         n_steps=cfg.n_steps,
-        times=np.asarray(times),
+        times=times,
         snapshots=snaps,
         diagnostics=diagnostics,
         reference_error=reference,
@@ -879,13 +906,17 @@ def convergence_study(cfg: ScenarioConfig, refinement_levels: int):
             f"refinement_levels must be an integer >= 3, got {refinement_levels}"
         )
     level_cfgs = [cfg.refined(2**k) for k in range(refinement_levels)]
+    kinds = _SPECS[cfg.model].diagnostics
     levels = []
     errors = {}
     for level_cfg in level_cfgs:
         report = run_scenario(level_cfg, keep_snapshots=False)
         levels.append({"N_s": level_cfg.n_nodes, "dt": level_cfg.dt})
-        for name, data in report.series().items():
-            errors.setdefault(name, []).append(_diagnostic_scalar(name, data))
+        for name, data in report.diagnostics.items():
+            errors.setdefault(name, []).append(_diagnostic_scalar(data, kinds[name].drift))
+        if report.reference_error is not None:
+            errors.setdefault("reference_error", []).append(
+                _diagnostic_scalar(report.reference_error))
 
     study = {"levels": levels, "diagnostics": {}}
     for name, errs in errors.items():

@@ -1079,6 +1079,70 @@ def test_memory_does_not_grow_with_run_length():
     assert long > 4 * short
 
 
+def series_run(name, steps):
+    """A ``small_runs`` scenario, or a free peakon run with A = 8, lasting ``steps``."""
+    runs = output_digests.small_runs()
+    if name == "peakon_A8":
+        d = runs["peakon_A3"]
+        d["params"] = output_digests._peakons(8)
+    else:
+        d = runs[name]
+    d["grid"] = output_digests._grid(steps=steps)
+    return ScenarioConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("name", ["peakon_single_exact", "peakon_A8", "chiral"])
+def test_series_memory_per_stored_level(name):
+    """A run that keeps no snapshots grows by its series alone: a few float64
+    values per stored level (here 2 to 5 with the time), not a dict of them."""
+    short, long = 50, 500
+    peaks = []
+    for steps in (short, long):
+        cfg = series_run(name, steps)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, keep_snapshots=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (long - short) <= 64
+
+
+def report_arrays(report):
+    return [report.times] + [
+        column for data in report.series().values()
+        for column in (data["times"], *data["columns"].values())
+    ]
+
+
+def test_series_are_not_shared_between_runs():
+    first = run_scenario(series_run("peakon_single_exact", 6), keep_snapshots=False)
+    kept = [np.array(a) for a in report_arrays(first)]
+    second = run_scenario(series_run("peakon_single_exact", 9), keep_snapshots=False)
+    for got, expected in zip(report_arrays(first), kept, strict=True):
+        assert np.array_equal(got, expected)
+        assert not any(np.shares_memory(got, other) for other in report_arrays(second))
+
+
+def test_drift_field_selects_the_convergence_scalar(monkeypatch):
+    """The ``drift`` field of a kind, not its name, collapses a series to its
+    largest change from t = 0, in the summary and in the refinement study."""
+    cfg = series_run("peakon_A3", 6)
+    residual = run_scenario(cfg).diagnostics["s_constraint"]["columns"]["residual"]
+    kinds = sim_harness._SPECS["peakon"].diagnostics
+    monkeypatch.setitem(kinds, "s_constraint", kinds["s_constraint"]._replace(drift=True))
+    summary = run_scenario(cfg).summary()["diagnostics"]
+    assert summary["s_constraint"]["max"] == float(np.max(np.abs(residual - residual[0])))
+    assert summary["s_constraint"]["max"] < summary["s_constraint"]["columns"]["residual"]
+    monkeypatch.setitem(kinds, "conservation_sums",
+                        kinds["conservation_sums"]._replace(drift=False))
+    study = convergence_study(cfg, 3)["diagnostics"]
+    summary = run_scenario(cfg).summary()["diagnostics"]
+    assert study["s_constraint"]["errors"][0] == summary["s_constraint"]["max"]
+    sums = summary["conservation_sums"]
+    assert study["conservation_sums"]["errors"][0] == sums["max"] == max(sums["columns"].values())
+
+
 def test_spin_chain_levels_are_stacked_three_at_a_time(monkeypatch):
     shapes = []
 
