@@ -81,25 +81,15 @@ def pairing(m, n):
 def embed_so4(u, v):
     """Embed vectors (u, v) as a 4x4 antisymmetric matrix.
 
-    The upper-left 3x3 block carries u with the sign convention fixed by
-    entry (0, 1) = u3; the last column carries v.
+    The upper-left 3x3 block is ``hat(-u)``, so entry (0, 1) = u3; the last
+    column carries v.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     out = np.zeros(u.shape[:-1] + (4, 4))
-    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
-    out[..., 0, 1] = u3
-    out[..., 0, 2] = -u2
-    out[..., 1, 0] = -u3
-    out[..., 1, 2] = u1
-    out[..., 2, 0] = u2
-    out[..., 2, 1] = -u1
-    out[..., 0, 3] = v[..., 0]
-    out[..., 1, 3] = v[..., 1]
-    out[..., 2, 3] = v[..., 2]
-    out[..., 3, 0] = -v[..., 0]
-    out[..., 3, 1] = -v[..., 1]
-    out[..., 3, 2] = -v[..., 2]
+    out[..., :3, :3] = hat(-u)
+    out[..., :3, 3] = v
+    out[..., 3, :3] = -v
     return out
 
 

@@ -92,9 +92,11 @@ class WaveProfile:
         s = np.linspace(0.0, 2.0 * np.pi, 7)[:, None]
         t = np.linspace(0.0, 1.0, 5)[None, :]
         d = _WAVE_CHECK_DELTA
-        h_tt = (self.h(s, t + d) - 2.0 * self.h(s, t) + self.h(s, t - d)) / (d * d)
-        h_ss = (self.h(s + d, t) - 2.0 * self.h(s, t) + self.h(s - d, t)) / (d * d)
-        scale = max(1.0, float(np.max(np.abs(self.h(s, t)))))
+        h = self.h(s, t)
+        h_tt = (self.h(s, t + d) - 2.0 * h + self.h(s, t - d)) / (d * d)
+        h_ss = (self.h(s + d, t) - 2.0 * h + self.h(s - d, t)) / (d * d)
+        # the second differences' rounding grows with the curvature, not only with |h|
+        scale = max(1.0, *(float(np.max(np.abs(x))) for x in (h, h_tt, h_ss)))
         defect = float(np.max(np.abs(h_tt - h_ss)))
         if defect > _WAVE_CHECK_TOL * scale:
             raise ValueError(

@@ -62,12 +62,9 @@ def chiral_lax(u, v, lam: float) -> LaxConnection:
     time  = -[(1 + lam)(hat u - hat v) + (1 + 1/lam)(hat u + hat v)]/4.
     At lam = 1 these reduce to (-hat v, -hat u).
     """
-    if lam == 0.0:
-        raise ValueError("spectral parameter must be nonzero for the chiral pair")
+    ((a, b, _),) = _chiral_coefficients((lam,))
     diff = hat(u - v)
     summ = hat(u + v)
-    a = 0.25 * (1.0 + lam)
-    b = 0.25 * (1.0 + 1.0 / lam)
     return LaxConnection(
         U_field=a * diff - b * summ,
         V_field=-a * diff - b * summ,

@@ -322,15 +322,18 @@ def test_criterion_06_single_peakon_tracks_wave_profile():
 # --------------------------------------------------------------------------- 7
 
 
-def collision_config(profile):
-    """Branch-1 collision of ``profile`` with N_s = 66, dt = 1/42, t_end = 1."""
+def collision_config(profile, n_nodes=66, steps=42):
+    """Branch-1 collision of ``profile`` with N_s = n_nodes, dt = 1/steps, t_end = 1."""
     return ScenarioConfig.from_dict({
         "model": "peakon_collision_exact",
-        "grid": {"S": TWO_PI, "N_s": 66, "dt": 1.0 / 42, "t_end": 1.0},
+        "grid": {"S": TWO_PI, "N_s": n_nodes, "dt": 1.0 / steps, "t_end": 1.0},
         "params": {"profile": profile, "branch": 1},
         "diagnostics": [{"kind": "s_constraint"}, {"kind": "conservation_sums"}],
         "output": {"directory": None, "cadence": 1},
     })
+
+
+SINGULAR_PROFILE = {"type": "standing", "amplitude": 0.5, "wavenumber": 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -339,9 +342,7 @@ def collision_run():
     on the lines s = pi/2 and 3pi/2, where the exact momenta have poles; 66
     nodes keep the grid off those lines, and 42 steps keep the CFL number near
     1/4.  Criterion 7b runs on this configuration; 7a does not."""
-    return run_scenario(
-        collision_config({"type": "standing", "amplitude": 0.5, "wavenumber": 1.0})
-    )
+    return run_scenario(collision_config(SINGULAR_PROFILE))
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,28 @@ def test_criterion_07b_collision_conservation_sums(collision_run):
         "collision conserved sums",
         ok,
         f"sum_M drift {m_drift:.3e}, skew sum_N drift {n_drift:.3e} <= 1e-8",
+    )
+    assert ok
+
+
+def test_criterion_07b_singular_collision_does_not_converge(collision_run):
+    """The README's numbers for ``collision_run``'s data: max err_X is 11.1 at
+    N_s = 66 and 20.4 at N_s = 130 (dt = 1/84), so refining makes it worse;
+    at N_s = 258 (dt = 1/168) the coincident-peakon guard fires at step 33,
+    and N_s = 132 (dt = 1/84), with a node on s = pi/2, starts from
+    coincident peakons."""
+    finer = run_scenario(collision_config(SINGULAR_PROFILE, 130, 84))
+    errs = [float(np.max(r.reference_error["columns"]["err_X"])) for r in (collision_run, finer)]
+    with pytest.raises(SingularConfigurationError, match=r"\(step 33, t = 0\.196428571\)$"):
+        run_scenario(collision_config(SINGULAR_PROFILE, 258, 168))
+    with pytest.raises(SingularConfigurationError, match=r"\(initial data, t = 0\)$"):
+        run_scenario(collision_config(SINGULAR_PROFILE, 132, 84))
+    ok = round(errs[0], 1) == 11.1 and round(errs[1], 1) == 20.4
+    report(
+        "7b",
+        "singular collision does not converge",
+        ok,
+        f"max |X - X_exact| {errs[0]:.3g} at N_s = 66, {errs[1]:.3g} at N_s = 130",
     )
     assert ok
 

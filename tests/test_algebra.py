@@ -199,6 +199,36 @@ def test_embed_so4_layout():
     np.testing.assert_array_equal(b[:3, :3], np.zeros((3, 3)))
 
 
+def explicit_so4(u, v):
+    """The 16 entries of ``embed_so4`` written out one by one."""
+    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    z = np.zeros(u.shape[:-1])
+    rows = [
+        [z, u3, -u2, v1],
+        [-u3, z, u1, v2],
+        [u2, -u1, z, v3],
+        [-v1, -v2, -v3, z],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def test_embed_so4_bitwise_equals_explicit_layout():
+    """Every sign and every zero, +-0.0 components included; the diagonal,
+    corner (3, 3) included, is +0.0."""
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((64, 3))
+    v = rng.standard_normal((64, 3))
+    for x in (u, v):
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+    u[0], v[0] = -0.0, -0.0
+    u[1], v[1] = 0.0, 0.0
+    got = embed_so4(u, v)
+    assert_bitwise(got, explicit_so4(u, v))
+    assert not np.any(np.signbit(np.diagonal(got, axis1=-2, axis2=-1)))
+
+
 def test_embed_extract_round_trip():
     rng = np.random.default_rng(3)
     u = rng.standard_normal((20, 3))

@@ -83,6 +83,28 @@ def test_profile_self_check_rejects_non_wave():
         )
 
 
+@pytest.mark.parametrize("exact", [
+    WaveProfile.standing(1.0, 10),
+    WaveProfile.traveling([(1.0, 23, 0.3)], -1),
+], ids=["standing_k10", "traveling_k23"])
+def test_profile_self_check_accepts_hand_built_exact_wave(exact):
+    """Second-difference rounding grows with k^2; the tolerance scales with the curvature."""
+    prof = WaveProfile(h=exact.h, dh_dt=exact.dh_dt, dh_ds=exact.dh_ds,
+                       descriptor=exact.descriptor)
+    s, t = np.linspace(0.0, TWO_PI, 9), 0.4
+    np.testing.assert_array_equal(prof.jet(s, t)[0], exact.jet(s, t)[0])
+
+
+def test_profile_self_check_rejects_small_defect_on_curved_wave():
+    with pytest.raises(ValueError, match="wave equation"):
+        WaveProfile(
+            h=lambda s, t: np.cos(3.0 * s) * np.cos(3.0 * t) + 1e-3 * s * t * t,
+            dh_dt=lambda s, t: -3.0 * np.cos(3.0 * s) * np.sin(3.0 * t) + 2e-3 * s * t,
+            dh_ds=lambda s, t: -3.0 * np.sin(3.0 * s) * np.cos(3.0 * t) + 1e-3 * t * t,
+            descriptor={"type": "bogus"},
+        )
+
+
 def test_profile_descriptor_round_trip():
     descs = [
         {"type": "traveling", "terms": [[0.3, 1.0, 0.0]], "direction": 1},

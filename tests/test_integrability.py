@@ -116,9 +116,28 @@ def test_chiral_lax_general_lambda_formula():
     np.testing.assert_allclose(conn.V_field, -a * diff - b * summ, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("lam", [2.0, 0.5, -1.0, -0.3, 1.0, 1e-3])
+def test_chiral_lax_bitwise_equals_inline_coefficients(lam):
+    """U and V as a and b written inline give, on +-0.0 entries, the same bits."""
+    rng = np.random.default_rng(23)
+    u = rng.standard_normal((24, 3))
+    v = rng.standard_normal((24, 3))
+    for x in (u, v):
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+    a = 0.25 * (1.0 + lam)
+    b = 0.25 * (1.0 + 1.0 / lam)
+    diff = hat(u - v)
+    summ = hat(u + v)
+    conn = chiral_lax(u, v, lam)
+    for got, want in ((conn.U_field, a * diff - b * summ), (conn.V_field, -a * diff - b * summ)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_chiral_lax_rejects_zero_lambda():
     st = chiral_initial(16)
-    with pytest.raises(ValueError, match="nonzero"):
+    message = "^spectral parameter must be nonzero for the chiral pair$"
+    with pytest.raises(ValueError, match=message):
         chiral_lax(st.u, st.v, 0.0)
 
 
