@@ -179,7 +179,10 @@ def _chiral_coefficients(lambdas):
 
 
 def _chiral_curvature_at(window, coeffs, stencil, dt):
-    """max |r| for each of ``coeffs`` at the middle of three packed (D, S) levels."""
+    """max |r| for each of ``coeffs`` at the middle of three packed (D, S) levels.
+
+    r is formed in two (N_s, 3) buffers that every coefficient reuses.
+    """
     first, mid, last = window
     rates = last - first  # (D_t, S_t) once divided
     rates /= 2.0 * dt
@@ -189,7 +192,18 @@ def _chiral_curvature_at(window, coeffs, stencil, dt):
     del slopes
     x, w = rates
     z = _cross(mid[0], mid[1])
-    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
+    r = np.empty_like(x)
+    term = np.empty_like(x)
+    maxes = []
+    for a, b, ab2 in coeffs:  # r = a x - b w - 2ab z, in that order
+        np.multiply(a, x, out=r)
+        np.multiply(b, w, out=term)
+        r -= term
+        np.multiply(ab2, z, out=term)
+        r -= term
+        np.abs(r, out=r)
+        maxes.append(np.max(r))
+    return maxes
 
 
 @dataclass(frozen=True)

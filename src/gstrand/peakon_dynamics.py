@@ -114,14 +114,13 @@ class SortedKernel(NamedTuple):
     indices into a C-ordered (N_s, A) field f, and
     ``f.take(index).reshape(A, N_s)`` is f in the sorted frame.
 
-    ``kmat`` and ``deriv`` (A, A, N_s) are K and D = ``kernel_deriv`` on the
-    sorted positions, gathered from one row table [K0, 0, e, -e] of the
-    A(A-1)/2 pair exponentials e_ab = K0 exp(x_a - x_b), a < b: K takes K0
-    on the diagonal and e_ab at (a, b) and (b, a); D takes 0 on the
-    diagonal, e_ab at (a, b) and -e_ab at (b, a).  For a < b the rounded
-    x_a - x_b is exactly -|x_b - x_a|, since IEEE subtraction is
-    antisymmetric, so K is ``kernel_matrix`` and D is ``kernel_deriv`` bit
-    for bit, but for D's diagonal: +0.0 where ``kernel_deriv`` has -0.0.
+    ``kmat`` (A, A, N_s) is K on the sorted positions, gathered from one
+    row table [K0, e] of the A(A-1)/2 pair exponentials e_ab = K0 exp(x_a -
+    x_b), a < b: K0 on the diagonal and e_ab at (a, b) and (b, a).  For
+    a < b the rounded x_a - x_b is exactly -|x_b - x_a|, since IEEE
+    subtraction is antisymmetric, so K is ``kernel_matrix`` bit for bit.
+    ``_sorted_terms`` uses it up: once K M and K N are formed, it turns the
+    same buffer into D in place (``_deriv_in_place``).
 
     ``gap_diag`` and ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap:
     K^{-1} = 2 I plus, for each gap i, the block [[gap_diag_i, gap_off_i],
@@ -131,7 +130,6 @@ class SortedKernel(NamedTuple):
 
     index: Optional[np.ndarray]
     kmat: np.ndarray
-    deriv: np.ndarray
     gap_diag: np.ndarray
     gap_off: np.ndarray
     cond: float
@@ -139,23 +137,34 @@ class SortedKernel(NamedTuple):
 
 @functools.lru_cache(maxsize=MAX_PEAKONS)
 def _pair_layout(count):
-    """Pairs and table rows of ``SortedKernel`` for A = ``count``, as read-only arrays.
+    """Pairs, table rows and sign pattern of ``SortedKernel`` for A = ``count``, read-only.
 
     ``left`` and ``right`` (P,) list the P = A(A-1)/2 pairs a < b of the
-    sorted frame; ``rows`` (2, A, A) indexes the row table [K0, 0, e, -e],
-    whose row 2 + p is pair p's exponential and row 2 + P + p its negative:
-    ``rows[0]`` picks K and ``rows[1]`` picks D.
+    sorted frame; ``rows`` (A, A) indexes the row table [K0, e], whose row
+    1 + p is pair p's exponential, so it picks K.  ``signs`` (A, A, 1) is
+    +1 above the diagonal, -1 below it and 0 on it: K times it is D.
     """
     left, right = np.triu_indices(count, k=1)
-    pair = 2 + np.arange(left.size)
-    diag = np.arange(count)
-    rows = np.empty((2, count, count), dtype=np.intp)
-    rows[:, diag, diag] = ((0,), (1,))
-    rows[0, left, right] = rows[0, right, left] = rows[1, left, right] = pair
-    rows[1, right, left] = pair + left.size
-    for a in (left, right, rows):
+    rows = np.zeros((count, count), dtype=np.intp)
+    rows[left, right] = rows[right, left] = 1 + np.arange(left.size)
+    signs = np.zeros((count, count, 1))
+    signs[left, right] = 1.0
+    signs[right, left] = -1.0
+    for a in (left, right, rows, signs):
         a.flags.writeable = False
-    return left, right, rows
+    return left, right, rows, signs
+
+
+def _deriv_in_place(kmat):
+    """Turn K (A, A, N_s) of a ``SortedKernel`` into D = ``kernel_deriv`` in place; returns it.
+
+    D is K times the sign pattern of ``_pair_layout``.  The products e x 1,
+    e x -1 and K0 x 0 are exact, so D is ``kernel_deriv`` bit for bit off
+    the diagonal, and +0.0 on it, where ``kernel_deriv`` has -K0 x 0.0 =
+    -0.0.
+    """
+    kmat *= _pair_layout(kmat.shape[0])[3]
+    return kmat
 
 
 def _checked_kernel(q):
@@ -195,16 +204,14 @@ def _checked_kernel(q):
         qs = q.take(index).reshape(count, n_nodes)
     gaps, gap = _gaps(qs)
     _check_gap(gap)
-    left, right, rows = _pair_layout(count)
-    table = np.empty((2 + 2 * left.size, n_nodes))
+    left, right, rows, _ = _pair_layout(count)
+    table = np.empty((1 + left.size, n_nodes))
     table[0] = K0
-    table[1] = 0.0
-    pairs = table[2:2 + left.size]
+    pairs = table[1:]
     np.subtract(qs.take(left, axis=0), qs.take(right, axis=0), out=pairs)  # = -|x_a - x_b|
     np.exp(pairs, out=pairs)
     pairs *= K0
-    np.negative(pairs, out=table[2 + left.size:])
-    kmat, deriv = table.take(rows, axis=0)
+    kmat = table.take(rows, axis=0)
     with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
         gap_diag = 2.0 / np.expm1(2.0 * gaps)
         gap_off = -1.0 / np.sinh(gaps)
@@ -217,7 +224,7 @@ def _checked_kernel(q):
         raise ConditioningError(
             f"kernel matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    return SortedKernel(index, kmat, deriv, gap_diag, gap_off, cond)
+    return SortedKernel(index, kmat, gap_diag, gap_off, cond)
 
 
 def _spd_solve(kmat, rhs):
@@ -249,10 +256,12 @@ def _sorted_terms(sk: SortedKernel, m, n):
     """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``, shaped (3, A, N_s).
 
     The rows are K M, -sum_c (M_a M_c - N_a N_c) D^{ac} and K^{-1} G for the
-    momenta m, n (N_s, A), with K and D the tables of ``sk`` and K^{-1} its
-    gap-by-gap tridiagonal.  The momenta are laid out in the sorted frame
-    as contiguous (A, N_s) arrays in both kinds of frame, so the einsums
-    run the same loops and sum in the same order.
+    momenta m, n (N_s, A), with K the table of ``sk`` and K^{-1} its
+    gap-by-gap tridiagonal.  It uses up ``sk.kmat``: after K M and K N, the
+    buffer is turned into D in place (``_deriv_in_place``), so the kernel
+    takes one (A, A, N_s) array, not two.  The momenta are laid out in the
+    sorted frame as contiguous (A, N_s) arrays in both kinds of frame, so
+    the einsums run the same loops and sum in the same order.
     """
     if sk.index is None:
         ms = m.T.copy()
@@ -265,11 +274,12 @@ def _sorted_terms(sk: SortedKernel, m, n):
     out = np.empty((3,) + ms.shape)
     km = np.einsum("abn,bn->an", sk.kmat, ms, out=out[0])
     kn = np.einsum("abn,bn->an", sk.kmat, ns)
-    dm_sum = np.einsum("acn,cn->an", sk.deriv, ms)
-    dn_sum = np.einsum("acn,cn->an", sk.deriv, ns)
+    deriv = _deriv_in_place(sk.kmat)
+    dm_sum = np.einsum("acn,cn->an", deriv, ms)
+    dn_sum = np.einsum("acn,cn->an", deriv, ns)
     np.subtract(ns * dn_sum, ms * dm_sum, out=out[1])
     # G = (K N)(D M) - (K M)(D N) + D (N (K M) - M (K N)), the sum over b done first
-    g = np.einsum("ecn,cn->en", sk.deriv, ns * km - ms * kn)
+    g = np.einsum("ecn,cn->en", deriv, ns * km - ms * kn)
     g += kn * dm_sum
     g -= km * dn_sum
     sol = np.multiply(2.0, g, out=out[2])

@@ -10,11 +10,13 @@ configurations produce byte-identical files.
 
 The diagnostics are local in time: a centered kind reads the newest three
 stored levels, the drift kind the first and the newest, every other kind the
-newest alone.  So a run holds only those levels, unless it writes field CSVs
-or its caller asks for the snapshots (``keep_snapshots``); then it keeps
-every stored level.  What does grow with the run is its series: each stored
-time and each value of a diagnostic or reference error is appended to one
-float64 column per name, about 8 bytes a value.
+newest alone.  A centered kind holds the oldest of its three only while it
+evaluates, so between steps it keeps two.  A run holds only those levels,
+unless it writes field CSVs or its caller asks for the snapshots
+(``keep_snapshots``); then it keeps every stored level.  What does grow
+with the run is its series: each stored time and each value of a
+diagnostic or reference error is appended to one float64 column per name,
+about 8 bytes a value.
 
 Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
 parser, initial data, right-hand side on the packed state array, field
@@ -601,21 +603,21 @@ def _evaluate_diagnostics(cfg, sten, y, held, series):
 
     ``held[kind]`` keeps what the kind reads of the stored levels, and the
     values are appended to the columns ``series[kind]`` (see ``_append``).  A
-    centered kind keeps the newest three and is evaluated once it has them,
-    at the middle one's time.
+    centered kind is evaluated once it has the newest three, at the middle
+    one's time; then it drops the oldest, so between steps it holds two.
     """
     for entry in cfg.diagnostics:
         kind = entry["kind"]
         diag = _SPECS[cfg.model].diagnostics[kind]
         levels = held[kind]
         levels.append(y if diag.level is None else diag.level(y))
-        if diag.centered:
-            del levels[:-3]
-            if len(levels) < 3:
-                continue
-        elif len(levels) > (2 if diag.from_first else 1):
+        if diag.centered and len(levels) < 3:
+            continue
+        if not diag.centered and len(levels) > (2 if diag.from_first else 1):
             del levels[-2]
         _append(series[kind], diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
+        if diag.centered:
+            del levels[0]
 
 
 def _reference_errors(cfg, s, y, t):
@@ -796,7 +798,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     path that cannot be one is a ConfigError, as is a file that cannot be
     written after the run.  Diagnostics and reference errors are evaluated
     as each level is stored, so of the fields a run holds only what they
-    read of the newest three stored levels and of the first.
+    read of the newest two stored levels and of the first, and of the
+    newest three while a centered kind evaluates.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each

@@ -24,8 +24,9 @@ from gstrand import (
     run_scenario,
     zero_curvature_residual,
 )
-from gstrand.algebra import build_J
+from gstrand.algebra import _cross, build_J
 from gstrand.integrability import _chiral_coefficients, _chiral_curvature_at, _chiral_level
+from gstrand.stencil import slot_derivatives
 
 TWO_PI = 2.0 * math.pi
 E3 = np.array([0.0, 0.0, 1.0])
@@ -288,6 +289,34 @@ def test_packed_curvature_levels_bitwise_equal_per_field_form(order, monkeypatch
     assert calls == [(n, 2, 3)] * (len(levels) - 2)
     for level, before in zip(packed, saved):
         assert level.tobytes() == before.tobytes()
+
+
+def comprehension_curvature_at(window, coeffs, stencil, dt):
+    """``_chiral_curvature_at`` with its maxima formed by one list comprehension,
+    a new array per operation, as before it reused two buffers."""
+    first, mid, last = window
+    rates = last - first
+    rates /= 2.0 * dt
+    slopes = slot_derivatives(stencil, mid)
+    rates[0] += slopes[0]
+    rates[1] -= slopes[1]
+    x, w = rates
+    z = _cross(mid[0], mid[1])
+    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_curvature_buffers_bitwise_equal_list_comprehension(order):
+    """The reused buffers keep each element's a x - b w - 2ab z, so every maximum keeps its bits."""
+    rng = np.random.default_rng(60 + order)
+    n, dt = 32, 0.03
+    sten = DerivativeStencil(order, TWO_PI / n)
+    coeffs = _chiral_coefficients((0.5, 1.0, 2.0, -1.0, 3.0))
+    packed = [_chiral_level(y) for y in signed_zero_levels(rng, n, 24)]
+    for k in range(len(packed) - 2):
+        window = packed[k:k + 3]
+        got = np.array(_chiral_curvature_at(window, coeffs, sten, dt))
+        assert_same_bits(got, np.array(comprehension_curvature_at(window, coeffs, sten, dt)))
 
 
 # ------------------------------------------------------------------- aniso_lax

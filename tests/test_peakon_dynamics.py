@@ -5,6 +5,7 @@ explicitly here and used as the oracle for the general einsum path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gstrand import (
 from gstrand.peakon_dynamics import (
     K0,
     _checked_kernel,
+    _deriv_in_place,
     _min_gap,
     _spd_solve,
 )
@@ -384,7 +386,8 @@ def test_signed_zero_pair_raises_the_coincidence_error(pair):
 @pytest.mark.parametrize("count", [2, 5, 8])
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])
 def test_sorted_frame_tables_are_exact(count, order):
-    """kmat is kernel_matrix and deriv is kernel_deriv of the sorted positions, bit for bit.
+    """kmat is kernel_matrix of the sorted positions, bit for bit, and the D
+    that the right-hand side makes of it in place is kernel_deriv.
 
     The one exception is D's diagonal: kernel_deriv forms it as -K0 x 0.0 =
     -0.0, and the table holds +0.0, the value the right-hand side sums.
@@ -396,10 +399,34 @@ def test_sorted_frame_tables_are_exact(count, order):
     sk = _checked_kernel(q)
     qs = np.sort(q, axis=-1)
     assert_same_bits(np.moveaxis(sk.kmat, -1, 0), kernel_matrix(qs))
-    deriv = np.moveaxis(sk.deriv, -1, 0)
+    deriv = np.moveaxis(_deriv_in_place(sk.kmat.copy()), -1, 0)
     off = ~np.eye(count, dtype=bool)
     assert_same_bits(deriv[:, off], kernel_deriv(qs)[:, off])
     assert_same_bits(deriv[:, ~off], np.zeros((16, count)))
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_rhs_peak_memory_holds_one_kernel_table(order):
+    """One call at A = 8, N_s = 256 peaks below three (A, A, N_s) float64 arrays.
+
+    K and D share one buffer, so the kernel takes one such array; gathering
+    both at once took two, and the peak above this bound.
+    """
+    count, n_nodes = 8, 256
+    rng = np.random.default_rng(310)
+    q = spread_positions(rng, n_nodes, count)
+    if order == "shuffled":
+        q = rng.permuted(q, axis=1)
+    m, n = rng.standard_normal((2, n_nodes, count))
+    sten = DerivativeStencil(2, TWO_PI / n_nodes)
+    peakon_rhs(q, m, n, sten)  # caches the pair layout of A = 8
+    tracemalloc.start()
+    try:
+        peakon_rhs(q, m, n, sten)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * count * count * n_nodes * 8
 
 
 def test_label_ordered_positions_take_the_transpose_frame():

@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1077,6 +1079,36 @@ def test_memory_does_not_grow_with_run_length():
     assert long == pytest.approx(short, rel=0.2)
     short, long = (chiral_memory_peak(steps) for steps in (40, 320))
     assert long > 4 * short
+
+
+def test_centered_diagnostic_holds_two_levels_between_steps(monkeypatch):
+    """A chiral zero_curvature run never has more than two of its level-hook
+    arrays alive while the right-hand side runs: the oldest of the three it
+    reads is dropped once they are evaluated."""
+    spec = sim_harness._SPECS["chiral"]
+    diag = spec.diagnostics["zero_curvature"]
+    tokens = itertools.count()
+    alive = set()
+    seen = []
+
+    def counted_level(y):
+        level = diag.level(y)
+        token = next(tokens)
+        alive.add(token)
+        weakref.finalize(level, alive.discard, token)
+        return level
+
+    def counted_rhs(y, sten, rhs=sim_harness.chiral_rhs):
+        seen.append(len(alive))
+        return rhs(y, sten)
+
+    monkeypatch.setitem(sim_harness._SPECS, "chiral", spec._replace(
+        diagnostics={"zero_curvature": diag._replace(level=counted_level)}))
+    monkeypatch.setattr(sim_harness, "chiral_rhs", counted_rhs)
+    report = run_scenario(ScenarioConfig.from_dict(chiral_dict()), keep_snapshots=False)
+    assert report.status == "ok"
+    assert len(report.diagnostics["zero_curvature"]["times"]) == 7
+    assert max(seen) == 2
 
 
 def series_run(name, steps):
