@@ -12,7 +12,14 @@ when a call raises, the error's type and message:
 - the five packed SO(3) right-hand sides, ``spin_chain_rhs``,
   ``lie_poisson_rhs_spin_chain``, ``chiral_rhs``, ``aniso_rhs_uv`` and
   ``aniso_rhs_XY``, on fields with +-0.0 entries;
-- ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3.
+- ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3;
+- ``_g17.cells``, the CSV writer's ``%.17g``, on every power of ten from
+  1e-330 to 1e308 with its two nearest doubles on either side, random
+  mantissas at every exponent, +-0.0, infinities, nans and exact ties at
+  k = 14 and 15, both signs, in chunks of 1, 3, 100 and 4096 values; each
+  chunk's text is hashed compacted (its zero bytes dropped, one newline
+  after each value), so checkouts whose row widths differ compare equal
+  when they print the same text.
 
 The inputs are drawn before gstrand is imported, from ``CHECKOUT/src``
 (default: this checkout); the script exits with status 1 when that is not
@@ -106,6 +113,27 @@ def curvature_cases(seed=22, count=12):
     return cases
 
 
+def g17_cases(seed=23):
+    """Float64 values for ``_g17.cells``, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for p in range(-330, 309):
+        value = below = above = float(f"1e{p}")
+        values.append(value)
+        for _ in range(2):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            values += [below, above]
+    mantissas = rng.uniform(1.0, 10.0, (4, 639))
+    mantissas[:, -1] = rng.uniform(1.0, 1.79, 4)  # times 1e308, below the largest double
+    values += (mantissas * 10.0 ** np.arange(-330, 309)).ravel().tolist()
+    values += [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    k14 = rng.integers(560 * 10**12, 10**15, 500) + rng.choice([1, 3, 5, 7], 500) / 8
+    k15 = rng.integers(10**15, 2250 * 10**12, 500) + 0.25
+    values = np.concatenate((values, k14, k15))
+    values = np.concatenate((values, -values))
+    return values[rng.permutation(values.size)]
+
+
 class Digest:
     """SHA-256 over a sequence of call outcomes."""
 
@@ -126,7 +154,7 @@ class Digest:
         return self.hash.hexdigest()
 
 
-def digests(peakons, so3, curvature):
+def digests(peakons, so3, curvature, g17):
     import gstrand as g
 
     table = {}
@@ -159,6 +187,19 @@ def digests(peakons, so3, curvature):
     digest = table["chiral_curvature_max"] = Digest()
     for snaps, lambdas, order, ds, dt in curvature:
         digest.call(g.chiral_curvature_max, snaps, lambdas, g.DerivativeStencil(order, ds), dt)
+
+    from gstrand import _g17
+
+    def compacted(chunk):
+        rows = _g17.cells(chunk)
+        newlines = np.full((len(rows), 1), ord("\n"), np.uint8)
+        text = np.concatenate((rows, newlines), axis=1).ravel()
+        return text[text != 0]
+
+    digest = table["_g17.cells"] = Digest()
+    for size in (1, 3, 100, 4096):
+        for start in range(0, g17.size, size):
+            digest.call(compacted, g17[start:start + size])
     return [f"{name} {d.hexdigest()}" for name, d in table.items()]
 
 
@@ -166,7 +207,8 @@ def main(argv):
     if len(argv) > 1:
         sys.exit(__doc__)
     checkout = Path(argv[0]).resolve() if argv else HERE
-    inputs = peakon_cases(), so3_cases(), curvature_cases()  # before gstrand is imported
+    # drawn before gstrand is imported
+    inputs = peakon_cases(), so3_cases(), curvature_cases(), g17_cases()
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():
         sys.exit(f"kernel_digests: no gstrand sources under {src}")

@@ -1,9 +1,11 @@
 """The bytes of ``'%.17g' % x`` for every value of a float64 array, vectorised.
 
-``cells(x)`` gives one row of ``WIDTH`` bytes per value: the ASCII bytes of
+``cells(x)`` gives one row of bytes per value: the ASCII bytes of
 ``'%.17g' % x`` in order, with zero bytes between and after them.  No output
 byte is zero, so rows laid side by side read as text once every zero byte is
-dropped (``buf[buf != 0]``).
+dropped (``buf[buf != 0]``).  All rows of one call have one width, which the
+largest integer part among the values sets: 24 bytes when every value is
+below 10, and 4 more for each further 4 integer digits, up to ``WIDTH``.
 
 For 1e-4 <= |x| < 1e16, ``%.17g`` prints 17 significant digits in fixed
 point, and the row is formed in five steps:
@@ -53,15 +55,20 @@ _WORD = _words([b"%04d" % g for g in range(10000)]
 # place value 10^(k - j).  The integer frame's free bytes take the sign and,
 # for k < 0, "0."; the fraction frame's take the point for k >= 0, or the
 # zeros after the point for k < 0.  _INTEGER[j][k + 4] masks word j of the
-# integer frame for exponent k, and _FRACTION likewise.
+# integer frame for exponent k, and _FRACTION likewise.  Word j >= 1 of the
+# integer frame holds digits 4j - 3 to 4j, so it is zero for every k < 4j - 3,
+# and a call leaves out those words that no value of it needs.
 _DIGIT = np.arange(20) - 3
 _INTEGER = np.array([_mask((_DIGIT >= 0) & (_DIGIT <= k)) for k in range(-4, 16)]).T.copy()
 _FRACTION = np.array([_mask((_DIGIT >= 0) & (_DIGIT > k)) for k in range(-4, 16)]).T.copy()
-_LEAD = _words([b"", b"\x000.", b"-", b"-0."])  # by 2 * negative + (k < 0)
+_LEAD = _words([(b"-" if negative else b"\x00") + (b"0." if k < 0 else b"")
+                for negative in (0, 1) for k in range(-4, 16)])  # by k + 4 + 20 negative
 _POINT = _words([(b"." if point and k >= 0 else b"") + b"0" * max(0, -k - 1)
                  for k in range(-4, 16) for point in (0, 1)])  # by 2 (k + 4) + point
 
-WIDTH = 40  # the two frames; more than len("%.17g" % -5e-324), 24
+# The widest row: both frames whole, for a call with some k >= 13.  The
+# narrowest, 24 bytes, holds len("%.17g" % -5e-324), the longest fallback text.
+WIDTH = 40
 
 
 def _round17(a):
@@ -83,29 +90,38 @@ def _round17(a):
 
 
 def cells(x):
-    """``'%.17g' % v`` of each value of ``x``, as (x.size, WIDTH) zero-padded bytes."""
+    """``'%.17g' % v`` of each value of ``x``, as (x.size, width) zero-padded
+    bytes, where width = 24 + 4 m <= WIDTH and m is the number of integer
+    words after the first that some value needs."""
     x = np.asarray(x, dtype=np.float64).ravel()
     k, d, fast = _round17(np.abs(x))
+    extra = max(0, (int(k.max(initial=0)) + 3) // 4)  # word j >= 1 when some k >= 4j - 3
     row = k + 4
-    out = np.empty((x.size, 10), np.uint32)
+    out = np.empty((x.size, 6 + extra), np.uint32)
     stripped = np.full(x.size, 10000)  # _WORD's stripped half while later groups are zero
     fraction = np.zeros(x.size, np.uint32)
     for j in range(4, -1, -1):
-        quotient = d // 10000
-        group = d - 10000 * quotient
-        d = quotient
-        out[:, j] = _WORD[group] & _INTEGER[j][row]
+        if j:
+            quotient = d // 10000
+            group = d - 10000 * quotient
+            d = quotient
+        else:
+            group = d  # the leading digit, as D < 10^17
+        if j <= extra:
+            out[:, j] = _WORD[group] & _INTEGER[j][row]
         tail = _WORD[group + stripped] & _FRACTION[j][row]
-        out[:, 5 + j] = tail
+        out[:, 1 + extra + j] = tail
         fraction |= tail
-        stripped[group != 0] = 0
+        if j:
+            stripped *= group == 0
     point = fraction != 0
-    out[:, 0] |= _LEAD[2 * np.signbit(x) + (row < 4)]
-    out[:, 5] |= _POINT[2 * row + point]
+    out[:, 0] |= _LEAD[row + 20 * np.signbit(x)]
+    out[:, 1 + extra] |= _POINT[2 * row + point]
     out = out.view(np.uint8)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
+        width = out.shape[1]
         text = [("%.17g" % v).encode() for v in x[slow].tolist()]
-        out[slow] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+        out[slow] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out

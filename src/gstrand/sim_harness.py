@@ -731,7 +731,8 @@ def _write_csv(path, header, times, blocks, index=False):
     which reads back to the same doubles.  The rows are formatted
     ``max(1, CSV_CHUNK // ncols)`` at a time, across block boundaries, by
     ``_g17.cells``: each chunk's rows are laid out side by side in one byte
-    array, and its zero bytes are dropped.
+    array, with cells of the width that ``cells`` returns for the chunk (24
+    bytes while every value is below 10), and its zero bytes are dropped.
     """
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -745,7 +746,7 @@ def _write_csv(path, header, times, blocks, index=False):
             b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
             values = np.asarray(blocks[b0:b1]).reshape(-1, ncols)[r0 - b0 * per_block:][:r1 - r0]
             formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel())))
-            cells = np.empty((r1 - r0, ncols, 1 + _g17.WIDTH), np.uint8)
+            cells = np.empty((r1 - r0, ncols, 1 + formatted.shape[1]), np.uint8)
             cells[:, :, 0] = ord(",")
             cells[:, :, 1:] = formatted[b1 - b0:].reshape(r1 - r0, ncols, -1)
             rows = np.arange(r0, r1)

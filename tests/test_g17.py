@@ -133,13 +133,45 @@ def test_rows_are_zero_padded_ascii():
     """No output byte is zero, so dropping zero bytes recovers each value."""
     values = np.array([-0.0, 0.0, 1.5, -2.5e-300, np.nan, -np.inf, 123456.789, 5e-324])
     rows = _g17.cells(values)
-    assert rows.shape == (values.size, _g17.WIDTH) and rows.dtype == np.uint8
-    assert max(len("%.17g" % v) for v in values.tolist()) <= _g17.WIDTH
+    # 123456.789 has k = 5: two integer words after the first
+    assert rows.shape == (values.size, 24 + 4 * 2) and rows.dtype == np.uint8
+    assert max(len("%.17g" % v) for v in values.tolist()) <= rows.shape[1] <= _g17.WIDTH
     assert formatted(values) == ["-0", "0", "1.5", "-2.5e-300", "nan",
                                  "-inf", "123456.789", "4.9406564584124654e-324"]
 
 
 def test_empty_and_shaped_input():
-    assert _g17.cells(np.array([])).shape == (0, _g17.WIDTH)
+    assert _g17.cells(np.array([])).shape == (0, 24)
     grid = np.arange(6.0).reshape(2, 3) / 7
     assert formatted(grid) == ["%.17g" % v for v in grid.ravel().tolist()]
+
+
+def width(values):
+    return _g17.cells(np.asarray(values, dtype=float)).shape[1]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_width_follows_largest_exponent(sign):
+    """24 bytes, plus 4 for each integer word after the first that the
+    largest k = floor(log10|x|) of the call needs (word j when k >= 4j - 3)."""
+    small = sign * np.array([1e-4, 0.5, 9.999999999999998, 3.0, 0.0])
+    assert width(small) == 24
+    for k, expected in [(1, 28), (4, 28), (5, 32), (8, 32), (9, 36), (12, 36),
+                        (13, 40), (15, 40)]:
+        values = np.append(small, sign * 1.25 * 10.0**k)
+        assert width(values) == expected, k
+        assert_like_percent(values)
+    # a value the fallback formats sets no width, however large
+    fallback = sign * np.array([0.0, 5e-324, 1e-300, 1e16, 1.7976931348623157e308,
+                                np.inf, np.nan, 9.5e-5])
+    assert width(fallback) == 24
+    assert width(np.append(fallback, sign * 12.5)) == 28
+    assert width([]) == 24
+    assert_like_percent(fallback)
+    # every fallback text fits in the narrowest row: 17 digits, a point, an
+    # exponent of three digits and its sign, and the value's sign
+    longest = sign * np.array([5e-324, 1.7976931348623157e308, 2.2250738585072014e-308])
+    assert max(len("%.17g" % v) for v in longest.tolist()) <= 24
+    assert len("%.17g" % -5e-324) == 24
+    assert width(longest) == 24
+    assert_like_percent(longest)

@@ -21,6 +21,7 @@ from gstrand import (
     SimulationError,
     SingularConfigurationError,
     WaveProfile,
+    _g17,
     aniso_lax,
     chiral_curvature_max,
     compatibility_residual,
@@ -873,6 +874,53 @@ def test_chunk_cuts_keep_every_byte(tmp_path, monkeypatch, chunk, name):
     report = run_writing(d, tmp_path, monkeypatch)
     assert len(report.snapshots) == (1 if name == BLOW_UP else 7)
     assert_outputs_match_oracle(d["model"], report, tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 100])
+@pytest.mark.parametrize("index", [True, False])
+def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk, index):
+    """``_g17.cells`` sizes each chunk's cells by its largest integer part:
+    blocks alternate between |x| < 10 (24-byte cells while t < 10) and
+    |x| >= 1e13 (40 bytes), and t passes 10 (28 bytes), so consecutive
+    chunks of 1, 2 or 33 rows differ in width, and a width carried from one
+    chunk into the next shows in the bytes."""
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    per_block = 5 if index else 1
+    times = np.linspace(0.0, 12.5, 11)
+    blocks = []
+    for b in range(times.size):
+        values = rng.uniform(-10.0, 10.0, (per_block, 3))
+        if b % 2:
+            values = np.copysign(rng.uniform(1e13, 1e15, values.shape), values)
+        blocks.append(values)
+    header = "t,s_index,a,b,c" if index else "t,a,b,c"
+    sim_harness._write_csv(tmp_path / "f.csv", header, times, blocks, index=index)
+    rows = ((t, *((idx,) if index else ()), *values)
+            for t, y in zip(times, blocks) for idx, values in enumerate(y))
+    assert (tmp_path / "f.csv").read_bytes() == oracle_csv(header, rows).encode()
+    widths = {_g17.cells(np.concatenate(([t], y.ravel()))).shape[1] for t, y in zip(times, blocks)}
+    assert widths == {24, 28, 40}
+
+
+def test_writer_peak_memory_follows_cell_width(tmp_path):
+    """Writing the files of an aniso_xy run at N_s = 256 with 161 levels, the
+    writer's extra tracemalloc peak stays under 200 B per value of a chunk:
+    its values are below 10, so their cells are 24 bytes, not ``_g17.WIDTH``."""
+    d = output_digests.small_runs()["aniso_xy"]
+    dt = TWO_PI / 256 / 4.0
+    d["grid"] = {"S": TWO_PI, "N_s": 256, "dt": dt, "t_end": 160 * dt}
+    cfg = ScenarioConfig.from_dict(d)
+    report = run_scenario(cfg, keep_snapshots=True)
+    assert len(report.snapshots) == 161
+    tracemalloc.start()
+    try:
+        sim_harness._write_outputs(cfg, report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * sim_harness.CSV_CHUNK
+    assert_outputs_match_oracle("aniso_xy", report, tmp_path)
 
 
 class RecordedFile:
