@@ -35,6 +35,7 @@ import dataclasses
 import json
 import math
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -84,7 +85,7 @@ CFL_LIMIT = 0.5
 MAX_STEPS = 10**7  # step-count limit: a larger t_end / dt would not finish
 PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
-CSV_CHUNK = 4096  # values formatted per write; bounds the writer's working memory
+CSV_CHUNK = 16384  # values formatted at once, shared evenly by the files written at once
 ORDER_FLOOR = 1e-13
 
 
@@ -722,17 +723,19 @@ class RunReport:
         return out
 
 
-def _write_csv(path, header, times, blocks, index=False):
+def _write_csv(path, header, times, blocks, index=False, chunk=None):
     """One CSV file: the header line, then one block of rows per entry of ``times``.
 
     ``blocks`` holds one (rows, ncols) float array per time, all of one
     shape.  Each row is the block's time t, then, with ``index``, the row's
     index within its block, then the row's values.  Floats print as %.17g,
     which reads back to the same doubles.  The rows are formatted
-    ``max(1, CSV_CHUNK // ncols)`` at a time, across block boundaries, by
-    ``_g17.cells``: each chunk's rows are laid out side by side in one byte
-    array, with cells of the width that ``cells`` returns for the chunk (24
-    bytes while every value is below 10), and its zero bytes are dropped.
+    ``max(1, chunk // ncols)`` at a time, across block boundaries, by
+    ``_g17.cells``, where ``chunk`` is this file's share of ``CSV_CHUNK``
+    (all of it by default): each chunk's rows are laid out side by side in
+    one byte array, with cells of the width that ``cells`` returns for the
+    chunk (24 bytes while every value is below 10), and its zero bytes are
+    dropped.  The bytes do not depend on ``chunk``.
     """
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -740,7 +743,7 @@ def _write_csv(path, header, times, blocks, index=False):
         labels = np.array([b",%d" % i if index else b"" for i in range(per_block)])
         labels = labels.view(np.uint8).reshape(per_block, -1)
         total = len(times) * per_block
-        step = max(1, CSV_CHUNK // ncols)
+        step = max(1, (CSV_CHUNK if chunk is None else chunk) // ncols)
         for r0 in range(0, total, step):
             r1 = min(r0 + step, total)
             b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
@@ -762,12 +765,29 @@ def _write_csv(path, header, times, blocks, index=False):
 
 
 def _write_outputs(cfg, report, directory):
+    """Every output file of ``report``: one CSV per field, per series, and report.json.
+
+    The field CSVs are written at the same time, one thread per file, each
+    with an even share of ``CSV_CHUNK``; numpy releases the GIL for most of
+    the formatting, and each file is still written whole by one
+    ``_write_csv`` call, so its bytes are those of a serial write.  Once
+    every field file is done, the series CSVs and report.json follow in the
+    calling thread.  An OSError of any file is raised after every field
+    thread has finished.
+    """
     directory = Path(directory)
+    fields = _SPECS[cfg.model].fields
     ncols = report.snapshots[0].shape[2]
-    for slot, name in enumerate(_SPECS[cfg.model].fields):
-        header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
-        _write_csv(directory / f"{name}.csv", header, report.times,
-                   [y[slot] for y in report.snapshots], index=True)
+    share = CSV_CHUNK // len(fields)
+    with ThreadPoolExecutor(max_workers=len(fields)) as pool:
+        jobs = []
+        for slot, name in enumerate(fields):
+            header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
+            jobs.append(pool.submit(_write_csv, directory / f"{name}.csv", header,
+                                    report.times, [y[slot] for y in report.snapshots],
+                                    True, share))
+        for job in jobs:
+            job.result()
 
     for name, data in report.series().items():
         columns = data["columns"]

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -38,6 +39,7 @@ from gstrand import (
     zero_curvature_residual,
 )
 from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
+from gstrand.cli import main
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -903,11 +905,14 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
     assert widths == {24, 28, 40}
 
 
-def test_writer_peak_memory_follows_cell_width(tmp_path):
-    """Writing the files of an aniso_xy run at N_s = 256 with 161 levels, the
-    writer's extra tracemalloc peak stays under 200 B per value of a chunk:
-    its values are below 10, so their cells are 24 bytes, not ``_g17.WIDTH``."""
-    d = output_digests.small_runs()["aniso_xy"]
+@pytest.mark.parametrize("name", ["aniso_xy", "peakon_A3"])
+def test_writer_peak_memory_follows_cell_width(tmp_path, name):
+    """Writing the files of an aniso_xy run (two field files) or a peakon
+    run with A = 3 (three) at N_s = 256 with 161 levels, the writer's extra
+    tracemalloc peak stays under 200 B per value of ``CSV_CHUNK``, the
+    budget that the field files written at once share: their values are
+    below 10, so their cells are 24 bytes, not ``_g17.WIDTH``."""
+    d = output_digests.small_runs()[name]
     dt = TWO_PI / 256 / 4.0
     d["grid"] = {"S": TWO_PI, "N_s": 256, "dt": dt, "t_end": 160 * dt}
     cfg = ScenarioConfig.from_dict(d)
@@ -920,7 +925,75 @@ def test_writer_peak_memory_follows_cell_width(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 200 * sim_harness.CSV_CHUNK
-    assert_outputs_match_oracle("aniso_xy", report, tmp_path)
+    assert_outputs_match_oracle(d["model"], report, tmp_path)
+
+
+def failing_open(file_name):
+    """An ``open`` for ``sim_harness`` that raises OSError on ``file_name`` only."""
+    def opener(path, *args, **kwargs):
+        if Path(path).name == file_name:
+            raise OSError(f"no space left for {path}")
+        return open(path, *args, **kwargs)
+    return opener
+
+
+def test_field_file_that_cannot_be_written_in_its_thread(tmp_path, monkeypatch, capsys):
+    """Y.csv fails in its writer thread: the run raises ConfigError and the
+    CLI exits with 2, after X.csv, written at the same time by the other
+    thread, is whole."""
+    written = []
+
+    def keep_report(cfg, report, out):
+        written.append(report)
+        return write(cfg, report, out)
+
+    write = sim_harness._write_outputs
+    monkeypatch.setattr(sim_harness, "_write_outputs", keep_report)
+    monkeypatch.setattr(sim_harness, "open", failing_open("Y.csv"), raising=False)
+    d = output_digests.small_runs()["aniso_xy"]
+    with pytest.raises(ConfigError, match="cannot write output file"):
+        run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path / "run")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "cli")]) == 2
+    assert "cannot write output file" in capsys.readouterr().err
+    report, again = written
+    x_csv = oracle_files("aniso_xy", report)["X.csv"].encode()
+    assert oracle_files("aniso_xy", again)["X.csv"].encode() == x_csv
+    for out in ("run", "cli"):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["X.csv"]
+        assert (tmp_path / out / "X.csv").read_bytes() == x_csv
+
+
+@pytest.mark.parametrize("fail", [None, "X.csv", "Y.csv"])
+def test_no_writer_thread_outlives_the_write(tmp_path, monkeypatch, fail):
+    """Each field file is opened in a thread of its own, the series files
+    and report.json in the calling thread, and when ``_write_outputs``
+    returns or raises, every thread it started has ended."""
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
+    report = run_scenario(cfg)
+    opened = {}
+
+    def recording_open(path, *args, **kwargs):
+        opened[Path(path).name] = threading.current_thread()
+        return opener(path, *args, **kwargs)
+
+    opener = open if fail is None else failing_open(fail)
+    monkeypatch.setattr(sim_harness, "open", recording_open, raising=False)
+    before = threading.active_count()
+    if fail is None:
+        sim_harness._write_outputs(cfg, report, tmp_path)
+    else:
+        with pytest.raises(OSError, match=fail):
+            sim_harness._write_outputs(cfg, report, tmp_path)
+    assert threading.active_count() == before
+    assert {"X.csv", "Y.csv"} <= set(opened)
+    for name, thread in opened.items():
+        assert (thread is threading.main_thread()) == (name not in ("X.csv", "Y.csv")), name
+    if fail is None:
+        assert_outputs_match_oracle("aniso_xy", report, tmp_path)
+    else:
+        assert sorted(opened) == ["X.csv", "Y.csv"]
 
 
 class RecordedFile:
