@@ -9,6 +9,11 @@ when a call raises, the error's type and message:
 - ``peakon_rhs`` and ``s_constraint_residual``: A = 1 to 8 peakons, labels
   in position order and shuffled per node, momenta with +-0.0 entries and
   all-zero nodes, gaps from 1e-8 to 30 and pairs closer than ``MIN_GAP``;
+- ``_checked_kernel``, the peakon kernel and its guards, on the same
+  positions: the line ``_checked_kernel`` hashes its tables (``index``,
+  empty in the transpose frame, ``kmat``, ``gap_diag`` and ``gap_off``)
+  and ``_checked_kernel.cond`` its condition bound alone, so a change of
+  the bound shows apart from the tables;
 - the five packed SO(3) right-hand sides, ``spin_chain_rhs``,
   ``lie_poisson_rhs_spin_chain``, ``chiral_rhs``, ``aniso_rhs_uv`` and
   ``aniso_rhs_XY``, on fields with +-0.0 entries;
@@ -146,9 +151,10 @@ class Digest:
         except Exception as exc:  # the error is part of the kernel's behaviour
             self.hash.update(f"{type(exc).__name__}: {exc}\n".encode())
             return
-        out = np.asarray(out)
-        self.hash.update(f"{out.shape} {out.dtype}\n".encode())
-        self.hash.update(np.ascontiguousarray(out).tobytes())
+        for part in out if isinstance(out, tuple) else (out,):
+            part = np.asarray(part)
+            self.hash.update(f"{part.shape} {part.dtype}\n".encode())
+            self.hash.update(np.ascontiguousarray(part).tobytes())
 
     def hexdigest(self):
         return self.hash.hexdigest()
@@ -165,6 +171,18 @@ def digests(peakons, so3, curvature, g17):
         residual.call(g.s_constraint_residual, q, n, sten)
     table["peakon_rhs"] = rhs
     table["s_constraint_residual"] = residual
+
+    from gstrand.peakon_dynamics import _checked_kernel
+
+    def kernel_tables(q):
+        sk = _checked_kernel(q)
+        index = np.empty(0, np.intp) if sk.index is None else sk.index
+        return index, sk.kmat, sk.gap_diag, sk.gap_off
+
+    checked, cond = table["_checked_kernel"], table["_checked_kernel.cond"] = Digest(), Digest()
+    for q, *_ in peakons:
+        checked.call(kernel_tables, q)
+        cond.call(lambda q: _checked_kernel(q).cond, q)
 
     def spin(a, b):
         return g.SpinChainParams(g.DiagonalParams(a, "inertia-A"), g.DiagonalParams(b, "inertia-B"))

@@ -46,15 +46,9 @@ def kernel_deriv(q):
     return -K0 * np.sign(diff) * np.exp(-np.abs(diff))
 
 
-def _gaps(qs):
-    """Adjacent gaps g_i = x_{i+1} - x_i of sorted positions and their minimum.
-
-    ``qs`` holds the positions of each node sorted along axis 0, the peakon
-    axis.  The minimum is inf when there is no gap (A = 1); ``abs`` only
-    turns the -0.0 of a sorted pair (0.0, -0.0) into 0.0.
-    """
-    gaps = qs[1:] - qs[:-1]
-    return gaps, (abs(float(gaps.min())) if gaps.size else np.inf)
+def _smallest(gaps):
+    """Smallest of the (A - 1, N_s) adjacent gaps, -0.0 made 0.0; inf when A = 1."""
+    return float(gaps.min()) + 0.0 if gaps.size else np.inf
 
 
 def _min_gap(q):
@@ -63,7 +57,8 @@ def _min_gap(q):
     Rounded subtraction is monotone, so the smallest adjacent difference of
     the per-node sorted positions equals the all-pairs minimum exactly.
     """
-    return _gaps(np.sort(q, axis=-1).T)[1]
+    qs = np.sort(q, axis=-1).T
+    return _smallest(qs[1:] - qs[:-1])
 
 
 def _check_gap(gap):
@@ -124,8 +119,9 @@ class SortedKernel(NamedTuple):
 
     ``gap_diag`` and ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap:
     K^{-1} = 2 I plus, for each gap i, the block [[gap_diag_i, gap_off_i],
-    [gap_off_i, gap_diag_i]] on sorted peakons i and i + 1.  ``cond`` is the
-    condition bound that was checked against ``CONDITION_LIMIT``.
+    [gap_off_i, gap_diag_i]] on sorted peakons i and i + 1.  ``cond``, checked
+    against ``CONDITION_LIMIT``, is the condition bound A (1 + 2/expm1(2 g) +
+    1/sinh(g)) of the minimum gap g, at least K's eigenvalue ratio.
     """
 
     index: Optional[np.ndarray]
@@ -174,10 +170,11 @@ def _checked_kernel(q):
     closer than ``MIN_GAP``, and ``ConditioningError`` when the condition
     bound exceeds ``CONDITION_LIMIT``.
 
-    Positions that strictly increase with the label at every node are
-    already sorted and skip the argsort; peakons cannot pass each other
-    without tripping the gap guard, so ordered data stays ordered.  Any
-    other input, a NaN position or a (0.0, -0.0) pair included, is sorted.
+    One (A - 1, N_s) array of gaps decides the frame and both guards: labels
+    are in position order exactly when the smallest gap is > 0, and skip the
+    argsort; peakons cannot pass each other without tripping the gap guard,
+    so ordered data stays ordered.  Other input, a NaN position or a
+    (0.0, -0.0) pair included, is sorted and its gaps are taken again.
 
     On sorted positions with gaps g_i, K = C/2 with C_ij = exp(-|x_i - x_j|),
     the product of exp(-g_k) over the gaps between i and j.  Its inverse is
@@ -187,23 +184,36 @@ def _checked_kernel(q):
     small gaps accurate.  For positive gaps it is strictly diagonally
     dominant, hence positive definite.
 
-    The condition bound is max ||K||_inf times max ||K^{-1}||_inf over the
-    nodes.  The spectral radius of a symmetric matrix is at most its
-    inf-norm, so the bound is at least the ratio of the largest to the
-    smallest eigenvalue over all nodes, and equal to it for A = 2.  With
-    A = 1 there are no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
+    The condition bound is A (1 + 2/expm1(2 g) + 1/sinh(g)) of the minimum
+    gap g, checked before any O(A^2 N_s) array: entries of K are at most
+    K0, and each of a row's at most two gaps adds 2/expm1(2 g_i) +
+    1/sinh(g_i), falling in g_i, to the row sum 2 of |K^{-1}|.  So it bounds
+    ||K||_inf ||K^{-1}||_inf and the eigenvalue ratio at every node (up to
+    twice that ratio for A = 2).  With A <= ``MAX_PEAKONS`` = 8 and
+    g >= ``MIN_GAP`` it is at most 1.6e9 < 1e12: no accepted state trips
+    it.  A = 1 has no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
     """
     n_nodes, count = q.shape
     qs = q.T.copy()
-    if (qs[1:] > qs[:-1]).all():
-        index = None
-    else:
+    gaps = qs[1:] - qs[:-1]
+    gap = _smallest(gaps)
+    index = None
+    if not gap > 0.0:  # NaN included
         index = np.argsort(q, axis=-1)
         index += count * np.arange(n_nodes)[:, None]
         index = index.T.ravel()
         qs = q.take(index).reshape(count, n_nodes)
-    gaps, gap = _gaps(qs)
+        gaps = qs[1:] - qs[:-1]
+        gap = _smallest(gaps)
     _check_gap(gap)
+    with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
+        cond = count * float(1.0 + 2.0 / np.expm1(2.0 * gap) + 1.0 / np.sinh(gap))
+        if cond > CONDITION_LIMIT:
+            raise ConditioningError(
+                f"kernel matrix condition bound {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
+            )
+        gap_diag = 2.0 / np.expm1(2.0 * gaps)
+        gap_off = -1.0 / np.sinh(gaps)
     left, right, rows, _ = _pair_layout(count)
     table = np.empty((1 + left.size, n_nodes))
     table[0] = K0
@@ -211,20 +221,7 @@ def _checked_kernel(q):
     np.subtract(qs.take(left, axis=0), qs.take(right, axis=0), out=pairs)  # = -|x_a - x_b|
     np.exp(pairs, out=pairs)
     pairs *= K0
-    kmat = table.take(rows, axis=0)
-    with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
-        gap_diag = 2.0 / np.expm1(2.0 * gaps)
-        gap_off = -1.0 / np.sinh(gaps)
-    spread = gap_diag - gap_off  # each gap's share of a row sum of |K^{-1}|
-    inv_rows = np.full(qs.shape, 2.0)
-    inv_rows[:-1] += spread
-    inv_rows[1:] += spread
-    cond = float(kmat.sum(axis=1).max() * inv_rows.max())
-    if cond > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"kernel matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
-        )
-    return SortedKernel(index, kmat, gap_diag, gap_off, cond)
+    return SortedKernel(index, table.take(rows, axis=0), gap_diag, gap_off, cond)
 
 
 def _spd_solve(kmat, rhs):

@@ -120,10 +120,36 @@ def test_checked_kernel_gap_guard():
 
 def test_checked_kernel_condition_guard(monkeypatch):
     # gap passes the coincidence check; a lowered limit must still trip the
-    # condition estimate cond ~ 2/gap
+    # condition bound cond ~ 2 A/gap
     monkeypatch.setattr(pk, "CONDITION_LIMIT", 1e6)
     with pytest.raises(ConditioningError, match="condition"):
         _checked_kernel(np.tile([0.0, 1e-7], (8, 1)))
+
+
+def test_condition_guard_fires_at_the_real_limit_before_any_pair_table(monkeypatch):
+    """6,000 peakons 1.01e-8 apart pass the gap guard and trip CONDITION_LIMIT itself.
+
+    The bound is 6000 (1 + 2/expm1(2.02e-8) + 1/sinh(1.01e-8)), about 1.188e12.
+    The check runs on the gaps alone: a pair table and K here would take over 3 GB,
+    so building one, or even asking for its layout, fails the test.
+    """
+
+    def no_pair_table(count):
+        raise AssertionError(f"pair layout of A = {count} built before the condition check")
+
+    monkeypatch.setattr(pk, "_pair_layout", no_pair_table)
+    q = np.tile(np.arange(6000) * 1.01e-8, (8, 1))
+    assert _min_gap(q) > pk.MIN_GAP
+    with pytest.raises(ConditioningError, match=r"condition bound 1\.188e\+12 exceeds"):
+        _checked_kernel(q)
+
+
+def test_no_accepted_state_reaches_the_condition_limit():
+    """The bound at MAX_PEAKONS peakons all MIN_GAP apart stays below CONDITION_LIMIT,
+    so a change of any of the three constants needs a second look at the guard."""
+    g = pk.MIN_GAP
+    worst = pk.MAX_PEAKONS * (1.0 + 2.0 / math.expm1(2.0 * g) + 1.0 / math.sinh(g))
+    assert worst < pk.CONDITION_LIMIT
 
 
 def test_spd_solve_matches_dense_solve():
@@ -519,16 +545,25 @@ def test_condition_bound_dominates_eigenvalue_ratio(count):
         q = rng.permuted(spread_positions(rng, 16, count, scale=scale), axis=1)
         eig = np.linalg.eigvalsh(kernel_matrix(q))
         ratio = np.max(eig) / np.min(eig)
-        # equal in exact arithmetic for A = 2; allow for the rounding of both sides
+        # allow for the rounding of the eigenvalues
         assert _checked_kernel(q).cond >= ratio * (1.0 - 1e-12)
 
 
-def test_condition_bound_is_exact_for_a_pair():
-    rng = np.random.default_rng(402)
-    q = rng.permuted(spread_positions(rng, 16, 2, scale=0.3), axis=1)
-    e = math.exp(-_min_gap(q))
-    expect = (1.0 + e) / (1.0 - e)
-    assert abs(_checked_kernel(q).cond - expect) <= 1e-12 * expect
+@pytest.mark.parametrize("count", range(1, 9))
+def test_condition_bound_is_the_closed_form_of_the_minimum_gap(count):
+    """cond = A (1 + 2/expm1(2 g) + 1/sinh(g)) of the minimum gap g, and never
+    below max ||K||_inf times max ||K^{-1}||_inf over the nodes, the dense
+    estimate it replaces (equal to the eigenvalue ratio for A = 2)."""
+    rng = np.random.default_rng(402 + count)
+    for scale in (2.0, 0.5, 0.05, 1e-3):
+        q = rng.permuted(spread_positions(rng, 16, count, scale=scale), axis=1)
+        g = _min_gap(q)
+        expect = count * (1.0 + 2.0 / math.expm1(2.0 * g) + 1.0 / math.sinh(g))  # 1 at A = 1
+        cond = _checked_kernel(q).cond
+        assert abs(cond - expect) <= 1e-15 * expect
+        kmat = kernel_matrix(q)
+        dense = kmat.sum(axis=-1).max() * np.abs(np.linalg.inv(kmat)).sum(axis=-1).max()
+        assert cond >= dense * (1.0 - 1e-12)  # allow for the rounding of the inverse
 
 
 def test_lone_peakon_kernel_has_no_gaps_and_unit_bound():

@@ -1017,7 +1017,12 @@ class RecordedFile:
 @pytest.mark.parametrize("name", sorted(output_digests.small_runs()))
 def test_every_csv_write_holds_whole_rows(tmp_path, monkeypatch, chunk, name):
     """After its header, each write of a CSV file ends a row and holds at
-    most max(1, CSV_CHUNK // ncols) rows of ncols values."""
+    most max(1, share // ncols) rows of ncols values.
+
+    The field files (header ``t,s_index,...``) are written at once and split
+    the budget: each one's share is CSV_CHUNK // (number of field files).
+    A series file is written alone, with all of CSV_CHUNK.
+    """
     files = {}
 
     def recording_open(path, *args, **kwargs):
@@ -1031,11 +1036,14 @@ def test_every_csv_write_holds_whole_rows(tmp_path, monkeypatch, chunk, name):
     monkeypatch.setattr(sim_harness, "open", recording_open, raising=False)
     run_writing(output_digests.small_runs()[name], tmp_path, monkeypatch)
     assert files and sorted(files) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    fields = sum(writes[0].startswith(b"t,s_index,") for writes in files.values())
+    assert fields == len(sim_harness._SPECS[output_digests.small_runs()[name]["model"]].fields)
     for file in files:
         header, *data = files[file]
         assert header.endswith(b"\n") and data
-        ncols = header.count(b",") - header.startswith(b"t,s_index,")
-        rows = max(1, chunk // ncols)
+        field = header.startswith(b"t,s_index,")
+        ncols = header.count(b",") - field
+        rows = max(1, (chunk // fields if field else chunk) // ncols)
         for text in data:
             assert text.endswith(b"\n") and 1 <= text.count(b"\n") <= rows, file
         assert b"".join(files[file]) == (tmp_path / file).read_bytes()
