@@ -8,6 +8,7 @@ diagnostic for the integrator.  For the chiral pair, ``chiral_curvature_max``
 evaluates that residual in R^3 vector form, three snapshots at a time.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,13 +168,18 @@ def _chiral_level(y):
 
 
 def _chiral_coefficients(lambdas):
-    """(a, b, 2ab) of each spectral parameter; see ``chiral_curvature_max``."""
+    """(a, b, 2ab) of each spectral parameter; see ``chiral_curvature_max``.
+
+    A parameter of 0, or so close to 0 that 1/lam overflows, is a ValueError.
+    """
     coeffs = []
     for lam in lambdas:
         if lam == 0.0:
             raise ValueError("spectral parameter must be nonzero for the chiral pair")
         a = 0.25 * (1.0 + lam)
         b = 0.25 * (1.0 + 1.0 / lam)
+        if not math.isfinite(b):
+            raise ValueError(f"spectral parameter {lam!r} is too close to 0 for the chiral pair")
         coeffs.append((a, b, 2.0 * a * b))
     return coeffs
 

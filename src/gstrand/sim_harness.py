@@ -34,8 +34,9 @@ data and reference values from the closed-form solutions.
 import dataclasses
 import json
 import math
+import queue
+import threading
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -85,7 +86,7 @@ CFL_LIMIT = 0.5
 MAX_STEPS = 10**7  # step-count limit: a larger t_end / dt would not finish
 PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
-CSV_CHUNK = 16384  # values formatted at once, shared evenly by the files written at once
+CSV_CHUNK = 16384  # cells of CSV text formed at once, each row's time included
 ORDER_FLOOR = 1e-13
 
 
@@ -332,7 +333,7 @@ class Diagnostic(NamedTuple):
 
     evaluate: Callable  # (cfg, stencil, levels, lambdas) -> named values, or one per lambda
     lambdas: tuple | None = None  # default spectral parameters; None: takes none
-    pole_at_zero: bool = False  # reject lambda = 0
+    pole_at_zero: bool = False  # reject lambda = 0 and any lambda whose 1/lambda overflows
     centered: bool = False  # levels: the newest 3, evaluated at the middle one's time
     from_first: bool = False  # levels: the first and the newest
     level: Callable | None = None  # what evaluate reads of a level, formed once per level
@@ -450,10 +451,12 @@ def _validate_diagnostics(spec, diags, n_snapshots):
             parsed["lambdas"] = tuple(
                 _number(v, f"{path}.lambdas[{j}]") for j, v in enumerate(lams)
             )
-            if diag.pole_at_zero and 0.0 in parsed["lambdas"]:
-                raise ConfigError(
-                    f"{path}.lambdas: the {spec.name} pair has a pole at lambda 0"
-                )
+            for j, lam in enumerate(parsed["lambdas"]):
+                if diag.pole_at_zero and (lam == 0.0 or not math.isfinite(1.0 / lam)):
+                    raise ConfigError(
+                        f"{path}.lambdas[{j}] = {lam!r}: the {spec.name} pair has a "
+                        "pole at lambda 0, and 1/lambda must be a finite float"
+                    )
             names = _lambda_columns(parsed["lambdas"])
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
@@ -723,77 +726,142 @@ class RunReport:
         return out
 
 
-def _write_csv(path, header, times, blocks, index=False, chunk=None):
-    """One CSV file: the header line, then one block of rows per entry of ``times``.
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
 
-    ``blocks`` holds one (rows, ncols) float array per time, all of one
-    shape.  Each row is the block's time t, then, with ``index``, the row's
-    index within its block, then the row's values.  Floats print as %.17g,
-    which reads back to the same doubles.  The rows are formatted
-    ``max(1, chunk // ncols)`` at a time, across block boundaries, by
-    ``_g17.cells``, where ``chunk`` is this file's share of ``CSV_CHUNK``
-    (all of it by default): each chunk's rows are laid out side by side in
-    one byte array, with cells of the width that ``cells`` returns for the
-    chunk (24 bytes while every value is below 10), and its zero bytes are
-    dropped.  The bytes do not depend on ``chunk``.
+
+def _csv_chunks(header, times, blocks, index=False):
+    """The text of one CSV file, as byte arrays that still hold zero bytes.
+
+    The first array is the header line.  ``blocks`` holds one (rows, ncols)
+    float array per time, all of one shape.  Each row is the block's time
+    t, then, with ``index``, the row's index within its block, then the
+    row's values.  Floats print as %.17g, which reads back to the same
+    doubles.  Every further array holds the next ``max(1, CSV_CHUNK //
+    (1 + ncols))`` whole rows, across block boundaries: at most
+    ``CSV_CHUNK`` cells, t's included, all formatted by one ``_g17.cells``
+    call.  Its rows are laid out side by side in 4-byte words: t's cell,
+    the index in as many words as the widest index needs, and each value as
+    a comma word and a cell of the width that ``cells`` returns for the
+    chunk (24 bytes while every value is below 10), then a newline word.
+    Dropping every zero byte gives the file's text, whatever ``CSV_CHUNK``.
     """
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        per_block, ncols = np.shape(blocks[0])
-        labels = np.array([b",%d" % i if index else b"" for i in range(per_block)])
-        labels = labels.view(np.uint8).reshape(per_block, -1)
-        total = len(times) * per_block
-        step = max(1, (CSV_CHUNK if chunk is None else chunk) // ncols)
-        for r0 in range(0, total, step):
-            r1 = min(r0 + step, total)
-            b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
-            values = np.asarray(blocks[b0:b1]).reshape(-1, ncols)[r0 - b0 * per_block:][:r1 - r0]
-            formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel())))
-            cells = np.empty((r1 - r0, ncols, 1 + formatted.shape[1]), np.uint8)
-            cells[:, :, 0] = ord(",")
-            cells[:, :, 1:] = formatted[b1 - b0:].reshape(r1 - r0, ncols, -1)
-            rows = np.arange(r0, r1)
-            text = np.concatenate([
-                formatted[rows // per_block - b0],
-                labels[rows % per_block],
-                cells.reshape(r1 - r0, -1),
-                np.full((r1 - r0, 1), ord("\n"), np.uint8),
-            ], axis=1)
-            del formatted, cells  # hold only the text while it is compacted
-            text = text.ravel()
-            fh.write(text[text != 0])
+    yield np.frombuffer(header.encode() + b"\n", np.uint8)
+    per_block, ncols = np.shape(blocks[0])
+    step = max(1, CSV_CHUNK // (1 + ncols))
+    label = [b",%d" % i if index else b"" for i in range(per_block)]
+    words = -(-max(map(len, label)) // 4)
+    labels = np.frombuffer(b"".join(x.ljust(4 * words, b"\0") for x in label), np.uint32)
+    # repeated, so that labels[r0 % per_block:] holds those of the step rows from r0 on
+    labels = np.resize(labels.reshape(per_block, words), (per_block + step, words))
+    total = len(times) * per_block
+    for r0 in range(0, total, step):
+        r1 = min(r0 + step, total)
+        b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
+        values = np.asarray(blocks[b0:b1]).reshape(-1, ncols)[r0 - b0 * per_block:][:r1 - r0]
+        formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel()))).view(np.uint32)
+        width = formatted.shape[1]
+        rows = np.full(b1 - b0, per_block)  # the chunk's rows in each of its blocks
+        rows[0] -= r0 - b0 * per_block
+        rows[-1] -= b1 * per_block - r1
+        start = width + words  # the first value's comma
+        text = np.empty((r1 - r0, start + ncols * (1 + width) + 1), np.uint32)
+        text[:, :width] = np.repeat(formatted[:b1 - b0], rows, axis=0)
+        text[:, width:start] = labels[r0 % per_block:][:r1 - r0]
+        cells = text[:, start:-1].reshape(r1 - r0, ncols, 1 + width)  # a view
+        cells[:, :, 0] = _COMMA
+        cells[:, :, 1:] = formatted[b1 - b0:].reshape(r1 - r0, ncols, width)
+        text[:, -1] = _NEWLINE
+        del values, formatted, cells  # hold only the text while the next chunk forms
+        yield text.view(np.uint8).ravel()
+
+
+def _write_csvs(files):
+    """Write each CSV of ``files``, given as (path, header, times, blocks, index).
+
+    Two threads share the work.  The calling thread forms the chunks of
+    ``_csv_chunks``, file after file.  One writer thread takes them from a
+    one-place queue, drops each chunk's zero bytes and writes its whole rows
+    with one ``write``; each file's path comes through the queue ahead of
+    its chunks, and the writer opens the file then.  Before it hands over a
+    chunk, the caller waits until the writer is done with every earlier
+    one, so it forms one chunk while the writer writes the one before, and
+    holds no third.  It does not wait for an open: the truncation of a file
+    being rewritten overlaps the forming of its first chunk.  Each file's
+    bytes are those of a serial write.
+
+    The writer catches every exception; after one it writes nothing more
+    but keeps taking what it is handed, so the caller never waits on it in
+    vain.  An error of either thread stops the formatting.  The caller's
+    own error propagates once the writer has ended; otherwise the writer's
+    first error is raised then.
+    """
+    chunks = queue.Queue(maxsize=1)
+    errors = []
+
+    def write():
+        fh = None
+        while (item := chunks.get()) is not None:
+            opening = isinstance(item, Path)
+            if opening:
+                chunks.task_done()  # the caller forms the file's first chunk meanwhile
+            if not errors:
+                try:
+                    if opening:
+                        if fh is not None:
+                            fh.close()
+                        fh = open(item, "wb")
+                    else:
+                        fh.write(item[item != 0])
+                except BaseException as exc:  # noqa: BLE001 - raised again by the caller
+                    errors.append(exc)
+            del item  # hold no chunk while waiting for the next
+            if not opening:
+                chunks.task_done()
+        if fh is not None:
+            try:
+                fh.close()
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+    def items():
+        for path, header, times, blocks, index in files:
+            yield Path(path)
+            yield from _csv_chunks(header, times, blocks, index)
+
+    writer = threading.Thread(target=write, name="csv-writer")
+    writer.start()
+    try:
+        for item in items():
+            chunks.join()  # the writer is done with every earlier chunk
+            if errors:
+                break
+            chunks.put(item)
+    finally:
+        chunks.put(None)
+        writer.join()
+    if errors:
+        raise errors[0]
 
 
 def _write_outputs(cfg, report, directory):
     """Every output file of ``report``: one CSV per field, per series, and report.json.
 
-    The field CSVs are written at the same time, one thread per file, each
-    with an even share of ``CSV_CHUNK``; numpy releases the GIL for most of
-    the formatting, and each file is still written whole by one
-    ``_write_csv`` call, so its bytes are those of a serial write.  Once
-    every field file is done, the series CSVs and report.json follow in the
-    calling thread.  An OSError of any file is raised after every field
-    thread has finished.
+    Every CSV goes through one ``_write_csvs`` call, the field files
+    first, so one writer thread writes them all; report.json follows once
+    that thread has ended.
     """
     directory = Path(directory)
-    fields = _SPECS[cfg.model].fields
     ncols = report.snapshots[0].shape[2]
-    share = CSV_CHUNK // len(fields)
-    with ThreadPoolExecutor(max_workers=len(fields)) as pool:
-        jobs = []
-        for slot, name in enumerate(fields):
-            header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
-            jobs.append(pool.submit(_write_csv, directory / f"{name}.csv", header,
-                                    report.times, [y[slot] for y in report.snapshots],
-                                    True, share))
-        for job in jobs:
-            job.result()
-
+    files = []
+    for slot, name in enumerate(_SPECS[cfg.model].fields):
+        header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
+        files.append((directory / f"{name}.csv", header, report.times,
+                      [y[slot] for y in report.snapshots], True))
     for name, data in report.series().items():
         columns = data["columns"]
-        header = "t," + ",".join(columns)
-        _write_csv(directory / f"{name}.csv", header, data["times"],
-                   np.column_stack(tuple(columns.values()))[:, None])
+        files.append((directory / f"{name}.csv", "t," + ",".join(columns), data["times"],
+                      np.column_stack(tuple(columns.values()))[:, None], False))
+    _write_csvs(files)
 
     with open(directory / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)

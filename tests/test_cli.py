@@ -235,6 +235,17 @@ def test_repeated_lambda_column_is_config_error(tmp_path, capsys):
     assert "lam_0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-309])
+def test_chiral_lambda_whose_reciprocal_overflows_exits_2(tmp_path, capsys, lam):
+    cfg = write_config(
+        tmp_path, {("diagnostics",): [{"kind": "zero_curvature", "lambdas": [lam]}]}
+    )
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "diagnostics[0].lambdas[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
     f = tmp_path / "latin1.json"
     f.write_bytes(b'{"model": "chiral\xe9"}')

@@ -142,6 +142,19 @@ def test_chiral_lax_rejects_zero_lambda():
         chiral_lax(st.u, st.v, 0.0)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-309, -1e-309])
+def test_chiral_pair_rejects_lambda_whose_reciprocal_overflows(lam):
+    """chiral_lax and chiral_curvature_max raise the same ValueError."""
+    st = chiral_initial(16)
+    message = f"^spectral parameter {lam!r} is too close to 0 for the chiral pair$"
+    with pytest.raises(ValueError, match=message):
+        chiral_lax(st.u, st.v, lam)
+    y = np.stack([st.u, st.v])
+    with pytest.raises(ValueError, match=message):
+        chiral_curvature_max([y, y, y], (0.5, lam), DerivativeStencil(2, TWO_PI / 16), 0.01)
+    assert math.isfinite(_chiral_coefficients((1e-308,))[0][1])
+
+
 # ------------------------------------------------------- chiral_curvature_max
 
 EQUIVALENCE_LAMBDAS = (0.5, 1.0, 2.0, -3.0, -1.0)

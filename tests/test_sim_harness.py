@@ -6,7 +6,9 @@ import importlib.util
 import itertools
 import json
 import math
+import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -445,6 +447,18 @@ def test_lambdas_must_name_distinct_columns(model, kind, lambdas):
         ScenarioConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 1e-309, -1e-309])
+def test_chiral_lambda_at_the_pole_is_config_error(lam):
+    """A chiral lambda of 0, or one whose 1/lambda overflows, is rejected
+    with the entry that names it; 1e-308 still has a finite 1/lambda."""
+    d = chiral_dict()
+    d["diagnostics"] = [{"kind": "zero_curvature", "lambdas": [0.5, lam]}]
+    with pytest.raises(ConfigError, match=r"^diagnostics\[0\]\.lambdas\[1\] = .*pole at lambda 0"):
+        ScenarioConfig.from_dict(d)
+    d["diagnostics"][0]["lambdas"][1] = 1e-308
+    assert ScenarioConfig.from_dict(d).diagnostics[0]["lambdas"] == (0.5, 1e-308)
+
+
 def test_profile_nesting_bound():
     """MAX_PROFILE_DEPTH nested superpositions parse; one more is a ConfigError."""
 
@@ -867,10 +881,11 @@ def run_writing(d, directory, monkeypatch):
 @pytest.mark.parametrize("chunk", [2, 7, 100])
 @pytest.mark.parametrize("name", ["chiral", "peakon_A1", "peakon_A3", BLOW_UP])
 def test_chunk_cuts_keep_every_byte(tmp_path, monkeypatch, chunk, name):
-    """The writer formats max(1, CSV_CHUNK // ncols) rows at a time.  Small
-    chunks cut the files mid-level (32 rows a level here), a chunk of 2 holds
-    one row of 3 values, and 224 field rows are no multiple of 33 or of 100;
-    the blow-up run's partial report holds one level."""
+    """The writer formats max(1, CSV_CHUNK // (1 + ncols)) rows at a time.
+    Small chunks cut the files mid-level (32 rows a level here), chunks of 2
+    and 7 hold one row of 3 values, and 224 field rows are no multiple of
+    the 25 rows of a chunk of 100; the blow-up run's partial report holds
+    one level."""
     monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
     d = output_digests.small_runs()[name]
     report = run_writing(d, tmp_path, monkeypatch)
@@ -884,7 +899,7 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
     """``_g17.cells`` sizes each chunk's cells by its largest integer part:
     blocks alternate between |x| < 10 (24-byte cells while t < 10) and
     |x| >= 1e13 (40 bytes), and t passes 10 (28 bytes), so consecutive
-    chunks of 1, 2 or 33 rows differ in width, and a width carried from one
+    chunks of 1 or 25 rows differ in width, and a width carried from one
     chunk into the next shows in the bytes."""
     monkeypatch.setattr(sim_harness, "CSV_CHUNK", chunk)
     rng = np.random.default_rng(21)
@@ -897,7 +912,7 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
             values = np.copysign(rng.uniform(1e13, 1e15, values.shape), values)
         blocks.append(values)
     header = "t,s_index,a,b,c" if index else "t,a,b,c"
-    sim_harness._write_csv(tmp_path / "f.csv", header, times, blocks, index=index)
+    sim_harness._write_csvs([(tmp_path / "f.csv", header, times, blocks, index)])
     rows = ((t, *((idx,) if index else ()), *values)
             for t, y in zip(times, blocks) for idx, values in enumerate(y))
     assert (tmp_path / "f.csv").read_bytes() == oracle_csv(header, rows).encode()
@@ -938,9 +953,9 @@ def failing_open(file_name):
 
 
 def test_field_file_that_cannot_be_written_in_its_thread(tmp_path, monkeypatch, capsys):
-    """Y.csv fails in its writer thread: the run raises ConfigError and the
-    CLI exits with 2, after X.csv, written at the same time by the other
-    thread, is whole."""
+    """Y.csv cannot be opened in the writer thread: the run raises
+    ConfigError and the CLI exits with 2, and X.csv, written before it by
+    the same thread, is whole."""
     written = []
 
     def keep_report(cfg, report, out):
@@ -965,35 +980,171 @@ def test_field_file_that_cannot_be_written_in_its_thread(tmp_path, monkeypatch, 
         assert (tmp_path / out / "X.csv").read_bytes() == x_csv
 
 
+def bounded(call, timeout=60.0):
+    """Run ``call()`` in a daemon thread for at most ``timeout`` seconds and
+    return the exception it raised, or None; a call that does not return in
+    time fails the test instead of hanging it."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the call did not return within {timeout} s"
+    return raised[0] if raised else None
+
+
+class SlowlyClosedFile:
+    """A file whose ``close`` takes a tenth of a second."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        return self.fh.write(data)
+
+    def close(self):
+        time.sleep(0.1)
+        self.fh.close()
+
+
 @pytest.mark.parametrize("fail", [None, "X.csv", "Y.csv"])
 def test_no_writer_thread_outlives_the_write(tmp_path, monkeypatch, fail):
-    """Each field file is opened in a thread of its own, the series files
-    and report.json in the calling thread, and when ``_write_outputs``
-    returns or raises, every thread it started has ended."""
+    """Every CSV file is opened by one writer thread, not the calling one,
+    and report.json by the calling thread once the writer has ended; when
+    ``_write_outputs`` returns or raises, no thread it started is left,
+    although each CSV file takes a tenth of a second to close."""
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
     report = run_scenario(cfg)
     opened = {}
 
     def recording_open(path, *args, **kwargs):
         opened[Path(path).name] = threading.current_thread()
-        return opener(path, *args, **kwargs)
+        fh = opener(path, *args, **kwargs)
+        return SlowlyClosedFile(fh) if Path(path).suffix == ".csv" else fh
 
     opener = open if fail is None else failing_open(fail)
     monkeypatch.setattr(sim_harness, "open", recording_open, raising=False)
     before = threading.active_count()
-    if fail is None:
+    caller = []
+
+    def write():
+        caller.append(threading.current_thread())
         sim_harness._write_outputs(cfg, report, tmp_path)
-    else:
-        with pytest.raises(OSError, match=fail):
-            sim_harness._write_outputs(cfg, report, tmp_path)
+
+    error = bounded(write)
     assert threading.active_count() == before
-    assert {"X.csv", "Y.csv"} <= set(opened)
-    for name, thread in opened.items():
-        assert (thread is threading.main_thread()) == (name not in ("X.csv", "Y.csv")), name
+    csvs = {thread for name, thread in opened.items() if name.endswith(".csv")}
+    assert len(csvs) == 1 and caller[0] not in csvs
     if fail is None:
+        assert error is None
+        assert opened["report.json"] is caller[0]
+        assert sorted(opened) == ["X.csv", "Y.csv", "invariant_drift.csv", "report.json"]
         assert_outputs_match_oracle("aniso_xy", report, tmp_path)
     else:
-        assert sorted(opened) == ["X.csv", "Y.csv"]
+        assert isinstance(error, OSError) and fail in str(error)
+        assert sorted(opened) == ["X.csv", "Y.csv"][:1 + (fail == "Y.csv")]
+
+
+def test_concurrent_writes_under_a_short_switch_interval(tmp_path, monkeypatch):
+    """Four calling threads write the files of one aniso_xy run at once,
+    each with its own writer (eight threads on two cores), in one-row
+    chunks while the interpreter switches threads every 10 us: every file
+    has its oracle bytes and every thread ends."""
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", 4)
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
+    report = run_scenario(cfg)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=sim_harness._write_outputs,
+                                    args=(cfg, report, tmp_path / str(i)), daemon=True)
+                   for i in range(4)]
+        for i, caller in enumerate(callers):
+            (tmp_path / str(i)).mkdir()
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+            assert not caller.is_alive(), "a write did not end within 60 s"
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    for i in range(4):
+        assert_outputs_match_oracle("aniso_xy", report, tmp_path / str(i))
+
+
+class RaisingFile:
+    """A file opened by the writer whose ``write`` raises RuntimeError."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        raise RuntimeError("the disk went away")
+
+    def close(self):
+        self.fh.close()
+
+
+def test_writer_error_that_is_no_oserror_reaches_the_caller(tmp_path, monkeypatch):
+    """A RuntimeError raised in the writer thread, on the first write of
+    Y.csv, is raised by ``_write_outputs`` and passes ``run_scenario`` as
+    it is (only an OSError becomes a ConfigError); the writer thread ends
+    either way, and nothing after X.csv is opened."""
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
+    report = run_scenario(cfg)
+    opened = []
+
+    def raising_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        fh = open(path, *args, **kwargs)
+        return RaisingFile(fh) if Path(path).name == "Y.csv" else fh
+
+    monkeypatch.setattr(sim_harness, "open", raising_open, raising=False)
+    before = threading.active_count()
+    error = bounded(lambda: sim_harness._write_outputs(cfg, report, tmp_path))
+    assert isinstance(error, RuntimeError) and "the disk went away" in str(error)
+    assert threading.active_count() == before
+    assert opened == ["X.csv", "Y.csv"]
+    assert (tmp_path / "X.csv").read_bytes() == oracle_files("aniso_xy", report)["X.csv"].encode()
+    run = tmp_path / "run"
+    error = bounded(lambda: run_scenario(cfg, out_dir=run))
+    assert type(error) is RuntimeError
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 5])
+def test_formatting_error_reaches_the_caller(tmp_path, monkeypatch, failing_call):
+    """An exception of the calling thread while it formats is raised by
+    ``_write_outputs`` once the writer thread has ended.  With 64-row
+    chunks, each field file of 224 rows takes 4 ``_g17.cells`` calls; the
+    1st, 2nd or 5th call fails: the first chunk of X.csv, its second
+    (formed while the writer may hold the first), or the first of Y.csv."""
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", 4 * 64)
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
+    report = run_scenario(cfg)
+    calls = []
+    cells = _g17.cells
+
+    def failing_cells(x):
+        calls.append(len(x))
+        if len(calls) == failing_call:
+            raise MemoryError("no room for the cells")
+        return cells(x)
+
+    monkeypatch.setattr(sim_harness._g17, "cells", failing_cells)
+    before = threading.active_count()
+    error = bounded(lambda: sim_harness._write_outputs(cfg, report, tmp_path))
+    assert isinstance(error, MemoryError) and "no room for the cells" in str(error)
+    assert threading.active_count() == before
+    assert len(calls) == failing_call
+    assert not (tmp_path / "report.json").exists()
 
 
 class RecordedFile:
@@ -1006,10 +1157,7 @@ class RecordedFile:
         self.writes.append(bytes(data))
         return self.fh.write(data)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    def close(self):
         self.fh.close()
 
 
@@ -1017,12 +1165,8 @@ class RecordedFile:
 @pytest.mark.parametrize("name", sorted(output_digests.small_runs()))
 def test_every_csv_write_holds_whole_rows(tmp_path, monkeypatch, chunk, name):
     """After its header, each write of a CSV file ends a row and holds at
-    most max(1, share // ncols) rows of ncols values.
-
-    The field files (header ``t,s_index,...``) are written at once and split
-    the budget: each one's share is CSV_CHUNK // (number of field files).
-    A series file is written alone, with all of CSV_CHUNK.
-    """
+    most one chunk's rows, max(1, CSV_CHUNK // (1 + ncols)) rows of ncols
+    values, field files and series files alike."""
     files = {}
 
     def recording_open(path, *args, **kwargs):
@@ -1036,14 +1180,11 @@ def test_every_csv_write_holds_whole_rows(tmp_path, monkeypatch, chunk, name):
     monkeypatch.setattr(sim_harness, "open", recording_open, raising=False)
     run_writing(output_digests.small_runs()[name], tmp_path, monkeypatch)
     assert files and sorted(files) == sorted(p.name for p in tmp_path.glob("*.csv"))
-    fields = sum(writes[0].startswith(b"t,s_index,") for writes in files.values())
-    assert fields == len(sim_harness._SPECS[output_digests.small_runs()[name]["model"]].fields)
     for file in files:
         header, *data = files[file]
-        assert header.endswith(b"\n") and data
-        field = header.startswith(b"t,s_index,")
-        ncols = header.count(b",") - field
-        rows = max(1, (chunk // fields if field else chunk) // ncols)
+        assert header.endswith(b"\n") and header.count(b"\n") == 1 and data
+        ncols = header.count(b",") - header.startswith(b"t,s_index,")
+        rows = max(1, chunk // (1 + ncols))
         for text in data:
             assert text.endswith(b"\n") and 1 <= text.count(b"\n") <= rows, file
         assert b"".join(files[file]) == (tmp_path / file).read_bytes()
