@@ -17,6 +17,12 @@ when a call raises, the error's type and message:
 - the five packed SO(3) right-hand sides, ``spin_chain_rhs``,
   ``lie_poisson_rhs_spin_chain``, ``chiral_rhs``, ``aniso_rhs_uv`` and
   ``aniso_rhs_XY``, on fields with +-0.0 entries;
+- ``DiagonalParams.apply`` and ``DiagonalParams.solve``, for the two
+  inertia diagonals and the singular anisotropy diagonal of each of those
+  cases (``solve`` raises on the last), on one node's 3-vector, one field,
+  the packed pair and the pair reversed (a view with a negative stride);
+- ``_node_magnitudes``, the per-node |X|^2 and |Y|^2 of ``invariant_drift``,
+  on the same packed fields;
 - ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3;
 - ``_g17.cells``, the CSV writer's ``%.17g``, on every power of ten from
   1e-330 to 1e308 with its two nearest doubles on either side, random
@@ -201,6 +207,19 @@ def digests(peakons, so3, curvature, g17):
         digest = table[name] = Digest()
         for y, diagonals, order, ds in so3:
             digest.call(fn, y, *diagonals, g.DerivativeStencil(order, ds))
+
+    from gstrand.integrability import _node_magnitudes
+
+    apply, solve = table["DiagonalParams.apply"], table["DiagonalParams.solve"] = Digest(), Digest()
+    for y, diagonals, _, _ in so3:
+        for diagonal, role in zip(diagonals, ("inertia-A", "inertia-B", "anisotropy-P")):
+            params = g.DiagonalParams(diagonal, role)
+            for w in (y[0, 0], y[0], y, y[::-1]):
+                apply.call(params.apply, w)
+                solve.call(params.solve, w)
+    digest = table["_node_magnitudes"] = Digest()
+    for y, *_ in so3:
+        digest.call(lambda y: tuple(_node_magnitudes(y)), y)
 
     digest = table["chiral_curvature_max"] = Digest()
     for snaps, lambdas, order, ds, dt in curvature:

@@ -241,8 +241,18 @@ def invariant_drift(snapshots) -> DriftReport:
 
 
 def _node_magnitudes(pair):
-    """Per-node |X|^2 and |Y|^2 of one (X, Y) level."""
-    return [np.sum(f * f, axis=1) for f in pair]
+    """Per-node |X|^2 and |Y|^2 of one (X, Y) level.
+
+    Each is (x0^2 + x1^2) + x2^2, the order of numpy's reduce over a
+    length-3 axis, so it equals ``np.sum(f * f, axis=1)`` bit for bit, but
+    from one product pass and two column sums instead of N_s inner loops of
+    length 3.
+    """
+    out = []
+    for f in pair:
+        sq = f * f
+        out.append((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+    return out
 
 
 def _magnitude_drift(base, magnitudes):

@@ -726,7 +726,7 @@ class RunReport:
         return out
 
 
-_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
+_NEWLINE = np.frombuffer(b"\n\0\0\0", np.uint32)[0]
 
 
 def _csv_chunks(header, times, blocks, index=False):
@@ -739,11 +739,12 @@ def _csv_chunks(header, times, blocks, index=False):
     doubles.  Every further array holds the next ``max(1, CSV_CHUNK //
     (1 + ncols))`` whole rows, across block boundaries: at most
     ``CSV_CHUNK`` cells, t's included, all formatted by one ``_g17.cells``
-    call.  Its rows are laid out side by side in 4-byte words: t's cell,
-    the index in as many words as the widest index needs, and each value as
-    a comma word and a cell of the width that ``cells`` returns for the
-    chunk (24 bytes while every value is below 10), then a newline word.
-    Dropping every zero byte gives the file's text, whatever ``CSV_CHUNK``.
+    call, the values' cells each with its comma.  Its rows are laid out side
+    by side in 4-byte words: t's cell, the index (with its comma) in as many
+    words as the widest index needs, and each value's cell, all of the
+    width that ``cells`` returns for the chunk (24 bytes while every value
+    is below 10), then a newline word.  Dropping every zero byte gives the
+    file's text, whatever ``CSV_CHUNK``.
     """
     yield np.frombuffer(header.encode() + b"\n", np.uint8)
     per_block, ncols = np.shape(blocks[0])
@@ -758,20 +759,19 @@ def _csv_chunks(header, times, blocks, index=False):
         r1 = min(r0 + step, total)
         b0, b1 = r0 // per_block, (r1 - 1) // per_block + 1
         values = np.asarray(blocks[b0:b1]).reshape(-1, ncols)[r0 - b0 * per_block:][:r1 - r0]
-        formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel()))).view(np.uint32)
+        formatted = _g17.cells(np.concatenate((times[b0:b1], values.ravel())),
+                               comma_from=b1 - b0).view(np.uint32)
         width = formatted.shape[1]
         rows = np.full(b1 - b0, per_block)  # the chunk's rows in each of its blocks
         rows[0] -= r0 - b0 * per_block
         rows[-1] -= b1 * per_block - r1
-        start = width + words  # the first value's comma
-        text = np.empty((r1 - r0, start + ncols * (1 + width) + 1), np.uint32)
+        start = width + words  # the first value's cell
+        text = np.empty((r1 - r0, start + ncols * width + 1), np.uint32)
         text[:, :width] = np.repeat(formatted[:b1 - b0], rows, axis=0)
         text[:, width:start] = labels[r0 % per_block:][:r1 - r0]
-        cells = text[:, start:-1].reshape(r1 - r0, ncols, 1 + width)  # a view
-        cells[:, :, 0] = _COMMA
-        cells[:, :, 1:] = formatted[b1 - b0:].reshape(r1 - r0, ncols, width)
+        text[:, start:-1] = formatted[b1 - b0:].reshape(r1 - r0, ncols * width)
         text[:, -1] = _NEWLINE
-        del values, formatted, cells  # hold only the text while the next chunk forms
+        del values, formatted  # hold only the text while the next chunk forms
         yield text.view(np.uint8).ravel()
 
 

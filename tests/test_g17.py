@@ -1,6 +1,8 @@
 """The vectorised %.17g formatter against the interpreter's own '%.17g'."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +177,64 @@ def test_width_follows_largest_exponent(sign):
     assert len("%.17g" % -5e-324) == 24
     assert width(longest) == 24
     assert_like_percent(longest)
+
+
+def load_kernel_digests():
+    """scripts/kernel_digests.py, whose ``_g17.cells`` value set these tests share."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "kernel_digests.py"
+    spec = importlib.util.spec_from_file_location("kernel_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def texts(rows):
+    return [row[row != 0].tobytes() for row in rows]
+
+
+@pytest.mark.parametrize("size", [1, 3, 100, 4096])
+def test_comma_cells_on_the_kernel_digest_values(size):
+    """Every cell from ``comma_from`` on is b"," + b"%.17g" % v: powers of
+    ten with their two nearest doubles on either side, random mantissas at
+    every exponent, ties at k = 14 and 15, +-0.0, infinities, nans and
+    subnormals, both signs, in chunks of ``size`` values."""
+    values = load_kernel_digests().g17_cases()
+    oracle = [b"%.17g" % v for v in values.tolist()]
+    for start in range(0, values.size, size):
+        chunk, expected = values[start:start + size], oracle[start:start + size]
+        assert texts(_g17.cells(chunk, comma_from=0)) == [b"," + t for t in expected]
+        # the first values of a chunk bare, as a CSV row's time is
+        half = len(chunk) // 2
+        if half:
+            mixed = expected[:half] + [b"," + t for t in expected[half:]]
+            assert texts(_g17.cells(chunk, comma_from=half)) == mixed
+
+
+def test_comma_cells_widen_for_the_longest_fallback_text():
+    """A comma and the 24 bytes of "%.17g" % -5e-324 take 25: such a chunk's
+    comma cells are 28 bytes wide, its bare cells keep 24."""
+    longest = np.array([-5e-324, 0.5])
+    assert _g17.cells(longest).shape == (2, 24)
+    rows = _g17.cells(longest, comma_from=0)
+    assert rows.shape == (2, 28)
+    assert texts(rows) == [b",-4.9406564584124654e-324", b",0.5"]
+    assert _g17.cells(longest, comma_from=1).shape == (2, 24)
+
+
+def runs(rows):
+    """The number of zero-free byte runs in each row."""
+    nonzero = np.pad(rows != 0, ((0, 0), (1, 0)))
+    return np.count_nonzero(nonzero[:, 1:] & ~nonzero[:, :-1], axis=1)
+
+
+def test_cell_text_runs_unbroken():
+    """On the fast path the lead (comma, sign, "0." and zeros after the
+    point) meets the first digit, and the point the fraction: a value with
+    k < 0 is one run of bytes, one with k >= 0 at most two."""
+    rng = np.random.default_rng(25)
+    values = rng.uniform(1, 10, (20, 50)) * 10.0 ** np.arange(-4, 16)[:, None]
+    values[:, ::2] *= -1
+    for comma_from in (None, 0):
+        rows = runs(_g17.cells(values.ravel(), comma_from=comma_from)).reshape(values.shape)
+        assert (rows[:4] == 1).all()
+        assert (rows[4:] <= 2).all() and (rows[4:] == 2).any()

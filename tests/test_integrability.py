@@ -25,7 +25,12 @@ from gstrand import (
     zero_curvature_residual,
 )
 from gstrand.algebra import _cross, build_J
-from gstrand.integrability import _chiral_coefficients, _chiral_curvature_at, _chiral_level
+from gstrand.integrability import (
+    _chiral_coefficients,
+    _chiral_curvature_at,
+    _chiral_level,
+    _node_magnitudes,
+)
 from gstrand.stencil import slot_derivatives
 
 TWO_PI = 2.0 * math.pi
@@ -530,3 +535,19 @@ def test_invariant_drift_needs_two_levels():
     xy = (np.zeros((8, 3)), np.zeros((8, 3)))
     with pytest.raises(ValueError):
         invariant_drift([xy])
+
+
+def test_node_magnitudes_equal_numpy_sum_bit_for_bit():
+    """(x0^2 + x1^2) + x2^2 is the order of numpy's reduce over a length-3
+    axis: it equals ``np.sum(f * f, axis=1)`` on rows where the other order
+    x0^2 + (x1^2 + x2^2) rounds differently, with +-0.0, inf and nan rows."""
+    rng = np.random.default_rng(25)
+    f = rng.standard_normal((2, 4000, 3)) * 10.0 ** rng.integers(-3, 4, (2, 4000, 3))
+    f[0, :3] = [[0.0, -0.0, -0.0], [-0.0, np.inf, 1.0], [np.nan, 1.0, -0.0]]
+    for got, field in zip(_node_magnitudes(f), f):
+        sq = field * field
+        other = sq[:, 0] + (sq[:, 1] + sq[:, 2])
+        reassociated = np.flatnonzero(other != np.sum(sq, axis=1))
+        assert reassociated.size > 100
+        assert got.tobytes() == np.sum(field * field, axis=1).tobytes()
+        assert got[reassociated].tobytes() != other[reassociated].tobytes()

@@ -924,9 +924,10 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
 def test_writer_peak_memory_follows_cell_width(tmp_path, name):
     """Writing the files of an aniso_xy run (two field files) or a peakon
     run with A = 3 (three) at N_s = 256 with 161 levels, the writer's extra
-    tracemalloc peak stays under 200 B per value of ``CSV_CHUNK``, the
-    budget that the field files written at once share: their values are
-    below 10, so their cells are 24 bytes, not ``_g17.WIDTH``."""
+    tracemalloc peak stays under 200 B per cell of ``CSV_CHUNK``.  At most
+    two chunks are alive at once, one being formatted and one being
+    written, and the field files' values are below 10, so their cells are
+    24 bytes, not ``_g17.WIDTH``."""
     d = output_digests.small_runs()[name]
     dt = TWO_PI / 256 / 4.0
     d["grid"] = {"S": TWO_PI, "N_s": 256, "dt": dt, "t_end": 160 * dt}
@@ -1132,11 +1133,11 @@ def test_formatting_error_reaches_the_caller(tmp_path, monkeypatch, failing_call
     calls = []
     cells = _g17.cells
 
-    def failing_cells(x):
+    def failing_cells(x, **kwargs):
         calls.append(len(x))
         if len(calls) == failing_call:
             raise MemoryError("no room for the cells")
-        return cells(x)
+        return cells(x, **kwargs)
 
     monkeypatch.setattr(sim_harness._g17, "cells", failing_cells)
     before = threading.active_count()
