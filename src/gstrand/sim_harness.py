@@ -34,9 +34,8 @@ data and reference values from the closed-form solutions.
 import dataclasses
 import json
 import math
-import queue
-import threading
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -779,68 +778,48 @@ def _write_csvs(files):
     """Write each CSV of ``files``, given as (path, header, times, blocks, index).
 
     Two threads share the work.  The calling thread forms the chunks of
-    ``_csv_chunks``, file after file.  One writer thread takes them from a
-    one-place queue, drops each chunk's zero bytes and writes its whole rows
-    with one ``write``; each file's path comes through the queue ahead of
-    its chunks, and the writer opens the file then.  Before it hands over a
-    chunk, the caller waits until the writer is done with every earlier
-    one, so it forms one chunk while the writer writes the one before, and
-    holds no third.  It does not wait for an open: the truncation of a file
-    being rewritten overlaps the forming of its first chunk.  Each file's
+    ``_csv_chunks``, file after file, and hands each to the one worker of an
+    executor as a task that drops the chunk's zero bytes and writes its
+    whole rows with one ``write``; a file's first task opens it, after
+    closing the file before, and a last task closes the last file.  Before
+    it hands over a chunk, the caller waits for the task before, so it
+    forms one chunk while the worker writes the one before, and holds no
+    third.  It does not wait for an open: the truncation of a file being
+    rewritten overlaps the forming of its first data chunk.  Each file's
     bytes are those of a serial write.
 
-    The writer catches every exception; after one it writes nothing more
-    but keeps taking what it is handed, so the caller never waits on it in
-    vain.  An error of either thread stops the formatting.  The caller's
-    own error propagates once the writer has ended; otherwise the writer's
-    first error is raised then.
+    An error of either thread stops the formatting.  The caller's own error
+    propagates once the worker has ended; otherwise the worker's first
+    error is raised then, and an error closing the last file only when
+    nothing else failed.
     """
-    chunks = queue.Queue(maxsize=1)
-    errors = []
+    fh = None
 
-    def write():
-        fh = None
-        while (item := chunks.get()) is not None:
-            opening = isinstance(item, Path)
-            if opening:
-                chunks.task_done()  # the caller forms the file's first chunk meanwhile
-            if not errors:
-                try:
-                    if opening:
-                        if fh is not None:
-                            fh.close()
-                        fh = open(item, "wb")
-                    else:
-                        fh.write(item[item != 0])
-                except BaseException as exc:  # noqa: BLE001 - raised again by the caller
-                    errors.append(exc)
-            del item  # hold no chunk while waiting for the next
-            if not opening:
-                chunks.task_done()
+    def write(path, chunk):
+        nonlocal fh
+        if path is not None:
+            close()
+            fh = open(path, "wb")
+        fh.write(chunk[chunk != 0])
+
+    def close():
+        nonlocal fh
         if fh is not None:
-            try:
-                fh.close()
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
+            last, fh = fh, None
+            last.close()
 
-    def items():
-        for path, header, times, blocks, index in files:
-            yield Path(path)
-            yield from _csv_chunks(header, times, blocks, index)
-
-    writer = threading.Thread(target=write, name="csv-writer")
-    writer.start()
-    try:
-        for item in items():
-            chunks.join()  # the writer is done with every earlier chunk
-            if errors:
-                break
-            chunks.put(item)
-    finally:
-        chunks.put(None)
-        writer.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(1, "csv-writer") as writer:
+        done = writer.submit(close)  # a no-op, as no file is open yet
+        try:
+            for path, header, times, blocks, index in files:
+                for chunk in _csv_chunks(header, times, blocks, index):
+                    done.result()  # the worker is done with every earlier chunk
+                    done = writer.submit(write, path, chunk)
+                    path = None
+        finally:
+            closed = writer.submit(close)  # read only when nothing else failed
+        done.result()
+        closed.result()
 
 
 def _write_outputs(cfg, report, directory):

@@ -1148,6 +1148,88 @@ def test_formatting_error_reaches_the_caller(tmp_path, monkeypatch, failing_call
     assert not (tmp_path / "report.json").exists()
 
 
+class FailingCloseFile:
+    """A CSV file that notes its close in ``events``; closing it closes the
+    file, then raises OSError when ``fail`` is true."""
+
+    def __init__(self, fh, name, events, fail):
+        self.fh, self.name, self.events, self.fail = fh, name, events, fail
+
+    def write(self, data):
+        return self.fh.write(data)
+
+    def close(self):
+        self.events.append(("close", self.name))
+        self.fh.close()
+        if self.fail:
+            raise OSError(f"cannot close {self.name}")
+
+
+def failing_close(file_name, events):
+    """An ``open`` for ``sim_harness`` that notes each CSV's open and close in
+    ``events``; closing the CSV ``file_name`` raises OSError."""
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        name = Path(path).name
+        if Path(path).suffix != ".csv":
+            return fh
+        events.append(("open", name))
+        return FailingCloseFile(fh, name, events, name == file_name)
+    return opener
+
+
+def test_close_error_stops_the_write(tmp_path, monkeypatch, capsys):
+    """Closing X.csv raises OSError as the writer moves on to Y.csv: the run
+    raises ConfigError and the CLI exits with 2; Y.csv is never opened,
+    report.json is not written, X.csv is whole, and no thread is left."""
+    events = []
+    monkeypatch.setattr(sim_harness, "open", failing_close("X.csv", events), raising=False)
+    d = output_digests.small_runs()["aniso_xy"]
+    before = threading.active_count()
+    error = bounded(lambda: run_scenario(ScenarioConfig.from_dict(d), out_dir=tmp_path / "run"))
+    assert isinstance(error, ConfigError) and "cannot write output file" in str(error)
+    assert "cannot close X.csv" in str(error)
+    assert threading.active_count() == before
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "cli")]) == 2
+    assert "cannot close X.csv" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert ("open", "Y.csv") not in events and events[:2] == [("open", "X.csv"), ("close", "X.csv")]
+    x_csv = oracle_files("aniso_xy", run_scenario(ScenarioConfig.from_dict(d)))["X.csv"].encode()
+    for out in ("run", "cli"):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["X.csv"]
+        assert (tmp_path / out / "X.csv").read_bytes() == x_csv
+
+
+def test_formatting_error_wins_over_a_close_error(tmp_path, monkeypatch):
+    """With 64-row chunks, the 5th ``_g17.cells`` call, the first data chunk
+    of Y.csv, raises, and closing Y.csv raises OSError: the formatting error
+    is the one ``_write_outputs`` raises, Y.csv is closed, report.json is not
+    written, and no thread is left."""
+    monkeypatch.setattr(sim_harness, "CSV_CHUNK", 4 * 64)
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
+    report = run_scenario(cfg)
+    calls = []
+    cells = _g17.cells
+
+    def failing_cells(x, **kwargs):
+        calls.append(len(x))
+        if len(calls) == 5:
+            raise MemoryError("no room for the cells")
+        return cells(x, **kwargs)
+
+    events = []
+    monkeypatch.setattr(sim_harness._g17, "cells", failing_cells)
+    monkeypatch.setattr(sim_harness, "open", failing_close("Y.csv", events), raising=False)
+    before = threading.active_count()
+    error = bounded(lambda: sim_harness._write_outputs(cfg, report, tmp_path))
+    assert isinstance(error, MemoryError) and "no room for the cells" in str(error)
+    assert threading.active_count() == before
+    assert events == [("open", "X.csv"), ("close", "X.csv"), ("open", "Y.csv"), ("close", "Y.csv")]
+    assert not (tmp_path / "report.json").exists()
+
+
 class RecordedFile:
     """A file opened by the writer, whose writes are kept in ``writes``."""
 
