@@ -12,8 +12,8 @@ then one with their count and the total of their lines.
 
 The hook is installed with ``sys.setprofile`` and ``threading.setprofile``
 before gstrand is imported, so it also sees what runs at import time (the
-table builders of ``_g17``, the parsers of ``MODEL_SPECS``) and in the
-threads that gstrand starts (the CSV writer's worker).  A nested function
+table builders of ``_g17``, the parsers of ``MODEL_SPECS``) and in any
+thread that the gstrand of ``CHECKOUT`` starts.  A nested function
 or lambda counts as part of the function that defines it.  A method counts
 apart from its class: a class's lines are those outside its methods, and
 a class is reached once one of its methods runs for it or a subclass,

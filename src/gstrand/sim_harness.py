@@ -31,11 +31,11 @@ wave-profile descriptor (see ``analytic_solutions``) and draw their initial
 data and reference values from the closed-form solutions.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -770,64 +770,36 @@ def _csv_chunks(header, times, blocks, index=False):
         text[:, width:start] = labels[r0 % per_block:][:r1 - r0]
         text[:, start:-1] = formatted[b1 - b0:].reshape(r1 - r0, ncols * width)
         text[:, -1] = _NEWLINE
-        del values, formatted  # hold only the text while the next chunk forms
+        del values, formatted  # hold only the text while the caller writes it
         yield text.view(np.uint8).ravel()
 
 
 def _write_csvs(files):
     """Write each CSV of ``files``, given as (path, header, times, blocks, index).
 
-    Two threads share the work.  The calling thread forms the chunks of
-    ``_csv_chunks``, file after file, and hands each to the one worker of an
-    executor as a task that drops the chunk's zero bytes and writes its
-    whole rows with one ``write``; a file's first task opens it, after
-    closing the file before, and a last task closes the last file.  Before
-    it hands over a chunk, the caller waits for the task before, so it
-    forms one chunk while the worker writes the one before, and holds no
-    third.  It does not wait for an open: the truncation of a file being
-    rewritten overlaps the forming of its first data chunk.  Each file's
-    bytes are those of a serial write.
-
-    An error of either thread stops the formatting.  The caller's own error
-    propagates once the worker has ended; otherwise the worker's first
-    error is raised then, and an error closing the last file only when
-    nothing else failed.
+    File after file, in the calling thread: open it, write each chunk of
+    ``_csv_chunks`` with its zero bytes dropped before the next chunk forms,
+    then close it.  The first error stops the write; the file open then is
+    still closed, and an error closing it is raised only when nothing else
+    failed.
     """
-    fh = None
-
-    def write(path, chunk):
-        nonlocal fh
-        if path is not None:
-            close()
-            fh = open(path, "wb")
-        fh.write(chunk[chunk != 0])
-
-    def close():
-        nonlocal fh
-        if fh is not None:
-            last, fh = fh, None
-            last.close()
-
-    with ThreadPoolExecutor(1, "csv-writer") as writer:
-        done = writer.submit(close)  # a no-op, as no file is open yet
+    for path, header, times, blocks, index in files:
+        fh = open(path, "wb")
         try:
-            for path, header, times, blocks, index in files:
-                for chunk in _csv_chunks(header, times, blocks, index):
-                    done.result()  # the worker is done with every earlier chunk
-                    done = writer.submit(write, path, chunk)
-                    path = None
-        finally:
-            closed = writer.submit(close)  # read only when nothing else failed
-        done.result()
-        closed.result()
+            for chunk in _csv_chunks(header, times, blocks, index):
+                fh.write(chunk[chunk != 0])
+        except BaseException:
+            with contextlib.suppress(OSError):
+                fh.close()
+            raise
+        fh.close()
 
 
 def _write_outputs(cfg, report, directory):
     """Every output file of ``report``: one CSV per field, per series, and report.json.
 
     Every CSV goes through one ``_write_csvs`` call, the field files
-    first, so one writer thread writes them all; report.json follows once
-    that thread has ended.
+    first; report.json follows once they are all closed.
     """
     directory = Path(directory)
     ncols = report.snapshots[0].shape[2]

@@ -924,10 +924,10 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
 def test_writer_peak_memory_follows_cell_width(tmp_path, name):
     """Writing the files of an aniso_xy run (two field files) or a peakon
     run with A = 3 (three) at N_s = 256 with 161 levels, the writer's extra
-    tracemalloc peak stays under 200 B per cell of ``CSV_CHUNK``.  At most
-    two chunks are alive at once, one being formatted and one being
-    written, and the field files' values are below 10, so their cells are
-    24 bytes, not ``_g17.WIDTH``."""
+    tracemalloc peak stays under 125 B per cell of ``CSV_CHUNK``.  Each
+    chunk is compacted and written before the next one forms, and the field
+    files' values are below 10, so their cells are 24 bytes, not
+    ``_g17.WIDTH``."""
     d = output_digests.small_runs()[name]
     dt = TWO_PI / 256 / 4.0
     d["grid"] = {"S": TWO_PI, "N_s": 256, "dt": dt, "t_end": 160 * dt}
@@ -940,7 +940,7 @@ def test_writer_peak_memory_follows_cell_width(tmp_path, name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * sim_harness.CSV_CHUNK
+    assert peak < 125 * sim_harness.CSV_CHUNK
     assert_outputs_match_oracle(d["model"], report, tmp_path)
 
 
@@ -954,9 +954,9 @@ def failing_open(file_name):
 
 
 def test_field_file_that_cannot_be_written_in_its_thread(tmp_path, monkeypatch, capsys):
-    """Y.csv cannot be opened in the writer thread: the run raises
-    ConfigError and the CLI exits with 2, and X.csv, written before it by
-    the same thread, is whole."""
+    """Y.csv cannot be opened by the thread that writes the files: the run
+    raises ConfigError and the CLI exits with 2, and X.csv, written before
+    it by the same thread, is whole."""
     written = []
 
     def keep_report(cfg, report, out):
@@ -1016,16 +1016,16 @@ class SlowlyClosedFile:
 
 @pytest.mark.parametrize("fail", [None, "X.csv", "Y.csv"])
 def test_no_writer_thread_outlives_the_write(tmp_path, monkeypatch, fail):
-    """Every CSV file is opened by one writer thread, not the calling one,
-    and report.json by the calling thread once the writer has ended; when
-    ``_write_outputs`` returns or raises, no thread it started is left,
-    although each CSV file takes a tenth of a second to close."""
+    """Every file, each CSV and report.json, is opened by the calling
+    thread while no other thread has started, and when ``_write_outputs``
+    returns or raises no thread is left, although each CSV file takes a
+    tenth of a second to close."""
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
     report = run_scenario(cfg)
     opened = {}
 
     def recording_open(path, *args, **kwargs):
-        opened[Path(path).name] = threading.current_thread()
+        opened[Path(path).name] = threading.current_thread(), threading.active_count()
         fh = opener(path, *args, **kwargs)
         return SlowlyClosedFile(fh) if Path(path).suffix == ".csv" else fh
 
@@ -1035,16 +1035,14 @@ def test_no_writer_thread_outlives_the_write(tmp_path, monkeypatch, fail):
     caller = []
 
     def write():
-        caller.append(threading.current_thread())
+        caller.append((threading.current_thread(), threading.active_count()))
         sim_harness._write_outputs(cfg, report, tmp_path)
 
     error = bounded(write)
     assert threading.active_count() == before
-    csvs = {thread for name, thread in opened.items() if name.endswith(".csv")}
-    assert len(csvs) == 1 and caller[0] not in csvs
+    assert opened and all(by == caller[0] for by in opened.values())
     if fail is None:
         assert error is None
-        assert opened["report.json"] is caller[0]
         assert sorted(opened) == ["X.csv", "Y.csv", "invariant_drift.csv", "report.json"]
         assert_outputs_match_oracle("aniso_xy", report, tmp_path)
     else:
@@ -1054,7 +1052,7 @@ def test_no_writer_thread_outlives_the_write(tmp_path, monkeypatch, fail):
 
 def test_concurrent_writes_under_a_short_switch_interval(tmp_path, monkeypatch):
     """Four calling threads write the files of one aniso_xy run at once,
-    each with its own writer (eight threads on two cores), in one-row
+    each into its own directory (four threads on two cores), in one-row
     chunks while the interpreter switches threads every 10 us: every file
     has its oracle bytes and every thread ends."""
     monkeypatch.setattr(sim_harness, "CSV_CHUNK", 4)
@@ -1094,10 +1092,10 @@ class RaisingFile:
 
 
 def test_writer_error_that_is_no_oserror_reaches_the_caller(tmp_path, monkeypatch):
-    """A RuntimeError raised in the writer thread, on the first write of
-    Y.csv, is raised by ``_write_outputs`` and passes ``run_scenario`` as
-    it is (only an OSError becomes a ConfigError); the writer thread ends
-    either way, and nothing after X.csv is opened."""
+    """A RuntimeError raised by the first write of Y.csv is raised by
+    ``_write_outputs`` and passes ``run_scenario`` as it is (only an
+    OSError becomes a ConfigError); no thread is left either way, and
+    nothing after Y.csv is opened."""
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
     report = run_scenario(cfg)
     opened = []
@@ -1122,11 +1120,11 @@ def test_writer_error_that_is_no_oserror_reaches_the_caller(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("failing_call", [1, 2, 5])
 def test_formatting_error_reaches_the_caller(tmp_path, monkeypatch, failing_call):
-    """An exception of the calling thread while it formats is raised by
-    ``_write_outputs`` once the writer thread has ended.  With 64-row
-    chunks, each field file of 224 rows takes 4 ``_g17.cells`` calls; the
-    1st, 2nd or 5th call fails: the first chunk of X.csv, its second
-    (formed while the writer may hold the first), or the first of Y.csv."""
+    """An exception while the chunks are formatted is raised by
+    ``_write_outputs``, and no thread is left.  With 64-row chunks, each
+    field file of 224 rows takes 4 ``_g17.cells`` calls; the 1st, 2nd or
+    5th call fails: the first chunk of X.csv, its second (formed after the
+    first is written), or the first of Y.csv."""
     monkeypatch.setattr(sim_harness, "CSV_CHUNK", 4 * 64)
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()["aniso_xy"])
     report = run_scenario(cfg)
