@@ -8,7 +8,9 @@ when a call raises, the error's type and message:
 
 - ``peakon_rhs`` and ``s_constraint_residual``: A = 1 to 8 peakons, labels
   in position order and shuffled per node, momenta with +-0.0 entries and
-  all-zero nodes, gaps from 1e-8 to 30 and pairs closer than ``MIN_GAP``;
+  all-zero nodes, gaps from 1e-8 to 30 and pairs closer than ``MIN_GAP``,
+  on 8 to 79 nodes; then the peakon_dense size, A = 8 on 256 and 1024
+  nodes, labels in order and shuffled;
 - ``_checked_kernel``, the peakon kernel and its guards, on the same
   positions: the line ``_checked_kernel`` hashes its tables (``index``,
   empty in the transpose frame, ``kmat``, ``gap_diag`` and ``gap_off``)
@@ -85,6 +87,23 @@ def peakon_cases(seed=20, repeats=4):
             perm = rng.permuted(np.tile(np.arange(count), (n_nodes, 1)), axis=1)
             q, m, n = (np.take_along_axis(f, perm, axis=1) for f in (q, m, n))
         cases.append((q, m, n, int(rng.choice((2, 4))), TWO_PI / n_nodes))
+    return cases
+
+
+def workload_peakon_cases(seed=24):
+    """(q, m, n, stencil order, ds) tuples at the size of the peakon_dense
+    workload: A = 8 on N_s = 256 and 1024 nodes, gaps from 0.5 to 1.5,
+    labels in position order and shuffled per node."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n_nodes, shuffled in itertools.product((256, 1024), (False, True)):
+        step = rng.uniform(0.5, 1.5, (n_nodes, 8))
+        q = np.cumsum(step, axis=1) - 0.5 * step.sum(axis=1, keepdims=True)
+        m, n = rng.standard_normal((2, n_nodes, 8))
+        if shuffled:
+            perm = rng.permuted(np.tile(np.arange(8), (n_nodes, 1)), axis=1)
+            q, m, n = (np.take_along_axis(f, perm, axis=1) for f in (q, m, n))
+        cases.append((q, m, n, 2, TWO_PI / n_nodes))
     return cases
 
 
@@ -245,7 +264,8 @@ def main(argv):
         sys.exit(__doc__)
     checkout = Path(argv[0]).resolve() if argv else HERE
     # drawn before gstrand is imported
-    inputs = peakon_cases(), so3_cases(), curvature_cases(), g17_cases()
+    inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), curvature_cases(),
+              g17_cases())
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():
         sys.exit(f"kernel_digests: no gstrand sources under {src}")

@@ -114,8 +114,9 @@ class SortedKernel(NamedTuple):
     x_b), a < b: K0 on the diagonal and e_ab at (a, b) and (b, a).  For
     a < b the rounded x_a - x_b is exactly -|x_b - x_a|, since IEEE
     subtraction is antisymmetric, so K is ``kernel_matrix`` bit for bit.
-    ``_sorted_terms`` uses it up: once K M and K N are formed, it turns the
-    same buffer into D in place (``_deriv_in_place``).
+    ``_sorted_terms`` is handed the kernel and uses it up: once K M and K N
+    are formed, it turns the same buffer into D in place
+    (``_deriv_in_place``) and drops it after D's last contraction.
 
     ``gap_diag`` and ``gap_off`` (A - 1, N_s) give K^{-1} gap by gap:
     K^{-1} = 2 I plus, for each gap i, the block [[gap_diag_i, gap_off_i],
@@ -133,33 +134,36 @@ class SortedKernel(NamedTuple):
 
 @functools.lru_cache(maxsize=MAX_PEAKONS)
 def _pair_layout(count):
-    """Pairs, table rows and sign pattern of ``SortedKernel`` for A = ``count``, read-only.
+    """Pairs and table rows of the pair exponentials for A = ``count``, read-only.
 
-    ``left`` and ``right`` (P,) list the P = A(A-1)/2 pairs a < b of the
-    sorted frame; ``rows`` (A, A) indexes the row table [K0, e], whose row
-    1 + p is pair p's exponential, so it picks K.  ``signs`` (A, A, 1) is
-    +1 above the diagonal, -1 below it and 0 on it: K times it is D.
+    ``left`` and ``right`` (P,) list the P = A(A-1)/2 pairs a < b; ``rows``
+    (A, A) indexes a row table [K0, e], whose row 1 + p is pair p's
+    exponential, so taking it picks K.  ``SortedKernel`` uses the pairs of
+    the sorted frame, ``s_constraint_residual`` those of the caller's labels.
     """
     left, right = np.triu_indices(count, k=1)
     rows = np.zeros((count, count), dtype=np.intp)
     rows[left, right] = rows[right, left] = 1 + np.arange(left.size)
-    signs = np.zeros((count, count, 1))
-    signs[left, right] = 1.0
-    signs[right, left] = -1.0
-    for a in (left, right, rows, signs):
+    for a in (left, right, rows):
         a.flags.writeable = False
-    return left, right, rows, signs
+    return left, right, rows
 
 
 def _deriv_in_place(kmat):
     """Turn K (A, A, N_s) of a ``SortedKernel`` into D = ``kernel_deriv`` in place; returns it.
 
-    D is K times the sign pattern of ``_pair_layout``.  The products e x 1,
-    e x -1 and K0 x 0 are exact, so D is ``kernel_deriv`` bit for bit off
-    the diagonal, and +0.0 on it, where ``kernel_deriv`` has -K0 x 0.0 =
-    -0.0.
+    In the sorted frame D is K above the diagonal, -K below it and 0 on it.
+    Row a's entries below the diagonal, ``kmat[a, :a]``, are one contiguous
+    slab, negated where it lies, and the diagonal is filled in one strided
+    store, so no temporary or broadcast buffer is made.  Negation is exact,
+    so D is ``kernel_deriv`` bit for bit off the diagonal, and +0.0 on it,
+    where ``kernel_deriv`` has -K0 x 0.0 = -0.0.
     """
-    kmat *= _pair_layout(kmat.shape[0])[3]
+    count = kmat.shape[0]
+    for a in range(1, count):
+        lower = kmat[a, :a]
+        np.negative(lower, out=lower)
+    kmat.reshape(count * count, -1)[::count + 1] = 0.0
     return kmat
 
 
@@ -214,7 +218,7 @@ def _checked_kernel(q):
             )
         gap_diag = 2.0 / np.expm1(2.0 * gaps)
         gap_off = -1.0 / np.sinh(gaps)
-    left, right, rows, _ = _pair_layout(count)
+    left, right, rows = _pair_layout(count)
     table = np.empty((1 + left.size, n_nodes))
     table[0] = K0
     pairs = table[1:]
@@ -250,57 +254,85 @@ def _spd_solve(kmat, rhs):
 
 
 def _sorted_terms(sk: SortedKernel, m, n):
-    """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``, shaped (3, A, N_s).
+    """Kernel terms of ``peakon_rhs`` in the sorted frame of ``sk``: (``sk.index``, (3, A, N_s)).
 
     The rows are K M, -sum_c (M_a M_c - N_a N_c) D^{ac} and K^{-1} G for the
     momenta m, n (N_s, A), with K the table of ``sk`` and K^{-1} its
     gap-by-gap tridiagonal.  It uses up ``sk.kmat``: after K M and K N, the
     buffer is turned into D in place (``_deriv_in_place``), so the kernel
-    takes one (A, A, N_s) array, not two.  The momenta are laid out in the
-    sorted frame as contiguous (A, N_s) arrays in both kinds of frame, so
-    the einsums run the same loops and sum in the same order.
+    takes one (A, A, N_s) array, not two.  The caller hands ``sk`` over and
+    keeps no reference to it, which is why the frame's ``index`` comes back
+    with the terms: the buffer is dropped at D's last contraction, and is
+    freed there on interpreters that hand a call's arguments to the callee
+    (CPython 3.11 on; 3.10 holds them until the call returns).
+
+    Every product and sum after K N is formed in an (A, N_s) array already
+    held whose value is done with, in the order of operations of the plain
+    expressions, so the bits are those of fresh temporaries.  Besides the
+    kernel, the work takes the output, the two momenta and one more (A, N_s)
+    array.
+
+    The momenta are laid out in the sorted frame as contiguous (A, N_s)
+    arrays in both kinds of frame, so the einsums run the same loops and sum
+    in the same order.
     """
-    if sk.index is None:
+    index, kmat, gap_diag, gap_off, _ = sk
+    del sk
+    if index is None:
         ms = m.T.copy()
         ns = n.T.copy()
     else:
-        shape = sk.kmat.shape[1:]
-        ms = m.take(sk.index).reshape(shape)
-        ns = n.take(sk.index).reshape(shape)
+        shape = kmat.shape[1:]
+        ms = m.take(index).reshape(shape)
+        ns = n.take(index).reshape(shape)
 
     out = np.empty((3,) + ms.shape)
-    km = np.einsum("abn,bn->an", sk.kmat, ms, out=out[0])
-    kn = np.einsum("abn,bn->an", sk.kmat, ns)
-    deriv = _deriv_in_place(sk.kmat)
-    dm_sum = np.einsum("acn,cn->an", deriv, ms)
-    dn_sum = np.einsum("acn,cn->an", deriv, ns)
-    np.subtract(ns * dn_sum, ms * dm_sum, out=out[1])
-    # G = (K N)(D M) - (K M)(D N) + D (N (K M) - M (K N)), the sum over b done first
-    g = np.einsum("ecn,cn->en", deriv, ns * km - ms * kn)
-    g += kn * dm_sum
-    g -= km * dn_sum
+    km = np.einsum("abn,bn->an", kmat, ms, out=out[0])
+    kn = np.einsum("abn,bn->an", kmat, ns)
+    # G = (K N)(D M) - (K M)(D N) + D (N (K M) - M (K N)), the sum over b done first.
+    # Its last term's factor w needs no D; it waits in out[2] for its contraction.
+    w = np.multiply(ns, km, out=out[2])
+    w -= np.multiply(ms, kn, out=out[1])
+    deriv = _deriv_in_place(kmat)
+    del kmat
+    # out[1] takes D M, then M (D M); kn takes (K N)(D M); ms's buffer takes
+    # D N, then (K M)(D N); ns's buffer takes N (D N), then G.
+    dm_sum = np.einsum("acn,cn->an", deriv, ms, out=out[1])
+    kn *= dm_sum
+    dm_sum *= ms
+    dn_sum = np.einsum("acn,cn->an", deriv, ns, out=ms)
+    np.subtract(np.multiply(ns, dn_sum, out=ns), dm_sum, out=out[1])
+    dn_sum *= km
+    g = np.einsum("ecn,cn->en", deriv, w, out=ns)
+    del deriv  # D's last use
+    g += kn
+    g -= dn_sum
     sol = np.multiply(2.0, g, out=out[2])
-    sol[:-1] += sk.gap_diag * g[:-1] + sk.gap_off * g[1:]
-    sol[1:] += sk.gap_diag * g[1:] + sk.gap_off * g[:-1]
-    return out
+    # K^{-1} G gap by gap, each gap's two products formed in kn and dn_sum
+    pair, other = kn[:-1], dn_sum[:-1]
+    sol[:-1] += np.add(np.multiply(gap_diag, g[:-1], out=pair),
+                       np.multiply(gap_off, g[1:], out=other), out=pair)
+    sol[1:] += np.add(np.multiply(gap_diag, g[1:], out=pair),
+                      np.multiply(gap_off, g[:-1], out=other), out=pair)
+    return index, out
 
 
 def _kernel_terms(q, m, n):
     """The three kernel terms of ``peakon_rhs`` in the caller's order, shaped (3, N_s, A).
 
     The terms are formed in the per-node sorted frame of ``_checked_kernel``
-    (``_sorted_terms``) and brought back to the caller's peakon labels
-    once: transposed when the labels are in position order, gathered
-    otherwise.  Kept apart from ``peakon_rhs`` and ``_sorted_terms`` so
-    that the sorted-frame work arrays are freed before that copy and the
-    s-derivatives: the right-hand side is the peak of a peakon run's memory.
+    (``_sorted_terms``, which is handed the kernel and frees its buffer) and
+    brought back to the caller's peakon labels once: transposed when the
+    labels are in position order, gathered otherwise.  Kept apart from
+    ``peakon_rhs`` and ``_sorted_terms`` so that the sorted-frame work
+    arrays are freed before that copy and the s-derivatives: the right-hand
+    side is the peak of a peakon run's memory.
     """
-    sk = _checked_kernel(q)
-    sorted_terms = _sorted_terms(sk, m, n)
-    if sk.index is None:
+    index, sorted_terms = _sorted_terms(_checked_kernel(q), m, n)
+    if index is None:
         return sorted_terms.transpose(0, 2, 1).copy()
-    back = np.empty_like(sk.index)  # back[i] is the sorted place of flat entry i
-    back[sk.index] = np.arange(back.size)
+    back = np.empty_like(index)  # back[i] is the sorted place of flat entry i
+    back[index] = np.arange(back.size)
     return sorted_terms.reshape(3, -1).take(back, axis=1).reshape((3,) + q.shape)
 
 
@@ -344,13 +376,33 @@ def s_constraint_residual(q, n, stencil: DerivativeStencil):
 
     Takes the (N_s, A) arrays q and n, like ``peakon_rhs``.  No K^{-1} is
     applied, so the positions need no gap check.  For a lone peakon (A = 1)
-    the sum is K0 N, formed, like the einsum, from +0.0 and without
-    ``kernel_matrix``.
+    the sum is K0 N, formed, like the einsum, from +0.0 and without the
+    kernel.
+
+    For A > 1 the A(A-1)/2 pair exponentials K0 exp(-|Q^a - Q^b|), a < b in
+    the caller's labels (``_pair_layout``), are formed on one contiguous
+    (N_s, P) array and gathered, with K0 on the diagonal, into a
+    C-contiguous (N_s, A, A) K: ``kernel_matrix`` bit for bit, since
+    |Q^a - Q^b| = |Q^b - Q^a| exactly.  The einsum sums in an order set by
+    K's layout, so K keeps ``kernel_matrix``'s, and the residual its bits.
     """
-    if q.shape[1] == 1:
+    n_nodes, count = q.shape
+    if count == 1:
         return stencil(q) + (K0 * n + 0.0)
-    kn = np.einsum("nab,nb->na", kernel_matrix(q), n)
-    return stencil(q) + kn
+    left, right, rows = _pair_layout(count)
+    pairs = q.take(left, axis=1)
+    pairs -= q.take(right, axis=1)
+    np.abs(pairs, out=pairs)
+    np.negative(pairs, out=pairs)
+    np.exp(pairs, out=pairs)
+    pairs *= K0
+    table = np.empty((n_nodes, 1 + left.size))
+    table[:, 0] = K0
+    table[:, 1:] = pairs
+    del pairs
+    kmat = table.take(rows, axis=1)
+    del table
+    return stencil(q) + np.einsum("nab,nb->na", kmat, n)
 
 
 @dataclass(frozen=True)

@@ -630,11 +630,12 @@ def test_single_peakon_conservation_has_no_skew_column():
 
 @pytest.mark.parametrize("model", ["peakon_single_exact", "peakon"])
 def test_lone_peakon_run_never_builds_the_kernel(model, monkeypatch):
-    """A = 1: neither the right-hand side nor the s-constraint forms the kernel."""
+    """A = 1: neither the right-hand side nor the s-constraint forms the kernel
+    or asks for its pair layout."""
     def forbidden(*args):
         raise AssertionError("kernel formed for a lone peakon")
 
-    for name in ("_checked_kernel", "_sorted_terms", "kernel_matrix"):
+    for name in ("_checked_kernel", "_sorted_terms", "_pair_layout", "kernel_matrix"):
         monkeypatch.setattr(peakon_dynamics, name, forbidden)
     if model == "peakon":
         d = model_dict("peakon")

@@ -15,6 +15,12 @@ reflection s -> -s, node j -> -j mod N_s, with (u, v) -> (u, -v), or
 difference of the reflected field is the negated reflected difference,
 exactly.  A stencil that is off by one node or one-sided breaks the
 reflection.
+
+The peakon system has one more: relabelling.  Permuting the peakon labels
+at every node permutes q, m and n, and the right-hand side forms its kernel
+sums in each node's sorted frame, which does not see labels.  Label-ordered
+positions take the transpose frame and permuted ones the argsort frame, so
+the relabelled run also compares the two frames.
 """
 
 import math
@@ -136,3 +142,63 @@ def test_reflection_commutes_with_the_run(model, y):
     difference forms is +0.0 on both sides where the reflection would
     negate it."""
     assert_commutes(model, lambda y: reflected(model, y), y, np.array_equal)
+
+
+peakon_term = st.tuples(
+    st.floats(-0.2, 0.2), st.integers(0, 3), st.floats(0.0, TWO_PI)
+).map(list)
+peakon_series = st.lists(peakon_term, max_size=2)
+
+
+@st.composite
+def relabelled_peakons(draw):
+    """Harmonic q, m, n series of 2 to 6 peakons, the positions 2 apart and
+    in label order at every node, and a permutation of the labels that is
+    not the identity."""
+    count = draw(st.integers(2, 6))
+    q = [[[2.0 * a - count, 0, 0.5 * math.pi]] + draw(peakon_series) for a in range(count)]
+    m = [draw(peakon_series) for _ in range(count)]
+    n = [draw(peakon_series) for _ in range(count)]
+    perm = draw(st.permutations(range(count)).filter(lambda p: p != sorted(p)))
+    return q, m, n, perm
+
+
+def peakon_scenario(q, m, n):
+    return {
+        "model": "peakon",
+        "grid": {"S": TWO_PI, "N_s": 32, "dt": 0.02, "t_end": 0.4},
+        "params": {"count": len(q), "initial": {"q": q, "m": m, "n": n}},
+        "diagnostics": [],
+        "output": {"directory": None, "cadence": 2},
+    }
+
+
+FOUR_PEAKONS = (
+    [[[-3.0, 0, 0.5 * math.pi], [0.1, 1, 0.0]], [[-1.0, 0, 0.5 * math.pi]],
+     [[1.0, 0, 0.5 * math.pi], [-0.2, 2, 1.0]], [[3.0, 0, 0.5 * math.pi], [0.15, 3, 0.5]]],
+    [[[0.2, 0, 0.5 * math.pi]], [[-0.1, 1, 0.3]], [], [[0.1, 2, 2.0], [-0.1, 0, 0.5 * math.pi]]],
+    [[[0.1, 1, 0.0]], [], [[0.2, 0, 0.5 * math.pi]], [[-0.15, 3, 1.0]]],
+    [2, 0, 3, 1],
+)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=relabelled_peakons())
+@example(data=FOUR_PEAKONS)
+def test_peakon_relabelling_commutes_with_the_run(data):
+    """The run of relabelled peakons, through ``ScenarioConfig.from_dict`` and
+    ``run_scenario``, stores every level of the original run with its peakon
+    columns permuted, bit for bit and sign bits included.  The original
+    positions increase with the label at every node and the relabelled ones
+    do not, so the two runs form their kernel terms in different frames.
+    The s-constraint diagnostic is not compared: it sums over the labels in
+    their own order, so its rounding follows the labels."""
+    q, m, n, perm = data
+    original = run_scenario(ScenarioConfig.from_dict(peakon_scenario(q, m, n)))
+    relabel = run_scenario(ScenarioConfig.from_dict(
+        peakon_scenario(*([f[p] for p in perm] for f in (q, m, n)))))
+    assert original.status == relabel.status == "ok"
+    assert len(original.snapshots) == len(relabel.snapshots) == 11
+    assert np.all(np.diff(original.snapshots[0][0], axis=1) > 0.0)
+    for y, z in zip(original.snapshots, relabel.snapshots):
+        assert same_bits(z, y[:, :, perm])
