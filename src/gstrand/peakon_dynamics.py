@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConditioningError, SingularConfigurationError
-from .so3_dynamics import MIN_NODES
 from .stencil import DerivativeStencil
 
 K0 = 0.5
@@ -66,36 +65,6 @@ def _check_gap(gap):
         raise SingularConfigurationError(
             f"coincident peakons: minimum position gap {gap:.3e} < {MIN_GAP:.1e}"
         )
-
-
-@dataclass
-class PeakonState:
-    """Positions and momenta of A peakons at each of N_s strand nodes."""
-
-    length: float
-    q: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self):
-        if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"strand length must be positive, got {self.length}")
-        self.q = np.asarray(self.q, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        self.n = np.asarray(self.n, dtype=float)
-        if self.q.ndim != 2:
-            raise ValueError(f"q must have shape (N_s, A), got {self.q.shape}")
-        n_nodes, count = self.q.shape
-        if n_nodes < MIN_NODES:
-            raise ValueError(f"need at least {MIN_NODES} strand nodes, got {n_nodes}")
-        if not 1 <= count <= MAX_PEAKONS:
-            raise ValueError(f"peakon count must be in [1, {MAX_PEAKONS}], got {count}")
-        for name, f in (("q", self.q), ("m", self.m), ("n", self.n)):
-            if f.shape != (n_nodes, count):
-                raise ValueError(f"{name} must have shape {(n_nodes, count)}, got {f.shape}")
-            if not np.all(np.isfinite(f)):
-                raise ValueError(f"{name} contains non-finite entries")
-        _check_gap(_min_gap(self.q))
 
 
 class SortedKernel(NamedTuple):

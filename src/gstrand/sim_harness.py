@@ -83,6 +83,7 @@ from .stencil import DerivativeStencil
 
 CFL_LIMIT = 0.5
 MAX_STEPS = 10**7  # step-count limit: a larger t_end / dt would not finish
+MAX_NODES = 2**20  # node-count limit: a larger N_s would exhaust memory
 PERIODICITY_TOL = 1e-9
 DIVISIBILITY_TOL = 1e-9
 CSV_CHUNK = 16384  # cells of CSV text formed at once, each row's time included
@@ -486,13 +487,15 @@ def _check_nodes(spec, params, grid):
 
 
 def _check_grid(s_length, n_nodes, dt, t_end, cadence):
-    """The grid fields of a config, checked: step count, CFL number and cadence."""
+    """The grid fields of a config, checked: node count, step count, CFL number and cadence."""
     s_length = _number(s_length, "grid.S")
     if s_length <= 0.0:
         raise ConfigError(f"grid.S must be positive, got {s_length}")
     n_nodes = _integer(n_nodes, "grid.N_s")
     if n_nodes < MIN_NODES:
         raise ConfigError(f"grid.N_s must be at least {MIN_NODES}, got {n_nodes}")
+    if n_nodes > MAX_NODES:
+        raise ConfigError(f"grid.N_s must be at most {MAX_NODES}, got {n_nodes}")
     ds = s_length / _number(n_nodes, "grid.N_s")
     if ds == 0.0:
         raise ConfigError(f"grid spacing S / N_s = {s_length} / {n_nodes} underflows to 0")

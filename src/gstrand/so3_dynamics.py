@@ -21,72 +21,6 @@ from .stencil import DerivativeStencil, slot_derivatives
 MIN_NODES = 8  # fewest strand nodes of any model, the peakon system included
 
 
-def _check_field(name, f, n_nodes=None):
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (N_s, 3), got {f.shape}")
-    if n_nodes is not None and f.shape[0] != n_nodes:
-        raise ValueError(f"{name} has {f.shape[0]} nodes, expected {n_nodes}")
-    if f.shape[0] < MIN_NODES:
-        raise ValueError(f"{name} needs at least {MIN_NODES} nodes, got {f.shape[0]}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return f
-
-
-@dataclass
-class So3StrandState:
-    """Angular velocity fields (u, v) on a periodic strand of length S."""
-
-    length: float
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"strand length must be positive, got {self.length}")
-        self.u = _check_field("u", self.u)
-        self.v = _check_field("v", self.v, self.u.shape[0])
-
-    @property
-    def n_nodes(self):
-        return self.u.shape[0]
-
-    @property
-    def ds(self):
-        return self.length / self.n_nodes
-
-    @property
-    def grid(self):
-        return np.arange(self.n_nodes) * self.ds
-
-    def stencil(self, order=2):
-        return DerivativeStencil(order=order, ds=self.ds)
-
-
-@dataclass
-class XYState:
-    """Counter-propagating combination fields X = u - v, Y = -u - v."""
-
-    length: float
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"strand length must be positive, got {self.length}")
-        self.x = _check_field("x", self.x)
-        self.y = _check_field("y", self.y, self.x.shape[0])
-
-    @property
-    def n_nodes(self):
-        return self.x.shape[0]
-
-    @property
-    def ds(self):
-        return self.length / self.n_nodes
-
-
 @dataclass(frozen=True)
 class SpinChainParams:
     """Inertia operators of the spin-chain Lagrangian l = (<u, Au> + <v, Bv>)/2."""
@@ -158,24 +92,14 @@ def aniso_rhs_uv(y, p: DiagonalParams, stencil: DerivativeStencil):
     return out
 
 
-def to_XY(state: So3StrandState) -> XYState:
-    """Change of variables X = u - v, Y = -u - v."""
-    return XYState(length=state.length, x=state.u - state.v, y=-state.u - state.v)
-
-
-def from_XY(xy: XYState) -> So3StrandState:
-    """Inverse change of variables u = (X - Y)/2, v = -(X + Y)/2."""
-    return So3StrandState(length=xy.length, u=0.5 * (xy.x - xy.y), v=-0.5 * (xy.x + xy.y))
-
-
 def aniso_rhs_XY(y, p: DiagonalParams, stencil: DerivativeStencil):
     """Anisotropic chiral model in the counter-propagating variables, on the
     packed state y = (X, Y), returned as one (2, N_s, 3) array:
 
     X_t = -X_s - X x (PY),  Y_t = +Y_s + Y x (PX).
 
-    This is the push-forward of ``aniso_rhs_uv`` through ``to_XY``; both
-    cross terms are orthogonal to their field, so per-node |X|^2 and |Y|^2
+    This is the push-forward of ``aniso_rhs_uv`` through X = u - v,
+    Y = -u - v (inversely u = (X - Y)/2, v = -(X + Y)/2); both cross terms are orthogonal to their field, so per-node |X|^2 and |Y|^2
     ride along the two transport characteristics unchanged.
     """
     if p.role != "anisotropy-P":

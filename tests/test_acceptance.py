@@ -28,7 +28,6 @@ from gstrand import (
     DiagonalParams,
     ScenarioConfig,
     SingularConfigurationError,
-    So3StrandState,
     SpinChainParams,
     WaveProfile,
     ad,
@@ -48,7 +47,7 @@ from gstrand import (
     spin_chain_rhs,
     unhat,
 )
-from gstrand.peakon_dynamics import K0, PeakonState
+from gstrand.peakon_dynamics import K0
 from gstrand.stencil import second_derivative
 
 TWO_PI = 2.0 * math.pi
@@ -102,12 +101,10 @@ def test_criterion_02_euler_poincare_lie_poisson_equivalence():
     sten = DerivativeStencil(2, TWO_PI / 64)
     worst = 0.0
     for _ in range(100):
-        st = So3StrandState(
-            TWO_PI, rng.standard_normal((64, 3)), rng.standard_normal((64, 3))
-        )
-        du, dv = spin_chain_rhs(np.stack((st.u, st.v)), params, sten)
+        u, v = rng.standard_normal((64, 3)), rng.standard_normal((64, 3))
+        du, dv = spin_chain_rhs(np.stack((u, v)), params, sten)
         dm, dv_lp = lie_poisson_rhs_spin_chain(
-            np.stack((params.a.apply(st.u), st.v)), params, sten
+            np.stack((params.a.apply(u), v)), params, sten
         )
         worst = max(
             worst,
@@ -238,12 +235,9 @@ def test_criterion_05_isotropic_rescaling_identity():
     sten = DerivativeStencil(2, TWO_PI / 64)
     worst = 0.0
     for _ in range(100):
-        st = So3StrandState(
-            TWO_PI, rng.standard_normal((64, 3)), rng.standard_normal((64, 3))
-        )
-        half = So3StrandState(TWO_PI, 0.5 * st.u, 0.5 * st.v)
-        du_c, dv_c = chiral_rhs(np.stack((st.u, st.v)), sten)
-        du_a, dv_a = aniso_rhs_uv(np.stack((half.u, half.v)), p, sten)
+        y = np.stack((rng.standard_normal((64, 3)), rng.standard_normal((64, 3))))
+        du_c, dv_c = chiral_rhs(y, sten)
+        du_a, dv_a = aniso_rhs_uv(0.5 * y, p, sten)
         worst = max(
             worst,
             float(np.max(np.abs(du_c - 2.0 * du_a))),
@@ -535,11 +529,9 @@ def test_criterion_09_pair_reduction():
     worst = 0.0
     for _ in range(100):
         q = np.array([0.0, 2.0]) + 0.3 * rng.standard_normal((16, 2))
-        st = PeakonState(
-            TWO_PI, q, rng.standard_normal((16, 2)), rng.standard_normal((16, 2))
-        )
-        got = peakon_rhs(st.q, st.m, st.n, sten)
-        expect = pair_rhs_reference(st.q, st.m, st.n, sten)
+        m, n = rng.standard_normal((16, 2)), rng.standard_normal((16, 2))
+        got = peakon_rhs(q, m, n, sten)
+        expect = pair_rhs_reference(q, m, n, sten)
         for g, e in zip(got, expect):
             worst = max(worst, float(np.max(np.abs(g - e))))
     ok = worst <= 1e-12

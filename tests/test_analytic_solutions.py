@@ -15,7 +15,6 @@ from gstrand import (
     CollisionSolution,
     ConfigError,
     DerivativeStencil,
-    PeakonState,
     SingularConfigurationError,
     WaveProfile,
     analytic_solutions,
@@ -325,8 +324,7 @@ def test_single_peakon_data_satisfies_peakon_equations():
     t = 0.37
     a, k = 0.3, 1.0
     q, m, n = single_peakon_exact(WaveProfile.standing(a, k), s, t)
-    st = PeakonState(TWO_PI, q[:, None], m[:, None], n[:, None])
-    dq, dm, dn = peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, ds))
+    dq, dm, dn = peakon_rhs(q[:, None], m[:, None], n[:, None], DerivativeStencil(2, ds))
 
     h_t = -a * k * np.cos(k * s) * np.sin(k * t)
     h_tt = -a * k * k * np.cos(k * s) * np.cos(k * t)
@@ -344,15 +342,14 @@ def test_single_peakon_flipped_slope_sign_fails_the_equations():
     s = np.arange(n_nodes) * ds
     t = 0.9
     prof = WaveProfile.standing(0.3, 1.0)
-    q = prof.h(s, t)
-    m = prof.dh_dt(s, t) / K0
-    n_wrong = prof.dh_ds(s, t) / K0
-    st = PeakonState(TWO_PI, q[:, None], m[:, None], n_wrong[:, None])
+    q = prof.h(s, t)[:, None]
+    m = (prof.dh_dt(s, t) / K0)[:, None]
+    n_wrong = (prof.dh_ds(s, t) / K0)[:, None]
     sten = DerivativeStencil(2, ds)
-    _, _, dn = peakon_rhs(st.q, st.m, st.n, sten)
+    _, _, dn = peakon_rhs(q, m, n_wrong, sten)
     h_st = 0.3 * np.sin(s) * np.sin(t)
     assert np.max(np.abs(dn[:, 0] - h_st / K0)) > 0.1
-    assert np.max(np.abs(s_constraint_residual(st.q, st.n, sten))) > 0.1
+    assert np.max(np.abs(s_constraint_residual(q, n_wrong, sten))) > 0.1
 
 
 def test_single_peakon_consistent_s_constraint():
@@ -360,8 +357,7 @@ def test_single_peakon_consistent_s_constraint():
     ds = TWO_PI / n_nodes
     s = np.arange(n_nodes) * ds
     q, m, n = single_peakon_exact(WaveProfile.standing(0.3, 1.0), s, 0.9)
-    st = PeakonState(TWO_PI, q[:, None], m[:, None], n[:, None])
-    res = s_constraint_residual(st.q, st.n, DerivativeStencil(2, ds))
+    res = s_constraint_residual(q[:, None], n[:, None], DerivativeStencil(2, ds))
     assert np.max(np.abs(res)) < 1e-4
 
 

@@ -226,6 +226,27 @@ def test_converge_rejects_a_level_over_the_step_limit_before_running(
     assert runs == []
 
 
+def test_node_count_over_the_limit_exits_2_before_any_array(tmp_path, capsys, monkeypatch):
+    grid = {"S": TWO_PI, "N_s": 10**12, "dt": 1e-13, "t_end": 1e-13}
+    cfg = write_config(tmp_path, {("grid",): grid, ("diagnostics",): []})
+    monkeypatch.setattr(sim_harness, "_nodes", lambda *a: pytest.fail("nodes were formed"))
+    rc = main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert f"grid.N_s must be at most {sim_harness.MAX_NODES}" in capsys.readouterr().err
+
+
+def test_converge_rejects_a_level_over_the_node_limit_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = write_config(tmp_path)  # N_s = 64; level 15 has 2**21 nodes
+    runs = []
+    monkeypatch.setattr(sim_harness, "run_scenario", lambda *a, **k: runs.append(a))
+    rc = main(["converge", "--config", str(cfg), "--levels", "16"])
+    assert rc == 2
+    assert f"at most {sim_harness.MAX_NODES}, got {2**21}" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_repeated_lambda_column_is_config_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {("diagnostics",): [{"kind": "zero_curvature", "lambdas": [0.5, 0.5]}]}

@@ -9,7 +9,6 @@ from gstrand import (
     DerivativeStencil,
     DiagonalParams,
     LaxConnection,
-    So3StrandState,
     aniso_lax,
     ScenarioConfig,
     aniso_rhs_uv,
@@ -41,23 +40,22 @@ def chiral_initial(n):
     s = np.arange(n) * (TWO_PI / n)
     u = np.stack([np.sin(s), np.zeros(n), np.cos(s)], axis=1)
     v = np.stack([np.zeros(n), np.cos(s), np.zeros(n)], axis=1)
-    return So3StrandState(length=TWO_PI, u=u, v=v)
+    return np.stack([u, v])
 
 
 def integrate_chiral(n, dt, steps):
-    """Plain RK4 chiral run; returns the list of states at every level."""
-    st = chiral_initial(n)
-    sten = st.stencil()
+    """Plain RK4 chiral run; returns the packed (2, n, 3) state at every level."""
+    sten = DerivativeStencil(2, TWO_PI / n)
 
     def rhs(y):
         return chiral_rhs(y, sten)
 
-    y = np.stack([st.u, st.v])
+    y = chiral_initial(n)
     traj = [y]
     for _ in range(steps):
         y = rk4_step(y, rhs, dt)
         traj.append(y)
-    return [So3StrandState(TWO_PI, y[0], y[1]) for y in traj]
+    return traj
 
 
 # --------------------------------------------------------------- LaxConnection
@@ -95,29 +93,29 @@ def test_connection_antisymmetry_enforced_only_in_dim3():
 def test_chiral_lax_at_unit_lambda():
     """lam = 1 collapses the pair to (-hat v, -hat u)."""
     rng = np.random.default_rng(17)
-    st = So3StrandState(TWO_PI, rng.standard_normal((16, 3)), rng.standard_normal((16, 3)))
-    conn = chiral_lax(st.u, st.v, 1.0)
-    np.testing.assert_allclose(conn.U_field, -hat(st.v), rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(conn.V_field, -hat(st.u), rtol=0.0, atol=1e-15)
+    u, v = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
+    conn = chiral_lax(u, v, 1.0)
+    np.testing.assert_allclose(conn.U_field, -hat(v), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(conn.V_field, -hat(u), rtol=0.0, atol=1e-15)
 
 
 def test_chiral_lax_vanishes_at_minus_one():
     rng = np.random.default_rng(18)
-    st = So3StrandState(TWO_PI, rng.standard_normal((16, 3)), rng.standard_normal((16, 3)))
-    conn = chiral_lax(st.u, st.v, -1.0)
+    u, v = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
+    conn = chiral_lax(u, v, -1.0)
     np.testing.assert_array_equal(conn.U_field, np.zeros((16, 3, 3)))
     np.testing.assert_array_equal(conn.V_field, np.zeros((16, 3, 3)))
 
 
 def test_chiral_lax_general_lambda_formula():
     rng = np.random.default_rng(19)
-    st = So3StrandState(TWO_PI, rng.standard_normal((12, 3)), rng.standard_normal((12, 3)))
+    u, v = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
     lam = 2.0
     a = 0.25 * (1.0 + lam)
     b = 0.25 * (1.0 + 1.0 / lam)
-    conn = chiral_lax(st.u, st.v, lam)
-    diff = hat(st.u) - hat(st.v)
-    summ = hat(st.u) + hat(st.v)
+    conn = chiral_lax(u, v, lam)
+    diff = hat(u) - hat(v)
+    summ = hat(u) + hat(v)
     np.testing.assert_allclose(conn.U_field, a * diff - b * summ, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(conn.V_field, -a * diff - b * summ, rtol=0.0, atol=1e-14)
 
@@ -141,20 +139,19 @@ def test_chiral_lax_bitwise_equals_inline_coefficients(lam):
 
 
 def test_chiral_lax_rejects_zero_lambda():
-    st = chiral_initial(16)
+    u, v = chiral_initial(16)
     message = "^spectral parameter must be nonzero for the chiral pair$"
     with pytest.raises(ValueError, match=message):
-        chiral_lax(st.u, st.v, 0.0)
+        chiral_lax(u, v, 0.0)
 
 
 @pytest.mark.parametrize("lam", [5e-324, 1e-309, -1e-309])
 def test_chiral_pair_rejects_lambda_whose_reciprocal_overflows(lam):
     """chiral_lax and chiral_curvature_max raise the same ValueError."""
-    st = chiral_initial(16)
+    y = chiral_initial(16)
     message = f"^spectral parameter {lam!r} is too close to 0 for the chiral pair$"
     with pytest.raises(ValueError, match=message):
-        chiral_lax(st.u, st.v, lam)
-    y = np.stack([st.u, st.v])
+        chiral_lax(y[0], y[1], lam)
     with pytest.raises(ValueError, match=message):
         chiral_curvature_max([y, y, y], (0.5, lam), DerivativeStencil(2, TWO_PI / 16), 0.01)
     assert math.isfinite(_chiral_coefficients((1e-308,))[0][1])
@@ -220,9 +217,9 @@ def test_curvature_max_matches_matrix_path_on_random_fields(seed):
 
 
 def test_curvature_max_matches_matrix_path_on_chiral_trajectory():
-    traj = integrate_chiral(64, 0.02, 10)
-    snaps = [(st.u, st.v) for st in traj]
-    assert_matches_matrix_path(snaps, EQUIVALENCE_LAMBDAS, traj[0].stencil(), 0.02)
+    snaps = integrate_chiral(64, 0.02, 10)
+    sten = DerivativeStencil(2, TWO_PI / 64)
+    assert_matches_matrix_path(snaps, EQUIVALENCE_LAMBDAS, sten, 0.02)
 
 
 def test_harness_curvature_matches_matrix_path_at_cadence_two():
@@ -245,7 +242,7 @@ def test_harness_curvature_matches_matrix_path_at_cadence_two():
 
 
 def test_curvature_max_rejects_zero_lambda_and_two_levels():
-    snaps = [(st.u, st.v) for st in integrate_chiral(16, 0.05, 2)]
+    snaps = integrate_chiral(16, 0.05, 2)
     sten = DerivativeStencil(2, TWO_PI / 16)
     with pytest.raises(ValueError, match="nonzero"):
         chiral_curvature_max(snaps, (1.0, 0.0), sten, 0.05)
@@ -342,25 +339,24 @@ def test_curvature_buffers_bitwise_equal_list_comprehension(order):
 
 def test_aniso_lax_matches_direct_product():
     rng = np.random.default_rng(23)
-    st = So3StrandState(TWO_PI, rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
+    u, v = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
     lam = 0.7
-    conn = aniso_lax(st.u, st.v, lam, p)
+    conn = aniso_lax(u, v, lam, p)
     w = lam * np.eye(4) + build_J(p)
-    for i in range(st.n_nodes):
+    for i in range(10):
         np.testing.assert_allclose(
-            conn.U_field[i], embed_so4(st.v[i], st.u[i]) @ w, rtol=0.0, atol=1e-14
+            conn.U_field[i], embed_so4(v[i], u[i]) @ w, rtol=0.0, atol=1e-14
         )
         np.testing.assert_allclose(
-            conn.V_field[i], embed_so4(st.u[i], st.v[i]) @ w, rtol=0.0, atol=1e-14
+            conn.V_field[i], embed_so4(u[i], v[i]) @ w, rtol=0.0, atol=1e-14
         )
 
 
 def test_aniso_lax_frozen_entries():
     """u = e3, v = 0, P = (1,2,3), lam = 0: the weight is pure J."""
-    st = So3StrandState(TWO_PI, np.tile(E3, (8, 1)), np.zeros((8, 3)))
     p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
-    conn = aniso_lax(st.u, st.v, 0.0, p)
+    conn = aniso_lax(np.tile(E3, (8, 1)), np.zeros((8, 3)), 0.0, p)
     u_expect = np.zeros((4, 4))
     u_expect[2, 3] = -3.0
     u_expect[3, 2] = 1.5
@@ -376,8 +372,7 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
     rng = np.random.default_rng(29)
     u = rng.standard_normal((8, 3))
     v = rng.standard_normal((8, 3))
-    st = So3StrandState(TWO_PI, u, v)
-    conn = aniso_lax(st.u, st.v, 0.5, DiagonalParams(np.ones(3), "anisotropy-P"))
+    conn = aniso_lax(u, v, 0.5, DiagonalParams(np.ones(3), "anisotropy-P"))
     np.testing.assert_array_equal(conn.U_field[..., :3], np.zeros((8, 4, 3)))
     np.testing.assert_allclose(conn.U_field[:, :3, 3], -u, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(conn.V_field[:, :3, 3], -v, rtol=0.0, atol=1e-15)
@@ -387,17 +382,17 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
 
 
 def test_residual_needs_three_levels():
-    st = chiral_initial(16)
-    conns = [chiral_lax(st.u, st.v, 1.0)] * 2
+    u, v = chiral_initial(16)
+    conns = [chiral_lax(u, v, 1.0)] * 2
     with pytest.raises(ValueError, match="3"):
-        zero_curvature_residual(conns, st.stencil(), 0.1)
+        zero_curvature_residual(conns, DerivativeStencil(2, TWO_PI / 16), 0.1)
 
 
 def test_residual_rejects_mixed_lambda():
-    st = chiral_initial(16)
-    conns = [chiral_lax(st.u, st.v, lam) for lam in (1.0, 2.0, 1.0)]
+    u, v = chiral_initial(16)
+    conns = [chiral_lax(u, v, lam) for lam in (1.0, 2.0, 1.0)]
     with pytest.raises(ValueError, match="share"):
-        zero_curvature_residual(conns, st.stencil(), 0.1)
+        zero_curvature_residual(conns, DerivativeStencil(2, TWO_PI / 16), 0.1)
 
 
 def test_residual_zero_for_commuting_constant_connection():
@@ -427,8 +422,8 @@ def test_chiral_residual_converges_on_trajectory():
     errs = []
     for n, steps in ((32, 8), (64, 16), (128, 32)):
         traj = integrate_chiral(n, 0.4 / steps, steps)
-        conns = [chiral_lax(st.u, st.v, lam) for st in traj]
-        res = zero_curvature_residual(conns, traj[0].stencil(), 0.4 / steps)
+        conns = [chiral_lax(u, v, lam) for u, v in traj]
+        res = zero_curvature_residual(conns, DerivativeStencil(2, TWO_PI / n), 0.4 / steps)
         errs.append(res.max_norm)
     rates = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 1.8
@@ -437,11 +432,10 @@ def test_chiral_residual_converges_on_trajectory():
 def test_unit_lambda_residual_is_negated_compatibility_residual():
     """At lam = 1 the curvature equals minus the hat of the compatibility defect."""
     traj = integrate_chiral(32, 0.02, 6)
-    sten = traj[0].stencil()
-    conns = [chiral_lax(st.u, st.v, 1.0) for st in traj]
+    sten = DerivativeStencil(2, TWO_PI / 32)
+    conns = [chiral_lax(u, v, 1.0) for u, v in traj]
     lax_res = zero_curvature_residual(conns, sten, 0.02)
-    u = np.stack([st.u for st in traj])
-    v = np.stack([st.v for st in traj])
+    u, v = np.stack(traj, axis=1)
     compat = compatibility_residual(u, v, sten, 0.02)
     np.testing.assert_allclose(lax_res.fields, -hat(compat), rtol=0.0, atol=1e-13)
 

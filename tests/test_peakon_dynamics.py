@@ -15,7 +15,6 @@ import gstrand.peakon_dynamics as pk
 from gstrand import (
     ConditioningError,
     DerivativeStencil,
-    PeakonState,
     SingularConfigurationError,
     kernel,
     kernel_deriv,
@@ -43,12 +42,9 @@ def spread_positions(rng, n_nodes, count, scale=2.0):
 
 
 def random_peakon_state(rng, n_nodes=16, count=3):
-    return PeakonState(
-        length=TWO_PI,
-        q=spread_positions(rng, n_nodes, count),
-        m=rng.standard_normal((n_nodes, count)),
-        n=rng.standard_normal((n_nodes, count)),
-    )
+    """Fields (q, m, n), each (n_nodes, count): spread positions, random momenta."""
+    q = spread_positions(rng, n_nodes, count)
+    return q, rng.standard_normal((n_nodes, count)), rng.standard_normal((n_nodes, count))
 
 
 # ---------------------------------------------------------------------- kernel
@@ -90,27 +86,6 @@ def test_kernel_deriv_zero_diagonal():
 
 
 # ----------------------------------------------------------------- state guards
-
-
-def test_state_validation():
-    z = np.zeros((16, 2))
-    q = np.tile([0.0, 1.0], (16, 1))
-    with pytest.raises(ValueError):
-        PeakonState(length=TWO_PI, q=np.zeros((4, 2)), m=np.zeros((4, 2)), n=np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        PeakonState(length=TWO_PI, q=np.zeros((16, 9)), m=np.zeros((16, 9)), n=np.zeros((16, 9)))
-    with pytest.raises(ValueError):
-        PeakonState(length=TWO_PI, q=q, m=np.zeros((16, 3)), n=z)
-    bad = q.copy()
-    bad[2, 0] = np.nan
-    with pytest.raises(ValueError):
-        PeakonState(length=TWO_PI, q=bad, m=z, n=z)
-
-
-def test_state_rejects_coincident_peakons():
-    q = np.tile([0.0, 5e-9], (16, 1))
-    with pytest.raises(SingularConfigurationError, match="coincident"):
-        PeakonState(length=TWO_PI, q=q, m=np.zeros((16, 2)), n=np.zeros((16, 2)))
 
 
 def test_checked_kernel_gap_guard():
@@ -173,13 +148,9 @@ def test_spd_solve_rejects_indefinite_matrix():
 
 def test_rhs_zero_momenta():
     rng = np.random.default_rng(64)
-    st = PeakonState(
-        length=TWO_PI,
-        q=spread_positions(rng, 16, 3),
-        m=np.zeros((16, 3)),
-        n=np.zeros((16, 3)),
-    )
-    dq, dm, dn = peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / 16))
+    q = spread_positions(rng, 16, 3)
+    z = np.zeros((16, 3))
+    dq, dm, dn = peakon_rhs(q, z, z, DerivativeStencil(2, TWO_PI / 16))
     np.testing.assert_array_equal(dq, np.zeros_like(dq))
     np.testing.assert_array_equal(dm, np.zeros_like(dm))
     np.testing.assert_array_equal(dn, np.zeros_like(dn))
@@ -193,8 +164,7 @@ def test_rhs_single_peakon_reduction():
     q = rng.standard_normal((n_nodes, 1))
     m = rng.standard_normal((n_nodes, 1))
     n = rng.standard_normal((n_nodes, 1))
-    st = PeakonState(length=TWO_PI, q=q, m=m, n=n)
-    dq, dm, dn = peakon_rhs(st.q, st.m, st.n, sten)
+    dq, dm, dn = peakon_rhs(q, m, n, sten)
     np.testing.assert_array_equal(dq, K0 * m)
     np.testing.assert_array_equal(dm, -sten(n))
     np.testing.assert_array_equal(dn, -sten(m))
@@ -242,8 +212,7 @@ def test_rhs_antisymmetric_pair_position_equation():
     q = np.tile([qv, -qv], (n_nodes, 1))
     m = np.tile([mu, -mu], (n_nodes, 1))
     n = np.tile([nu, -nu], (n_nodes, 1))
-    st = PeakonState(length=TWO_PI, q=q, m=m, n=n)
-    dq, dm, _ = peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / n_nodes))
+    dq, dm, _ = peakon_rhs(q, m, n, DerivativeStencil(2, TWO_PI / n_nodes))
     expect_dq1 = mu * (K0 - kernel(qv, -qv))
     np.testing.assert_allclose(dq[:, 0], np.full(n_nodes, expect_dq1), rtol=1e-14)
     np.testing.assert_allclose(dq[:, 1], -dq[:, 0], rtol=0.0, atol=1e-16)
@@ -290,19 +259,19 @@ def test_rhs_matches_pair_reference():
     rng = np.random.default_rng(66)
     sten = DerivativeStencil(2, TWO_PI / 16)
     for _ in range(20):
-        st = random_peakon_state(rng, n_nodes=16, count=2)
-        got = peakon_rhs(st.q, st.m, st.n, sten)
-        expect = pair_rhs_reference(st.q, st.m, st.n, sten)
+        q, m, n = random_peakon_state(rng, n_nodes=16, count=2)
+        got = peakon_rhs(q, m, n, sten)
+        expect = pair_rhs_reference(q, m, n, sten)
         for g, e in zip(got, expect):
             np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-12)
 
 
 def test_rhs_raises_on_coincidence_through_checked_kernel():
     # build a valid state, then squeeze the gap below the guard before the call
-    st = random_peakon_state(np.random.default_rng(67), count=2)
-    st.q[:, 1] = st.q[:, 0] + 1e-10
+    q, m, n = random_peakon_state(np.random.default_rng(67), count=2)
+    q[:, 1] = q[:, 0] + 1e-10
     with pytest.raises(SingularConfigurationError):
-        peakon_rhs(st.q, st.m, st.n, DerivativeStencil(2, TWO_PI / 16))
+        peakon_rhs(q, m, n, DerivativeStencil(2, TWO_PI / 16))
 
 
 # ------------------------------------------------- sorted frame and closed form
@@ -592,15 +561,10 @@ def test_lone_peakon_kernel_has_no_gaps_and_unit_bound():
 
 
 def test_s_constraint_zero_for_constant_q_zero_n():
-    rng = np.random.default_rng(68)
     n_nodes = 16
-    st = PeakonState(
-        length=TWO_PI,
-        q=np.tile([0.0, 2.0], (n_nodes, 1)),
-        m=rng.standard_normal((n_nodes, 2)),
-        n=np.zeros((n_nodes, 2)),
-    )
-    res = s_constraint_residual(st.q, st.n, DerivativeStencil(2, TWO_PI / n_nodes))
+    q = np.tile([0.0, 2.0], (n_nodes, 1))
+    n = np.zeros((n_nodes, 2))
+    res = s_constraint_residual(q, n, DerivativeStencil(2, TWO_PI / n_nodes))
     np.testing.assert_array_equal(res, np.zeros((n_nodes, 2)))
 
 

@@ -317,6 +317,22 @@ def test_step_count_bound():
         ScenarioConfig.from_dict(d).refined(2)
 
 
+def test_node_count_bound():
+    """MAX_NODES nodes parse; one more is a ConfigError naming the limit, also via refined."""
+    top = sim_harness.MAX_NODES
+    d = chiral_dict()
+    d["grid"].update({"N_s": top, "dt": 2.0**-20, "t_end": 2.0**-18})
+    assert ScenarioConfig.from_dict(d).n_nodes == top
+    d["grid"]["N_s"] = top + 1
+    with pytest.raises(ConfigError, match=f"at most {top}, got {top + 1}"):
+        ScenarioConfig.from_dict(d)
+    d["grid"]["N_s"] = top // 2
+    cfg = ScenarioConfig.from_dict(d)
+    assert cfg.refined(2).n_nodes == top
+    with pytest.raises(ConfigError, match=f"at most {top}, got {2 * top}"):
+        cfg.refined(4)
+
+
 def test_config_rejects_unknown_top_key():
     d = chiral_dict()
     d["seed"] = 7
