@@ -85,7 +85,7 @@ def small_runs():
     blow_up = _uv()
     blow_up["initial"]["u"][0] = [[1e160, 1.0, 0.0]]
     return {
-        "spin_chain": _run("spin_chain", _uv(A=[1.0, 2.0, 3.0], B=[2.0, 1.0, 1.0]),
+        "spin_chain": _run("spin_chain", _uv(A=[1.0, 2.0, 3.0], B=[-2.0, -1.0, -1.0]),
                            ("zero_curvature",)),
         "chiral": _run("chiral", _uv(), ("zero_curvature",)),
         "aniso_uv": _run("aniso_uv", _uv(P=[1.0, 2.0, 0.0]), ("lax",)),

@@ -142,16 +142,19 @@ def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: flo
     (len(lambdas), len(snapshots) - 2) array, max |r| over nodes and
     components at each interior time for ``lambdas[i]``, equals the per-time
     max norm of ``zero_curvature_residual`` over ``chiral_lax`` connections
-    up to round-off.  Only three packed (D, S) levels are held at a time and
-    no 3x3 matrix is built.
+    up to round-off.  A level's (D, S) is formed when the next level arrives,
+    so at most two packed (D, S) levels are held at a time, and no 3x3
+    matrix is built.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 stored time levels")
     coeffs = _chiral_coefficients(lambdas)
     out = np.empty((len(coeffs), len(snapshots) - 2))
-    window = []  # (D, S) at the previous, current and next level
+    window = []  # (D, S) at the previous and current level, then the next as given
     for k, y in enumerate(snapshots):
-        window.append(_chiral_level(y))
+        if window:
+            window[-1] = _chiral_level(window[-1])
+        window.append(y)
         if k < 2:
             continue
         out[:, k - 2] = _chiral_curvature_at(window, coeffs, stencil, dt)
@@ -185,12 +188,19 @@ def _chiral_coefficients(lambdas):
 
 
 def _chiral_curvature_at(window, coeffs, stencil, dt):
-    """max |r| for each of ``coeffs`` at the middle of three packed (D, S) levels.
+    """max |r| for each of ``coeffs`` at the middle of three levels.
 
-    r is formed in two (N_s, 3) buffers that every coefficient reuses.
+    ``window`` holds the first two levels as packed (D, S) arrays and the
+    newest as its (u, v) state.  The newest (D, S) is formed in the buffer
+    of the rates, with the operations of ``_chiral_level(last) - first``, so
+    it takes no array of its own.  r is formed in two (N_s, 3) buffers that
+    every coefficient reuses.
     """
     first, mid, last = window
-    rates = last - first  # (D_t, S_t) once divided
+    rates = np.empty_like(first)  # (D_t, S_t) once divided
+    np.subtract(last[0], last[1], out=rates[0])
+    np.add(last[0], last[1], out=rates[1])
+    rates -= first
     rates /= 2.0 * dt
     slopes = slot_derivatives(stencil, mid)
     rates[0] += slopes[0]  # x = D_t + D_s
@@ -208,7 +218,7 @@ def _chiral_curvature_at(window, coeffs, stencil, dt):
         np.multiply(ab2, z, out=term)
         r -= term
         np.abs(r, out=r)
-        maxes.append(np.max(r))
+        maxes.append(np.maximum.reduce(r, axis=None))
     return maxes
 
 

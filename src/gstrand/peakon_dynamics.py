@@ -107,8 +107,8 @@ def _pair_layout(count):
 
     ``left`` and ``right`` (P,) list the P = A(A-1)/2 pairs a < b; ``rows``
     (A, A) indexes a row table [K0, e], whose row 1 + p is pair p's
-    exponential, so taking it picks K.  ``SortedKernel`` uses the pairs of
-    the sorted frame, ``s_constraint_residual`` those of the caller's labels.
+    exponential, so taking it picks K.  ``SortedKernel`` and
+    ``s_constraint_residual`` both use the pairs of the sorted frame.
     """
     left, right = np.triu_indices(count, k=1)
     rows = np.zeros((count, count), dtype=np.intp)
@@ -166,18 +166,9 @@ def _checked_kernel(q):
     g >= ``MIN_GAP`` it is at most 1.6e9 < 1e12: no accepted state trips
     it.  A = 1 has no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
     """
-    n_nodes, count = q.shape
-    qs = q.T.copy()
-    gaps = qs[1:] - qs[:-1]
+    count = q.shape[1]
+    index, qs, gaps = _sorted_frame(q)
     gap = _smallest(gaps)
-    index = None
-    if not gap > 0.0:  # NaN included
-        index = np.argsort(q, axis=-1)
-        index += count * np.arange(n_nodes)[:, None]
-        index = index.T.ravel()
-        qs = q.take(index).reshape(count, n_nodes)
-        gaps = qs[1:] - qs[:-1]
-        gap = _smallest(gaps)
     _check_gap(gap)
     with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
         cond = count * float(1.0 + 2.0 / np.expm1(2.0 * gap) + 1.0 / np.sinh(gap))
@@ -187,14 +178,68 @@ def _checked_kernel(q):
             )
         gap_diag = 2.0 / np.expm1(2.0 * gaps)
         gap_off = -1.0 / np.sinh(gaps)
-    left, right, rows = _pair_layout(count)
+    del gaps
+    kmat = _pair_table(qs).take(_pair_layout(count)[2], axis=0)
+    return SortedKernel(index, kmat, gap_diag, gap_off, cond)
+
+
+def _sorted_frame(q):
+    """(index, qs, gaps) of positions q (N_s, A): the per-node sorted frame of ``SortedKernel``.
+
+    ``qs`` (A, N_s) holds the sorted positions and ``gaps`` (A - 1, N_s)
+    their adjacent differences.  Labels are in position order exactly when
+    every gap is > 0; then ``index`` is None and ``qs`` is q transposed.
+    Otherwise (a tie, a NaN or a (0.0, -0.0) pair included) each node is
+    argsorted.  Nothing is checked here.
+    """
+    n_nodes, count = q.shape
+    qs = q.T.copy()
+    gaps = qs[1:] - qs[:-1]
+    index = None
+    if not _smallest(gaps) > 0.0:  # NaN included
+        index = np.argsort(q, axis=-1)
+        index += count * np.arange(n_nodes)[:, None]
+        index = index.T.ravel()
+        qs = q.take(index).reshape(count, n_nodes)
+        gaps = qs[1:] - qs[:-1]
+    return index, qs, gaps
+
+
+def _pair_table(qs):
+    """Row table [K0, e] (1 + P, N_s) at the sorted positions qs (A, N_s).
+
+    Row 1 + p is pair p's exponential K0 exp(x_a - x_b), a < b, which is
+    K0 exp(-|x_a - x_b|); taking the rows of ``_pair_layout`` gives K.
+    """
+    count, n_nodes = qs.shape
+    left, right, _ = _pair_layout(count)
     table = np.empty((1 + left.size, n_nodes))
     table[0] = K0
-    pairs = table[1:]
-    np.subtract(qs.take(left, axis=0), qs.take(right, axis=0), out=pairs)  # = -|x_a - x_b|
+    # the pair indices are in range; "clip" skips the buffered copy that
+    # take's default mode makes when given out=
+    pairs = qs.take(left, axis=0, out=table[1:], mode="clip")
+    pairs -= qs.take(right, axis=0)  # = -|x_a - x_b|
     np.exp(pairs, out=pairs)
     pairs *= K0
-    return SortedKernel(index, table.take(rows, axis=0), gap_diag, gap_off, cond)
+    return table
+
+
+def _in_frame(index, f):
+    """The (N_s, A) field f in the sorted frame of ``index``, as a C-contiguous (A, N_s) array."""
+    if index is None:
+        return f.T.copy()
+    return f.take(index).reshape(f.shape[::-1])
+
+
+def _in_labels(index, terms):
+    """(..., A, N_s) terms in the sorted frame of ``index``, as new (..., N_s, A) arrays
+    in the caller's labels: transposed, or gathered once."""
+    if index is None:
+        return np.swapaxes(terms, -1, -2).copy()
+    back = np.empty_like(index)  # back[i] is the sorted place of flat entry i
+    back[index] = np.arange(back.size)
+    *lead, count, n_nodes = terms.shape
+    return terms.reshape(*lead, -1).take(back, axis=-1).reshape(*lead, n_nodes, count)
 
 
 def _spd_solve(kmat, rhs):
@@ -247,13 +292,8 @@ def _sorted_terms(sk: SortedKernel, m, n):
     """
     index, kmat, gap_diag, gap_off, _ = sk
     del sk
-    if index is None:
-        ms = m.T.copy()
-        ns = n.T.copy()
-    else:
-        shape = kmat.shape[1:]
-        ms = m.take(index).reshape(shape)
-        ns = n.take(index).reshape(shape)
+    ms = _in_frame(index, m)
+    ns = _in_frame(index, n)
 
     out = np.empty((3,) + ms.shape)
     km = np.einsum("abn,bn->an", kmat, ms, out=out[0])
@@ -297,12 +337,7 @@ def _kernel_terms(q, m, n):
     arrays are freed before that copy and the s-derivatives: the right-hand
     side is the peak of a peakon run's memory.
     """
-    index, sorted_terms = _sorted_terms(_checked_kernel(q), m, n)
-    if index is None:
-        return sorted_terms.transpose(0, 2, 1).copy()
-    back = np.empty_like(index)  # back[i] is the sorted place of flat entry i
-    back[index] = np.arange(back.size)
-    return sorted_terms.reshape(3, -1).take(back, axis=1).reshape((3,) + q.shape)
+    return _in_labels(*_sorted_terms(_checked_kernel(q), m, n))
 
 
 def peakon_rhs(q, m, n, stencil: DerivativeStencil):
@@ -343,35 +378,32 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
 def s_constraint_residual(q, n, stencil: DerivativeStencil):
     """Residual field d_s Q^a + sum_b N_b K^{ab} of the space-slope relation.
 
-    Takes the (N_s, A) arrays q and n, like ``peakon_rhs``.  No K^{-1} is
-    applied, so the positions need no gap check.  For a lone peakon (A = 1)
-    the sum is K0 N, formed, like the einsum, from +0.0 and without the
-    kernel.
-
-    For A > 1 the A(A-1)/2 pair exponentials K0 exp(-|Q^a - Q^b|), a < b in
-    the caller's labels (``_pair_layout``), are formed on one contiguous
-    (N_s, P) array and gathered, with K0 on the diagonal, into a
-    C-contiguous (N_s, A, A) K: ``kernel_matrix`` bit for bit, since
-    |Q^a - Q^b| = |Q^b - Q^a| exactly.  The einsum sums in an order set by
-    K's layout, so K keeps ``kernel_matrix``'s, and the residual its bits.
+    Takes the (N_s, A) arrays q and n, like ``peakon_rhs``, and like it sums
+    K N in each node's sorted frame (``_sorted_frame``), from the same pair
+    table, with the einsum that gives the RHS its K M; the sum is brought
+    back to the caller's labels once.  So relabelling the peakons of a node
+    relabels the residual, bit for bit.  No K^{-1} is applied and no guard
+    runs: coincident or badly conditioned positions give a residual, not an
+    error.  For a lone peakon (A = 1) the sum is K0 N, formed, like the
+    einsum, from +0.0 and without the kernel.
     """
-    n_nodes, count = q.shape
+    count = q.shape[1]
     if count == 1:
         return stencil(q) + (K0 * n + 0.0)
-    left, right, rows = _pair_layout(count)
-    pairs = q.take(left, axis=1)
-    pairs -= q.take(right, axis=1)
-    np.abs(pairs, out=pairs)
-    np.negative(pairs, out=pairs)
-    np.exp(pairs, out=pairs)
-    pairs *= K0
-    table = np.empty((n_nodes, 1 + left.size))
-    table[:, 0] = K0
-    table[:, 1:] = pairs
-    del pairs
-    kmat = table.take(rows, axis=1)
-    del table
-    return stencil(q) + np.einsum("nab,nb->na", kmat, n)
+    index, qs, gaps = _sorted_frame(q)
+    del gaps
+    table = _pair_table(qs)
+    del qs
+    ns = _in_frame(index, n)
+    rows = _pair_layout(count)[2]
+    kn = np.empty_like(ns)
+    # K's rows are gathered and summed half at a time, so the table, the
+    # frame's index and K are never held whole at once; each row's sum is
+    # the einsum's over the whole K, bit for bit
+    for block in (slice(0, count // 2), slice(count // 2, count)):
+        np.einsum("abn,bn->an", table.take(rows[block], axis=0), ns, out=kn[block])
+    del table, ns
+    return stencil(q) + _in_labels(index, kn)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ configurations produce byte-identical files.
 The diagnostics are local in time: a centered kind reads the newest three
 stored levels, the drift kind the first and the newest, every other kind the
 newest alone.  A centered kind holds the oldest of its three only while it
-evaluates, so between steps it keeps two.  A run holds only those levels,
+evaluates, so between steps it keeps two: the older as its ``level`` hook
+forms it, if it has one, and the newer as stored, which is the state the
+next step reads.  A run holds only those levels,
 unless it writes field CSVs or its caller asks for the snapshots
 (``keep_snapshots``); then it keeps every stored level.  What does grow
 with the run is its series: each stored time and each value of a
@@ -96,9 +98,13 @@ def rk4_step(state, rhs, dt):
     ``state`` is a (possibly scalar) ndarray, ``rhs`` a pure function of it.
     Each stage input and the update are formed in fresh arrays, in the
     operation order of ``state + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``; nothing is
-    written into ``state`` or into an array that ``rhs`` returned.  The update
-    is accumulated as the stages arrive, so no more than two stage
-    derivatives are held at a time.
+    written into ``state`` or into an array that ``rhs`` returned, which may
+    be a view of its input.  The update is accumulated as the stages arrive;
+    each stage input is dropped once its derivative is returned, and each
+    derivative once it is in the update and the next stage input.  So the
+    step itself never holds more than three state-sized arrays: k1, k2 and
+    the update as the update is begun, the update, one derivative and one
+    new array after that.
     Raises BlowUpError when the stepped state contains non-finite values.
     """
     if not dt > 0.0:
@@ -108,16 +114,19 @@ def rk4_step(state, rhs, dt):
     stage = k1 * half
     stage += state
     k2 = rhs(stage)
-    stage = k2 * half
-    stage += state
+    del stage
     out = 2.0 * k2
     out += k1
-    del k1, k2
-    k3 = rhs(stage)
-    stage = k3 * dt
+    del k1
+    stage = k2 * half
+    del k2
     stage += state
+    k3 = rhs(stage)
+    del stage
     out += 2.0 * k3
+    stage = k3 * dt
     del k3
+    stage += state
     out += rhs(stage)
     del stage
     out *= dt / 6.0
@@ -209,6 +218,32 @@ def _parse_fields(names, **diagonals):
         return parsed
 
     return parse
+
+
+def _parse_spin_chain(params, s_length):
+    """Spin-chain parameters, hyperbolic in every component.
+
+    Linearised about u = v = 0 the chain gives u_tt = -(B_i / A_i) u_ss per
+    component: a wave of speed sqrt(-B_i / A_i) where B_i / A_i < 0, and
+    modes growing like exp(k sqrt(B_i / A_i) t) where it is > 0, an
+    ill-posed initial-value problem on which a finer grid blows up sooner.
+    """
+    parsed = _parse_fields(("u", "v"), A="inertia-A", B="inertia-B")(params, s_length)
+    for i, (a, b) in enumerate(zip(parsed["A"].diagonal.tolist(),
+                                   parsed["B"].diagonal.tolist())):
+        if (a > 0.0) == (b > 0.0):
+            raise ConfigError(
+                f"params.B[{i}] / params.A[{i}] = {b!r} / {a!r} > 0: the spin chain is "
+                "elliptic there, an ill-posed initial-value problem; every B_i / A_i "
+                "must be negative"
+            )
+    return parsed
+
+
+def _spin_chain_speed(p):
+    """Largest linear wave speed sqrt(-B_i / A_i) of the spin chain (inf if it overflows)."""
+    return max(math.sqrt(-b / a) for a, b in zip(p["A"].diagonal.tolist(),
+                                                  p["B"].diagonal.tolist()))
 
 
 def _parse_peakons(params, s_length):
@@ -336,7 +371,9 @@ class Diagnostic(NamedTuple):
     pole_at_zero: bool = False  # reject lambda = 0 and any lambda whose 1/lambda overflows
     centered: bool = False  # levels: the newest 3, evaluated at the middle one's time
     from_first: bool = False  # levels: the first and the newest
-    level: Callable | None = None  # what evaluate reads of a level, formed once per level
+    # what evaluate reads of a level, formed once per level; a centered kind
+    # gets its newest level as stored, the older two formed
+    level: Callable | None = None
     drift: bool = False  # the series' convergence scalar is its largest change from t = 0
 
 
@@ -356,6 +393,7 @@ class ModelSpec(NamedTuple):
     diagnostics: dict  # kind -> Diagnostic
     reference: Callable | None = None  # (parsed, s, level, t) -> named errors at t
     check_nodes: Callable | None = None  # (parsed, s) -> None; rejects data singular on s
+    wave_speed: Callable = lambda p: 1.0  # (parsed) -> largest wave speed, bounding the CFL number
 
 
 _PEAKON_DIAGNOSTICS = {
@@ -367,9 +405,9 @@ _PEAKON_DIAGNOSTICS = {
 MODEL_SPECS = (
     ModelSpec(
         "spin_chain", "SO(3) spin chain with inertia operators A and B",
-        _parse_fields(("u", "v"), A="inertia-A", B="inertia-B"), _harmonic_fields,
-        _spin_chain_rhs, ("u", "v"),
+        _parse_spin_chain, _harmonic_fields, _spin_chain_rhs, ("u", "v"),
         {"zero_curvature": Diagnostic(_compatibility, centered=True)},
+        wave_speed=_spin_chain_speed,
     ),
     ModelSpec(
         "chiral", "SO(3) chiral model u_t = v_s, v_t = u_s - u x v",
@@ -480,14 +518,23 @@ def _nodes(s_length, n_nodes):
     return np.arange(n_nodes) * (s_length / n_nodes)
 
 
-def _check_nodes(spec, params, grid):
-    """The model's check of its parsed data on the nodes of ``grid``, if it has one."""
+def _check_on_grid(spec, params, grid):
+    """The model's parsed data checked on ``grid``: its fastest wave must
+    cross at most ``CFL_LIMIT`` cells a step, and its data must not be
+    singular on the nodes (the model's ``check_nodes``, if it has one)."""
+    speed = spec.wave_speed(params)
+    cfl = speed * grid["dt"] / (grid["s_length"] / grid["n_nodes"])
+    if not cfl <= CFL_LIMIT + 1e-12:
+        if speed == 1.0:
+            raise ConfigError(f"CFL number dt/ds = {cfl:.6g} exceeds the limit {CFL_LIMIT}")
+        raise ConfigError(f"CFL number c_max dt/ds = {cfl:.6g}, with wave speed c_max = "
+                          f"{speed:.6g}, exceeds the limit {CFL_LIMIT}")
     if spec.check_nodes is not None:
         spec.check_nodes(params, _nodes(grid["s_length"], grid["n_nodes"]))
 
 
 def _check_grid(s_length, n_nodes, dt, t_end, cadence):
-    """The grid fields of a config, checked: node count, step count, CFL number and cadence."""
+    """The grid fields of a config, checked: node count, step count and cadence."""
     s_length = _number(s_length, "grid.S")
     if s_length <= 0.0:
         raise ConfigError(f"grid.S must be positive, got {s_length}")
@@ -516,9 +563,6 @@ def _check_grid(s_length, n_nodes, dt, t_end, cadence):
         )
     if abs(steps - n_steps) > DIVISIBILITY_TOL * max(1.0, n_steps):
         raise ConfigError(f"grid.t_end = {t_end} is not an integer multiple of dt = {dt}")
-    cfl = dt / ds
-    if cfl > CFL_LIMIT + 1e-12:
-        raise ConfigError(f"CFL number dt/ds = {cfl:.6g} exceeds the limit {CFL_LIMIT}")
     cadence = _integer(cadence, "output.cadence")
     if cadence < 1:
         raise ConfigError(f"output.cadence must be at least 1, got {cadence}")
@@ -561,7 +605,7 @@ class ScenarioConfig:
         n_snapshots = fields["n_steps"] // fields["cadence"] + 1
         params = spec.parse(d["params"], fields["s_length"])
         diagnostics = _validate_diagnostics(spec, d["diagnostics"], n_snapshots)
-        _check_nodes(spec, params, fields)
+        _check_on_grid(spec, params, fields)
         return cls(model=model, directory=directory, params=params,
                    diagnostics=diagnostics, **fields)
 
@@ -583,15 +627,16 @@ class ScenarioConfig:
     def refined(self, factor: int):
         """Copy of the config with (ds, dt) divided by ``factor`` jointly.
 
-        Only the grid is checked again, with the model's check of its data on
-        the nodes, since refining adds nodes; params depend on S alone, and
-        the diagnostics' one grid check (3 stored levels) only gets easier.
+        Only the grid is checked again, with the model's checks of its data
+        on it (``_check_on_grid``), since refining adds nodes; params depend
+        on S alone, and the diagnostics' one grid check (3 stored levels)
+        only gets easier.
         """
         if isinstance(factor, bool) or not (isinstance(factor, int) and factor >= 1):
             raise ConfigError(f"refinement factor must be a positive integer, got {factor}")
         grid = _check_grid(self.s_length, self.n_nodes * factor, self.dt / factor,
                            self.t_end, self.cadence)
-        _check_nodes(_SPECS[self.model], self.params, grid)
+        _check_on_grid(_SPECS[self.model], self.params, grid)
         return dataclasses.replace(self, directory=None, **grid)
 
 
@@ -610,13 +655,23 @@ def _evaluate_diagnostics(cfg, sten, y, held, series):
     ``held[kind]`` keeps what the kind reads of the stored levels, and the
     values are appended to the columns ``series[kind]`` (see ``_append``).  A
     centered kind is evaluated once it has the newest three, at the middle
-    one's time; then it drops the oldest, so between steps it holds two.
+    one's time; then it drops the oldest, so between steps it holds two.  Its
+    ``level`` hook, if it has one, forms a level when the next one is stored,
+    so of those two only the older is formed: the newer is ``y`` as stored,
+    the state that the next step reads anyway.
     """
     for entry in cfg.diagnostics:
         kind = entry["kind"]
         diag = _SPECS[cfg.model].diagnostics[kind]
         levels = held[kind]
-        levels.append(y if diag.level is None else diag.level(y))
+        if diag.level is None:
+            levels.append(y)
+        elif diag.centered:
+            if levels:
+                levels[-1] = diag.level(levels[-1])
+            levels.append(y)
+        else:
+            levels.append(diag.level(y))
         if diag.centered and len(levels) < 3:
             continue
         if not diag.centered and len(levels) > (2 if diag.from_first else 1):
@@ -840,9 +895,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     output directory; the directory is made before the first step, and a
     path that cannot be one is a ConfigError, as is a file that cannot be
     written after the run.  Diagnostics and reference errors are evaluated
-    as each level is stored, so of the fields a run holds only what they
-    read of the newest two stored levels and of the first, and of the
-    newest three while a centered kind evaluates.
+    as each level is stored, so of the fields a run holds, besides the state
+    it steps, only what they read of the stored level before it and of the
+    first, and of the one before that while a centered kind evaluates.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each

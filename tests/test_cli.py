@@ -139,6 +139,37 @@ def test_cfl_violation_is_config_error(tmp_path, capsys):
     assert "CFL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["converge", "--levels", "3"]])
+@pytest.mark.parametrize("b,dt,message", [
+    pytest.param([2.0, 1.0, 1.0], 0.0125, "elliptic", id="elliptic"),
+    # c dt/ds = 4.07: once accepted, it ran 20 steps to a residual of 7.6e6
+    pytest.param([-100.0] * 3, 0.04, "c_max dt/ds = 4.07437, with wave speed c_max = 10,",
+                 id="over-fast"),
+])
+def test_ill_posed_spin_chain_exits_2_before_any_step(
+    tmp_path, capsys, monkeypatch, command, b, dt, message
+):
+    cfg = write_config(tmp_path, {
+        ("model",): "spin_chain", ("params", "A"): [1.0, 1.0, 1.0], ("params", "B"): b,
+        ("grid", "dt"): dt, ("grid", "t_end"): 20 * dt,
+    })
+    monkeypatch.setattr(sim_harness, "rk4_step", lambda *a: pytest.fail("a step was taken"))
+    rc = main([command[0], "--config", str(cfg), *command[1:]])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_hyperbolic_spin_chain_converges_under_converge(tmp_path, capsys):
+    """The spin-chain run data's compatibility residual falls at order >= 1.8."""
+    cfg = write_config(tmp_path, {
+        ("model",): "spin_chain", ("params", "A"): [1.0, 2.0, 3.0],
+        ("params", "B"): [-2.0, -1.0, -1.0],
+    })
+    assert main(["converge", "--config", str(cfg), "--levels", "4"]) == 0
+    study = json.loads(capsys.readouterr().out)
+    assert study["diagnostics"]["zero_curvature"]["order"] >= 1.8
+
+
 def test_overflowing_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {("grid", "t_end"): 1e308})
     rc = main(["run", "--config", str(cfg)])

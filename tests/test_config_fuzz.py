@@ -39,7 +39,7 @@ PAIR_PROFILE = {
     ],
 }
 PARAMS = {
-    "spin_chain": {"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 1.0], "initial": {"u": U, "v": V}},
+    "spin_chain": {"A": [1.0, 2.0, 3.0], "B": [-2.0, -1.0, -1.0], "initial": {"u": U, "v": V}},
     "chiral": {"initial": {"u": U, "v": V}},
     "aniso_uv": {"P": [1.0, 0.5, 2.0], "initial": {"u": U, "v": V}},
     "aniso_xy": {"P": [1.0, 0.5, 2.0], "initial": {"X": U, "Y": V}},

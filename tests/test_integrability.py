@@ -297,12 +297,13 @@ def test_packed_curvature_levels_bitwise_equal_per_field_form(order, monkeypatch
     original = DerivativeStencil.__call__
     monkeypatch.setattr(DerivativeStencil, "__call__",
                         lambda self, f: calls.append(np.shape(f)) or original(self, f))
-    got = [_chiral_curvature_at(packed[k:k + 3], coeffs, sten, dt)
+    stored = [y.copy() for y in levels]
+    got = [_chiral_curvature_at((*packed[k:k + 2], levels[k + 2]), coeffs, sten, dt)
            for k in range(len(levels) - 2)]
     assert got == want
     # one stencil call per evaluated level, and the held levels are left as they were
     assert calls == [(n, 2, 3)] * (len(levels) - 2)
-    for level, before in zip(packed, saved):
+    for level, before in zip(packed + levels, saved + stored):
         assert level.tobytes() == before.tobytes()
 
 
@@ -327,11 +328,12 @@ def test_curvature_buffers_bitwise_equal_list_comprehension(order):
     n, dt = 32, 0.03
     sten = DerivativeStencil(order, TWO_PI / n)
     coeffs = _chiral_coefficients((0.5, 1.0, 2.0, -1.0, 3.0))
-    packed = [_chiral_level(y) for y in signed_zero_levels(rng, n, 24)]
+    levels = signed_zero_levels(rng, n, 24)
+    packed = [_chiral_level(y) for y in levels]
     for k in range(len(packed) - 2):
-        window = packed[k:k + 3]
-        got = np.array(_chiral_curvature_at(window, coeffs, sten, dt))
-        assert_same_bits(got, np.array(comprehension_curvature_at(window, coeffs, sten, dt)))
+        got = np.array(_chiral_curvature_at((*packed[k:k + 2], levels[k + 2]), coeffs, sten, dt))
+        want = comprehension_curvature_at(packed[k:k + 3], coeffs, sten, dt)
+        assert_same_bits(got, np.array(want))
 
 
 # ------------------------------------------------------------------- aniso_lax

@@ -585,12 +585,25 @@ def constraint_cases(rng, count, n_nodes, order):
     return q, n
 
 
+def sorted_frame_kernel_sum(q, n):
+    """sum_b K^{ab} N_b in the caller's labels, summed over b in each node's
+    position order: ``kernel_matrix`` of the sorted positions, contracted by
+    the sorted-frame einsum of the RHS's K M."""
+    order = np.argsort(q, axis=1)
+    kmat = kernel_matrix(np.take_along_axis(q, order, axis=1)).transpose(1, 2, 0).copy()
+    kn = np.einsum("abn,bn->an", kmat, np.take_along_axis(n, order, axis=1).T.copy())
+    out = np.empty_like(n)
+    np.put_along_axis(out, order, kn.T, axis=1)
+    return out
+
+
 @pytest.mark.parametrize("count", range(2, 9))
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])
 @pytest.mark.parametrize("n_nodes", [16, 256])
 def test_s_constraint_equals_the_dense_kernel_sum_bit_for_bit(count, order, n_nodes):
     """The residual built from the pair exponentials is the one built from
-    ``kernel_matrix``, every bit and the signs of zeros included."""
+    ``kernel_matrix`` in each node's sorted frame, every bit and the signs of
+    zeros included."""
     rng = np.random.default_rng(1000 * count + n_nodes + (order == "shuffled"))
     sten = DerivativeStencil(2, TWO_PI / n_nodes)
     for _ in range(3):
@@ -598,8 +611,35 @@ def test_s_constraint_equals_the_dense_kernel_sum_bit_for_bit(count, order, n_no
         for stencil in (sten, zero_stencil):
             assert_same_bits(
                 s_constraint_residual(q, n, stencil),
-                stencil(q) + np.einsum("nab,nb->na", kernel_matrix(q), n),
+                stencil(q) + sorted_frame_kernel_sum(q, n),
             )
+
+
+@pytest.mark.parametrize("count", range(2, 9))
+def test_s_constraint_is_label_blind_bit_for_bit(count):
+    """Relabelling each node's peakons relabels the residual, every bit; the
+    sum in the caller's label order moved the last bits from three peakons on."""
+    rng = np.random.default_rng(500 + count)
+    sten = DerivativeStencil(2, TWO_PI / 64)
+    q, n = constraint_cases(rng, count, 64, "sorted")
+    perm = rng.permutation(count)
+    while np.array_equal(perm, np.arange(count)):
+        perm = rng.permutation(count)
+    assert_same_bits(s_constraint_residual(q[:, perm], n[:, perm], sten),
+                     s_constraint_residual(q, n, sten)[:, perm])
+
+
+def test_s_constraint_does_not_raise_on_coincident_or_nan_positions():
+    """The diagnostic runs no guard: coincident peakons, which ``peakon_rhs``
+    rejects, give a finite residual, and a NaN position gives NaN."""
+    sten = DerivativeStencil(2, TWO_PI / 16)
+    q = np.tile([0.0, 1.0, 1.0], (16, 1))
+    n = np.ones((16, 3))
+    with pytest.raises(SingularConfigurationError):
+        peakon_rhs(q, n, n, sten)
+    assert_same_bits(s_constraint_residual(q, n, sten), sten(q) + sorted_frame_kernel_sum(q, n))
+    q[3, 1] = np.nan
+    assert np.isnan(s_constraint_residual(q, n, sten)[3]).any()
 
 
 def test_s_constraint_peak_memory_holds_one_kernel_matrix():

@@ -179,6 +179,43 @@ def test_rk4_writes_into_nothing_it_was_handed():
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_rk4_holds_three_arrays_and_drops_each_stage_input():
+    """The step never has more than three arrays of its own alive: it drops
+    each stage input once its derivative is returned, and each derivative
+    once it is in the update and the next stage input.  Arrays that the step
+    forms from a state of an ndarray subclass are of that class, so each is
+    counted as it is made, with the count of those alive then, itself
+    included; the state is not counted.  A step that held each stage input
+    until the next was formed, and k1 until the third was, formed the last
+    two stage inputs with four alive."""
+    alive, births = set(), []
+    tokens = itertools.count()
+
+    class Counted(np.ndarray):
+        def __array_finalize__(self, obj):
+            if self.dtype == np.float64:
+                token = next(tokens)
+                alive.add(token)
+                weakref.finalize(self, alive.discard, token)
+                self.alive_at_birth = len(alive)
+                births.append(len(alive))
+
+    state = signed_zero_packed(np.random.default_rng(5)).view(Counted)
+    alive.clear()
+    births.clear()
+    inputs = []  # the count at each stage input's birth
+
+    def rhs(y):
+        inputs.append(None if y is state else y.alive_at_birth)
+        return np.negative(y)
+
+    got = rk4_step(state, rhs, 0.1)
+    assert inputs == [None, 2, 3, 3]
+    assert max(births) == 3
+    want = sum_form_rk4(state.view(np.ndarray), np.negative, 0.1)
+    assert np.array_equal(got.view(np.ndarray), want)
+
+
 @pytest.mark.parametrize("state", [0.75, -0.0, np.float64(0.75), read_only(np.array(0.75)),
                                    read_only(np.array([0.75, -0.0]))])
 def test_rk4_scalar_and_zero_dim_states(state):
@@ -358,7 +395,7 @@ def test_spin_chain_compatibility_takes_no_lambdas():
     d = chiral_dict()
     d["model"] = "spin_chain"
     d["params"]["A"] = [1.0, 2.0, 3.0]
-    d["params"]["B"] = [2.0, 1.0, 1.0]
+    d["params"]["B"] = [-2.0, -1.0, -1.0]
     d["diagnostics"] = [{"kind": "zero_curvature", "lambdas": [1.0]}]
     with pytest.raises(ConfigError, match="spectral"):
         ScenarioConfig.from_dict(d)
@@ -411,7 +448,7 @@ def model_dict(model):
     d["model"] = model
     d["diagnostics"] = []
     if model == "spin_chain":
-        d["params"].update(A=[1.0, 2.0, 3.0], B=[2.0, 1.0, 1.0])
+        d["params"].update(A=[1.0, 2.0, 3.0], B=[-2.0, -1.0, -1.0])
     elif model == "aniso_uv":
         d["params"]["P"] = [1.0, 2.0, 3.0]
     elif model == "peakon":
@@ -574,11 +611,81 @@ def test_spin_chain_run_compatibility_residual():
     d = chiral_dict()
     d["model"] = "spin_chain"
     d["params"]["A"] = [1.0, 2.0, 3.0]
-    d["params"]["B"] = [2.0, 1.0, 1.0]
+    d["params"]["B"] = [-2.0, -1.0, -1.0]
     rep = run_scenario(ScenarioConfig.from_dict(d))
     cols = rep.diagnostics["zero_curvature"]["columns"]
     assert set(cols) == {"residual"}
     assert 0.0 < np.max(cols["residual"]) < 1e-2
+
+
+def spin_chain_dict(a, b, n_nodes=64, dt=0.0125, steps=8):
+    """``chiral_dict`` as a spin chain with inertia diagonals ``a`` and ``b``."""
+    d = chiral_dict()
+    d["model"] = "spin_chain"
+    d["params"].update(A=list(a), B=list(b))
+    d["grid"].update(N_s=n_nodes, dt=dt, t_end=steps * dt)
+    return d
+
+
+@pytest.mark.parametrize("a,b,bad", [
+    ([1.0, 2.0, 3.0], [2.0, 1.0, 1.0], 0),  # the spin-chain run data before the check
+    ([1.0, 1.0, 1.0], [-1.0, 2.0, -1.0], 1),
+    ([1.0, 1.0, 1.0], [-1.0, -1.0, 1e-300], 2),
+    ([1.0, 1.0, -2.0], [-1.0, -1.0, -1.0], 2),  # a negative A entry too
+])
+def test_elliptic_spin_chain_is_rejected_naming_the_component(a, b, bad):
+    """B_i / A_i > 0 makes the linearised chain u_tt = -(B_i / A_i) u_ss
+    elliptic: an ill-posed initial-value problem."""
+    where = rf"^params\.B\[{bad}\] / params\.A\[{bad}\] = "
+    with pytest.raises(ConfigError, match=where + ".*elliptic"):
+        ScenarioConfig.from_dict(spin_chain_dict(a, b))
+
+
+def test_spin_chain_with_negative_a_and_positive_b_is_hyperbolic():
+    cfg = ScenarioConfig.from_dict(spin_chain_dict([-1.0, 1.0, 1.0], [4.0, -1.0, -1.0]))
+    assert sim_harness._SPECS["spin_chain"].wave_speed(cfg.params) == 2.0
+
+
+def test_wave_speed_is_the_fastest_spin_chain_wave_and_one_elsewhere():
+    for name, d in output_digests.small_runs().items():
+        cfg = ScenarioConfig.from_dict(d)
+        speed = sim_harness._SPECS[cfg.model].wave_speed(cfg.params)
+        assert speed == (math.sqrt(2.0) if cfg.model == "spin_chain" else 1.0), name
+
+
+def test_spin_chain_cfl_number_counts_the_wave_speed():
+    """c_max dt/ds, not dt/ds, is held to CFL_LIMIT: with B = -9 A (c = 3)
+    dt/ds = 1/6 parses and 1/5 does not, though both are under 0.5."""
+    ds = TWO_PI / 64
+    ScenarioConfig.from_dict(spin_chain_dict([1.0, 2.0, 3.0], [-9.0, -18.0, -3.0], dt=ds / 6))
+    with pytest.raises(ConfigError, match=r"dt/ds = 0\.6, with wave speed c_max = 3, exceeds"):
+        ScenarioConfig.from_dict(
+            spin_chain_dict([1.0, 2.0, 3.0], [-9.0, -18.0, -3.0], dt=ds / 5))
+
+
+def test_refined_spin_chain_checks_the_wave_speed_again():
+    """A refined copy checks c_max dt/ds on its own grid."""
+    ds = TWO_PI / 64
+    cfg = ScenarioConfig.from_dict(spin_chain_dict([1.0] * 3, [-9.0] * 3, dt=ds / 8))
+    assert cfg.refined(4).dt == cfg.dt / 4
+    fast = dataclasses.replace(cfg, dt=2.0 * cfg.dt, n_steps=cfg.n_steps // 2)
+    with pytest.raises(ConfigError, match="c_max"):
+        fast.refined(2)
+
+
+def test_hyperbolic_spin_chain_final_states_converge_at_second_order():
+    """The spin-chain run data (B = [-2, -1, -1]) to t = 0.6: successive
+    levels' final states, compared on the coarse nodes, differ at order
+    about 2 from N_s = 32 to 256."""
+    d = output_digests.small_runs()["spin_chain"]
+    d["grid"]["t_end"] = 30 * d["grid"]["dt"]
+    d["output"]["cadence"] = 30
+    d["diagnostics"] = []
+    cfg = ScenarioConfig.from_dict(d)
+    finals = [run_scenario(cfg.refined(2**k)).snapshots[-1][:, ::2**k] for k in range(4)]
+    diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(finals, finals[1:])]
+    orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
+    assert min(orders) >= 1.8, (diffs, orders)
 
 
 def test_aniso_xy_run_preserves_node_magnitudes():
@@ -1449,10 +1556,23 @@ def test_memory_does_not_grow_with_run_length():
     assert long > 4 * short
 
 
-def test_centered_diagnostic_holds_two_levels_between_steps(monkeypatch):
-    """A chiral zero_curvature run never has more than two of its level-hook
+def test_chiral_run_peaks_below_six_and_a_half_packed_states():
+    """A chiral zero_curvature run at N_s = 1024 that keeps no snapshots
+    peaks inside one RHS evaluation: the state, k1, the stage input, the RHS
+    output with its ``_cross`` temporaries, and one formed (D, S) level, the
+    older of the two stored levels the diagnostic holds between steps.
+    6.16 packed states measured.  Forming each level as it is stored held a
+    second formed level, 7.31; with one formed level but a step that held
+    four arrays, the run peaked between RHS calls, at 6.31."""
+    state_bytes = 2 * 1024 * 3 * 8
+    assert chiral_memory_peak(40, keep_snapshots=False) < 6.5 * state_bytes
+
+
+def test_centered_diagnostic_holds_one_formed_level_between_steps(monkeypatch):
+    """A chiral zero_curvature run never has more than one of its level-hook
     arrays alive while the right-hand side runs: the oldest of the three it
-    reads is dropped once they are evaluated."""
+    reads is dropped once they are evaluated, and the newest is not formed
+    until the next level is stored."""
     spec = sim_harness._SPECS["chiral"]
     diag = spec.diagnostics["zero_curvature"]
     tokens = itertools.count()
@@ -1476,7 +1596,7 @@ def test_centered_diagnostic_holds_two_levels_between_steps(monkeypatch):
     report = run_scenario(ScenarioConfig.from_dict(chiral_dict()), keep_snapshots=False)
     assert report.status == "ok"
     assert len(report.diagnostics["zero_curvature"]["times"]) == 7
-    assert max(seen) == 2
+    assert max(seen) == 1
 
 
 def series_run(name, steps):

@@ -168,7 +168,7 @@ def peakon_scenario(q, m, n):
         "model": "peakon",
         "grid": {"S": TWO_PI, "N_s": 32, "dt": 0.02, "t_end": 0.4},
         "params": {"count": len(q), "initial": {"q": q, "m": m, "n": n}},
-        "diagnostics": [],
+        "diagnostics": [{"kind": "s_constraint"}],
         "output": {"directory": None, "cadence": 2},
     }
 
@@ -191,8 +191,8 @@ def test_peakon_relabelling_commutes_with_the_run(data):
     columns permuted, bit for bit and sign bits included.  The original
     positions increase with the label at every node and the relabelled ones
     do not, so the two runs form their kernel terms in different frames.
-    The s-constraint diagnostic is not compared: it sums over the labels in
-    their own order, so its rounding follows the labels."""
+    The s-constraint column, a maximum over nodes and labels of a residual
+    summed in each node's sorted frame, is the same bit for bit."""
     q, m, n, perm = data
     original = run_scenario(ScenarioConfig.from_dict(peakon_scenario(q, m, n)))
     relabel = run_scenario(ScenarioConfig.from_dict(
@@ -202,3 +202,6 @@ def test_peakon_relabelling_commutes_with_the_run(data):
     assert np.all(np.diff(original.snapshots[0][0], axis=1) > 0.0)
     for y, z in zip(original.snapshots, relabel.snapshots):
         assert same_bits(z, y[:, :, perm])
+    columns = [run.diagnostics["s_constraint"]["columns"]["residual"]
+               for run in (original, relabel)]
+    assert same_bits(*columns)
