@@ -4,8 +4,23 @@ A connection stores the spatial and temporal potentials (U, V) of a linear
 system psi_s = U psi, psi_t = V psi at every strand node.  Along solutions
 of the matching model the curvature U_t - V_s + [U, V] vanishes, so its
 discrete residual measured over stored snapshots is a convergence
-diagnostic for the integrator.  For the chiral pair, ``chiral_curvature_max``
-evaluates that residual in R^3 vector form, three snapshots at a time.
+diagnostic for the integrator.
+
+The integrable models' equations are the compatibility condition of their
+pairs, so the discrete curvature at the middle of three levels spaced dt
+apart is a fixed linear image of the method-of-lines residual
+R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k), f the model's right-hand side:
+
+- chiral pair: hat(r), r = (a - b) R_u - (a + b) R_v (``chiral_curvature_max``);
+- spin-chain compatibility relation v_t - u_s + u x v: R_v itself;
+- so(4) pair of the anisotropic model at the doubled fields:
+  embed_so4(2 R_v, 2 R_u)(lam Id + J) (``_aniso_curvature_max``).
+
+Each holds to round-off on any data, not only along solutions.  The
+harness's centered diagnostics read R from the derivative its RK4 step
+already took; ``chiral_lax``, ``aniso_lax``, ``zero_curvature_residual`` and
+``so3_dynamics.compatibility_residual`` form the curvature from the fields
+and stay as the oracles.
 """
 
 import math
@@ -14,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ANTISYMMETRY_TOL, DiagonalParams, _cross, build_J, embed_so4, hat
+from .algebra import ANTISYMMETRY_TOL, DiagonalParams, build_J, embed_so4, hat
+from .so3_dynamics import chiral_rhs
 from .stencil import DerivativeStencil, slot_derivatives
 
 
@@ -63,7 +79,7 @@ def chiral_lax(u, v, lam: float) -> LaxConnection:
     time  = -[(1 + lam)(hat u - hat v) + (1 + 1/lam)(hat u + hat v)]/4.
     At lam = 1 these reduce to (-hat v, -hat u).
     """
-    ((a, b, _),) = _chiral_coefficients((lam,))
+    ((a, b),) = _chiral_coefficients((lam,))
     diff = hat(u - v)
     summ = hat(u + v)
     return LaxConnection(
@@ -129,49 +145,46 @@ def zero_curvature_residual(
 
 
 def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: float):
-    """Per-time max-norm curvature of the chiral pair, in vector form, streaming.
+    """Per-time max-norm curvature of the chiral pair, from the equation residual.
 
     ``snapshots`` holds (u, v) pairs of (N_s, 3) fields, such as packed
-    (2, N_s, 3) states, at uniform spacing ``dt``.  The pair of
-    ``chiral_lax`` is linear in a = (1 + lam)/4 and b = (1 + 1/lam)/4, and
-    [hat x, hat y] = hat(x cross y), so its curvature is hat(r) with
+    (2, N_s, 3) states, at uniform spacing ``dt``.  The chiral equations are
+    the compatibility condition of the pair of ``chiral_lax``, so its
+    discrete curvature is hat(r) with r a fixed linear image of the
+    method-of-lines residual R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k),
+    f = ``chiral_rhs``:
 
-        r = a (D_t + D_s) - b (S_t - S_s) - 2ab (D x S),  D = u - v, S = u + v.
+        r = (a - b) R_u - (a + b) R_v,  a = (1 + lam)/4,  b = (1 + 1/lam)/4,
 
-    The entries of hat(r) are 0 and +-r_i, so row i of the returned
+    the cross terms cancelling because a + b = 4ab for every lam.  The
+    entries of hat(r) are 0 and +-r_i, so row i of the returned
     (len(lambdas), len(snapshots) - 2) array, max |r| over nodes and
     components at each interior time for ``lambdas[i]``, equals the per-time
     max norm of ``zero_curvature_residual`` over ``chiral_lax`` connections
-    up to round-off.  A level's (D, S) is formed when the next level arrives,
-    so at most two packed (D, S) levels are held at a time, and no 3x3
-    matrix is built.
+    up to round-off.  Each residual is formed as ``run_scenario`` forms it,
+    so a run's ``zero_curvature`` columns have these bits.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 stored time levels")
     coeffs = _chiral_coefficients(lambdas)
     out = np.empty((len(coeffs), len(snapshots) - 2))
-    window = []  # (D, S) at the previous and current level, then the next as given
-    for k, y in enumerate(snapshots):
-        if window:
-            window[-1] = _chiral_level(window[-1])
-        window.append(y)
-        if k < 2:
-            continue
-        out[:, k - 2] = _chiral_curvature_at(window, coeffs, stencil, dt)
-        del window[0]
+    for k in range(1, len(snapshots) - 1):
+        residual = _predicted(snapshots[k - 1],
+                              chiral_rhs(np.asarray(snapshots[k], dtype=float), stencil), dt)
+        np.subtract(snapshots[k + 1], residual, out=residual)
+        out[:, k - 1] = _chiral_residual_max(residual, coeffs, dt)
     return out
 
 
-def _chiral_level(y):
-    """(D, S) = (u - v, u + v) of one (u, v) level, as one (2, N_s, 3) array."""
-    out = np.empty_like(y, dtype=float)
-    np.subtract(y[0], y[1], out=out[0])
-    np.add(y[0], y[1], out=out[1])
+def _predicted(previous, rate, dt):
+    """previous + 2 dt rate, the leapfrog prediction of the next level, in a fresh array."""
+    out = rate * (2.0 * dt)
+    out += previous
     return out
 
 
 def _chiral_coefficients(lambdas):
-    """(a, b, 2ab) of each spectral parameter; see ``chiral_curvature_max``.
+    """(a, b) of each spectral parameter; see ``chiral_curvature_max``.
 
     A parameter of 0, or so close to 0 that 1/lam overflows, is a ValueError.
     """
@@ -183,43 +196,50 @@ def _chiral_coefficients(lambdas):
         b = 0.25 * (1.0 + 1.0 / lam)
         if not math.isfinite(b):
             raise ValueError(f"spectral parameter {lam!r} is too close to 0 for the chiral pair")
-        coeffs.append((a, b, 2.0 * a * b))
+        coeffs.append((a, b))
     return coeffs
 
 
-def _chiral_curvature_at(window, coeffs, stencil, dt):
-    """max |r| for each of ``coeffs`` at the middle of three levels.
+def _chiral_residual_max(residual, coeffs, dt):
+    """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v, for each of ``coeffs``.
 
-    ``window`` holds the first two levels as packed (D, S) arrays and the
-    newest as its (u, v) state.  The newest (D, S) is formed in the buffer
-    of the rates, with the operations of ``_chiral_level(last) - first``, so
-    it takes no array of its own.  r is formed in two (N_s, 3) buffers that
-    every coefficient reuses.
+    ``residual`` holds e = 2 dt R, the packed (e_u, e_v); r is formed in two
+    (N_s, 3) buffers that every coefficient reuses.
     """
-    first, mid, last = window
-    rates = np.empty_like(first)  # (D_t, S_t) once divided
-    np.subtract(last[0], last[1], out=rates[0])
-    np.add(last[0], last[1], out=rates[1])
-    rates -= first
-    rates /= 2.0 * dt
-    slopes = slot_derivatives(stencil, mid)
-    rates[0] += slopes[0]  # x = D_t + D_s
-    rates[1] -= slopes[1]  # w = S_t - S_s
-    del slopes
-    x, w = rates
-    z = _cross(mid[0], mid[1])
-    r = np.empty_like(x)
-    term = np.empty_like(x)
+    e_u, e_v = residual
+    r = np.empty_like(e_u)
+    term = np.empty_like(e_u)
     maxes = []
-    for a, b, ab2 in coeffs:  # r = a x - b w - 2ab z, in that order
-        np.multiply(a, x, out=r)
-        np.multiply(b, w, out=term)
-        r -= term
-        np.multiply(ab2, z, out=term)
+    for a, b in coeffs:
+        np.multiply(a - b, e_u, out=r)
+        np.multiply(a + b, e_v, out=term)
         r -= term
         np.abs(r, out=r)
-        maxes.append(np.maximum.reduce(r, axis=None))
+        maxes.append(np.maximum.reduce(r, axis=None) / (2.0 * dt))
     return maxes
+
+
+def _aniso_curvature_max(residual, lambdas, p: DiagonalParams, dt):
+    """Max-norm so(4) curvature of ``aniso_lax`` at the doubled fields, for each lam.
+
+    ``residual`` holds e = 2 dt R, the packed residual of ``aniso_rhs_uv``.
+    Along the doubled fields the curvature is embed_so4(2 R_v, 2 R_u) W with
+    the diagonal W = lam Id + J (``build_J``), whose entry (i, j) is an
+    embedded component times w_j: component k of 2 R_v sits in the columns
+    j != k of the so(3) block, component i of 2 R_u in column 3 and in row 3,
+    column i.  So the max norm is the largest of max |2 R_v[k]| |w_j|,
+    j != k, and max |2 R_u[i]| max(|w_i|, |w_3|), with 2 R = e / dt; no 4x4
+    matrix is formed.
+    """
+    (peak_u, peak_v) = np.max(np.abs(residual), axis=1).tolist()
+    diagonal = np.diagonal(build_J(p)).tolist()
+    out = []
+    for lam in lambdas:
+        w = [abs(lam + j) for j in diagonal]
+        block = max(peak_v[k] * w[j] for k in range(3) for j in range(3) if j != k)
+        edge = max(peak_u[i] * max(w[i], w[3]) for i in range(3))
+        out.append(max(block, edge) / dt)
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,19 @@ configurations produce byte-identical files.
 
 The diagnostics are local in time: a centered kind reads the newest three
 stored levels, the drift kind the first and the newest, every other kind the
-newest alone.  A centered kind holds the oldest of its three only while it
-evaluates, so between steps it keeps two: the older as its ``level`` hook
-forms it, if it has one, and the newer as stored, which is the state the
-next step reads.  A run holds only those levels,
-unless it writes field CSVs or its caller asks for the snapshots
-(``keep_snapshots``); then it keeps every stored level.  What does grow
-with the run is its series: each stored time and each value of a
-diagnostic or reference error is appended to one float64 column per name,
-about 8 bytes a value.
+newest alone.  A centered kind reads them through the method-of-lines
+residual R_k = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k) at the middle one, dt
+the spacing of stored levels, whose fixed linear image is its discrete
+curvature (see ``integrability``).  f(y_k) is the first stage that the step
+leaving y_k takes, so the run forms the prediction y_{k-1} + 2 dt f(y_k)
+from it in place of y_{k-1}, and the residual in the prediction's buffer
+once y_{k+1} is stored.  Between steps the centered kinds hold the level
+before the newest, and while a step runs that prediction.  A run holds
+only those levels, unless it writes field CSVs or its caller asks for the
+snapshots (``keep_snapshots``); then it keeps every stored level.  What
+does grow with the run is its series: each stored time and each value of
+a diagnostic or reference error is appended to one float64 column per
+name, about 8 bytes a value.
 
 Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
 parser, initial data, right-hand side on the packed state array, field
@@ -57,15 +61,16 @@ from .analytic_solutions import (
 from .errors import (
     BlowUpError, ConfigError, SimulationError, _integer, _number, _require_keys, _terms,
 )
-# chiral_lax and invariant_drift are not called here; they stay module
-# attributes because the benchmark tracer (perfbench/spans.py) wraps them by
-# these names
+# chiral_lax, aniso_lax, zero_curvature_residual and invariant_drift are not
+# called here; they stay module attributes because the benchmark tracer
+# (perfbench/spans.py) wraps them by these names
 from .integrability import (  # noqa: F401
+    _aniso_curvature_max,
     _chiral_coefficients,
-    _chiral_curvature_at,
-    _chiral_level,
+    _chiral_residual_max,
     _magnitude_drift,
     _node_magnitudes,
+    _predicted,
     aniso_lax,
     chiral_lax,
     invariant_drift,
@@ -78,7 +83,6 @@ from .so3_dynamics import (
     aniso_rhs_XY,
     aniso_rhs_uv,
     chiral_rhs,
-    compatibility_residual,
     spin_chain_rhs,
 )
 from .stencil import DerivativeStencil
@@ -312,32 +316,21 @@ def _peakon_rhs(p, sten):
 # --------------------------------------------------------------------------
 # diagnostics at one stored level; each returns its named values there, or
 # one value per lambda.  ``levels`` holds what the kind reads of the stored
-# levels (see Diagnostic).
+# levels (see Diagnostic); a centered kind gets 2 dt R, the scaled residual
+# at the middle of the newest three, with dt their spacing.
 
 
-def _chiral_curvature(cfg, sten, levels, lambdas):
-    coeffs = _chiral_coefficients(lambdas)
-    return _chiral_curvature_at(levels, coeffs, sten, cfg.dt * cfg.cadence)
+def _chiral_curvature(cfg, sten, residual, lambdas):
+    return _chiral_residual_max(residual, _chiral_coefficients(lambdas), cfg.dt * cfg.cadence)
 
 
-def _aniso_curvature(cfg, sten, levels, lambdas):
-    # curvature of the so(4) connection vanishes along trajectories of the
-    # doubled fields; see aniso_lax
-    doubled = [2.0 * y for y in levels]
-    p = cfg.params["P"]
-    dt = cfg.dt * cfg.cadence
-    return [
-        zero_curvature_residual([aniso_lax(d[0], d[1], lam, p) for d in doubled],
-                                sten, dt).max_norm
-        for lam in lambdas
-    ]
+def _aniso_curvature(cfg, sten, residual, lambdas):
+    return _aniso_curvature_max(residual, lambdas, cfg.params["P"], cfg.dt * cfg.cadence)
 
 
-def _compatibility(cfg, sten, levels, lambdas):
-    u = np.stack([y[0] for y in levels])
-    v = np.stack([y[1] for y in levels])
-    residual = compatibility_residual(u, v, sten, cfg.dt * cfg.cadence)
-    return {"residual": np.max(np.abs(residual))}
+def _compatibility(cfg, sten, residual, lambdas):
+    # v_t - u_s + u x v is R_v: spin_chain_rhs sets v_t = u_s + v x u
+    return {"residual": np.max(np.abs(residual[1])) / (2.0 * (cfg.dt * cfg.cadence))}
 
 
 def _invariant_drift(cfg, sten, levels, lambdas):
@@ -369,11 +362,11 @@ class Diagnostic(NamedTuple):
     evaluate: Callable  # (cfg, stencil, levels, lambdas) -> named values, or one per lambda
     lambdas: tuple | None = None  # default spectral parameters; None: takes none
     pole_at_zero: bool = False  # reject lambda = 0 and any lambda whose 1/lambda overflows
-    centered: bool = False  # levels: the newest 3, evaluated at the middle one's time
+    # levels: 2 dt R, the scaled method-of-lines residual at the middle of the
+    # newest 3, whose time it is evaluated at; R's f is the step's first stage
+    centered: bool = False
     from_first: bool = False  # levels: the first and the newest
-    # what evaluate reads of a level, formed once per level; a centered kind
-    # gets its newest level as stored, the older two formed
-    level: Callable | None = None
+    level: Callable | None = None  # what evaluate reads of a level, formed once per level
     drift: bool = False  # the series' convergence scalar is its largest change from t = 0
 
 
@@ -414,8 +407,7 @@ MODEL_SPECS = (
         _parse_fields(("u", "v")), _harmonic_fields,
         lambda p, sten: lambda y: chiral_rhs(y, sten), ("u", "v"),
         {"zero_curvature": Diagnostic(_chiral_curvature, (0.5, 1.0, 2.0, -1.0),
-                                      pole_at_zero=True, centered=True,
-                                      level=_chiral_level)},
+                                      pole_at_zero=True, centered=True)},
     ),
     ModelSpec(
         "aniso_uv", "anisotropic chiral model in (u, v) variables",
@@ -649,36 +641,57 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _evaluate_diagnostics(cfg, sten, y, held, series):
+def _evaluate_diagnostics(cfg, sten, y, held, series, window):
     """Evaluate each diagnostic at the newly stored level ``y``.
 
-    ``held[kind]`` keeps what the kind reads of the stored levels, and the
-    values are appended to the columns ``series[kind]`` (see ``_append``).  A
-    centered kind is evaluated once it has the newest three, at the middle
-    one's time; then it drops the oldest, so between steps it holds two.  Its
-    ``level`` hook, if it has one, forms a level when the next one is stored,
-    so of those two only the older is formed: the newer is ``y`` as stored,
-    the state that the next step reads anyway.
+    ``held[kind]`` keeps what a non-centered kind reads of the stored levels,
+    and the values are appended to the columns ``series[kind]`` (see
+    ``_append``).  The centered kinds share ``window``, a ``_Window`` (None
+    when the run has none): once it holds the prediction
+    P = y_{k-1} + 2 dt f(y_k), every centered kind is evaluated on
+    y - P = 2 dt R_k, formed in P's buffer, at y_k's time.  Then the window
+    moves on to (y_k, y).
     """
+    residual = None
+    if window is not None:
+        if window.prediction is not None:
+            residual = np.subtract(y, window.prediction, out=window.prediction)
+            window.prediction = None
+        window.previous, window.newest = window.newest, y
     for entry in cfg.diagnostics:
         kind = entry["kind"]
         diag = _SPECS[cfg.model].diagnostics[kind]
-        levels = held[kind]
-        if diag.level is None:
-            levels.append(y)
-        elif diag.centered:
-            if levels:
-                levels[-1] = diag.level(levels[-1])
-            levels.append(y)
-        else:
-            levels.append(diag.level(y))
-        if diag.centered and len(levels) < 3:
+        if diag.centered:
+            if residual is not None:
+                _append(series[kind], diag.evaluate(cfg, sten, residual, entry.get("lambdas")))
             continue
-        if not diag.centered and len(levels) > (2 if diag.from_first else 1):
+        levels = held[kind]
+        levels.append(y if diag.level is None else diag.level(y))
+        if len(levels) > (2 if diag.from_first else 1):
             del levels[-2]
         _append(series[kind], diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
-        if diag.centered:
-            del levels[0]
+
+
+@dataclass(slots=True)
+class _Window:
+    """What the centered kinds of a run hold between stored levels.
+
+    ``newest`` is the newest stored level y_k, ``previous`` the one before
+    it.  When the step leaving y_k has taken f(y_k), ``predict`` forms
+    ``prediction`` = y_{k-1} + 2 dt f(y_k) in a fresh array and drops
+    y_{k-1}; no stored level and no derivative is written into.
+    """
+
+    dt: float  # the spacing of stored levels
+    previous: np.ndarray | None = None
+    newest: np.ndarray | None = None
+    prediction: np.ndarray | None = None
+
+    def predict(self, y, rate):
+        """Form the prediction if ``y`` is the newest level and one precedes it."""
+        if y is self.newest and self.previous is not None:
+            self.prediction = _predicted(self.previous, rate, self.dt)
+            self.previous = None
 
 
 def _reference_errors(cfg, s, y, t):
@@ -896,8 +909,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     path that cannot be one is a ConfigError, as is a file that cannot be
     written after the run.  Diagnostics and reference errors are evaluated
     as each level is stored, so of the fields a run holds, besides the state
-    it steps, only what they read of the stored level before it and of the
-    first, and of the one before that while a centered kind evaluates.
+    it steps, only what they read of the first stored level and of the one
+    before the newest: that level itself, or, while a step runs, the
+    centered kinds' prediction formed from it and the step's first stage
+    (see ``_Window``).  The window's hook is installed only when the run
+    has a centered kind.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each
@@ -931,6 +947,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
             _guard_finite(y)
         return model_rhs(y)
 
+    window = None
+    step_rhs = rhs
+    if any(spec.diagnostics[entry["kind"]].centered for entry in cfg.diagnostics):
+        window = _Window(cfg.dt * cfg.cadence)
+
+        def step_rhs(y):
+            rate = rhs(y)
+            window.predict(y, rate)
+            return rate
+
     snaps, times, errors = [], array("d"), {}
     held = {entry["kind"]: [] for entry in cfg.diagnostics}
     series = {entry["kind"]: _new_columns(entry) for entry in cfg.diagnostics}
@@ -939,7 +965,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         if keep:
             snaps.append(y)
         times.append(t)
-        _evaluate_diagnostics(cfg, sten, y, held, series)
+        _evaluate_diagnostics(cfg, sten, y, held, series, window)
         if spec.reference is not None:
             _append(errors, _reference_errors(cfg, s, y, t))
 
@@ -952,7 +978,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     for i in range(cfg.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                y = stepped = rk4_step(y, rhs, cfg.dt)
+                y = stepped = rk4_step(y, step_rhs, cfg.dt)
             except SimulationError as exc:
                 where = (
                     "initial data, t = 0" if stages == 1

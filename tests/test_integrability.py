@@ -1,9 +1,13 @@
 """Lax connection construction, curvature residuals, and drift monitors."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gstrand import (
     DerivativeStencil,
@@ -21,16 +25,16 @@ from gstrand import (
     invariant_drift,
     rk4_step,
     run_scenario,
+    sim_harness,
     zero_curvature_residual,
 )
-from gstrand.algebra import _cross, build_J
+from gstrand.algebra import build_J
 from gstrand.integrability import (
     _chiral_coefficients,
-    _chiral_curvature_at,
-    _chiral_level,
+    _chiral_residual_max,
     _node_magnitudes,
+    _predicted,
 )
-from gstrand.stencil import slot_derivatives
 
 TWO_PI = 2.0 * math.pi
 E3 = np.array([0.0, 0.0, 1.0])
@@ -265,75 +269,134 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def per_field_level(y):
-    """(D, S) as the tuple of two fields that the level hook returned before."""
-    return y[0] - y[1], y[0] + y[1]
-
-
-def per_field_curvature_at(window, coeffs, stencil, dt):
-    """The curvature maxima from three (D, S) tuples, one stencil call per field."""
-    (d0, s0), (d, s), (d2, s2) = window
-    x = (d2 - d0) / (2.0 * dt) + stencil(d)
-    w = (s2 - s0) / (2.0 * dt) - stencil(s)
-    z = np.cross(d, s)
-    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
+def rhs_residual_curvature(levels, coeffs, stencil, dt):
+    """The curvature maxima from the leapfrog residual, each operation in a new array:
+    e = y2 - (y0 + 2 dt f(y1)), max |(a - b) e_u - (a + b) e_v| / (2 dt)."""
+    y0, y1, y2 = levels
+    e = y2 - (chiral_rhs(y1, stencil) * (2.0 * dt) + y0)
+    return [np.max(np.abs((a - b) * e[0] - (a + b) * e[1])) / (2.0 * dt) for a, b in coeffs]
 
 
 @pytest.mark.parametrize("order", [2, 4])
-def test_packed_curvature_levels_bitwise_equal_per_field_form(order, monkeypatch):
+def test_chiral_curvature_max_bitwise_equals_its_rhs_residual(order, monkeypatch):
+    """chiral_curvature_max is the leapfrog residual of chiral_rhs reduced per
+    lambda, bit for bit on +-0.0 entries, with one stencil call (the RHS's)
+    per interior level, and the snapshots left as they were."""
     rng = np.random.default_rng(40 + order)
     n, dt = 16, 0.05
     sten = DerivativeStencil(order, TWO_PI / n)
     levels = signed_zero_levels(rng, n, 6)
     coeffs = _chiral_coefficients(EQUIVALENCE_LAMBDAS)
-    packed = [_chiral_level(y) for y in levels]
-    for y, level in zip(levels, packed):
-        assert_same_bits(level, np.stack(per_field_level(y)))
-    want = [per_field_curvature_at([per_field_level(y) for y in levels[k:k + 3]],
-                                   coeffs, sten, dt)
-            for k in range(len(levels) - 2)]
-    saved = [level.copy() for level in packed]
+    want = np.array([rhs_residual_curvature(levels[k:k + 3], coeffs, sten, dt)
+                     for k in range(len(levels) - 2)]).T
+    stored = [y.copy() for y in levels]
     calls = []
     original = DerivativeStencil.__call__
     monkeypatch.setattr(DerivativeStencil, "__call__",
                         lambda self, f: calls.append(np.shape(f)) or original(self, f))
-    stored = [y.copy() for y in levels]
-    got = [_chiral_curvature_at((*packed[k:k + 2], levels[k + 2]), coeffs, sten, dt)
-           for k in range(len(levels) - 2)]
-    assert got == want
-    # one stencil call per evaluated level, and the held levels are left as they were
+    got = chiral_curvature_max(levels, EQUIVALENCE_LAMBDAS, sten, dt)
+    assert_same_bits(got, want)
     assert calls == [(n, 2, 3)] * (len(levels) - 2)
-    for level, before in zip(packed + levels, saved + stored):
+    for level, before in zip(levels, stored):
         assert level.tobytes() == before.tobytes()
 
 
-def comprehension_curvature_at(window, coeffs, stencil, dt):
-    """``_chiral_curvature_at`` with its maxima formed by one list comprehension,
-    a new array per operation, as before it reused two buffers."""
-    first, mid, last = window
-    rates = last - first
-    rates /= 2.0 * dt
-    slopes = slot_derivatives(stencil, mid)
-    rates[0] += slopes[0]
-    rates[1] -= slopes[1]
-    x, w = rates
-    z = _cross(mid[0], mid[1])
-    return [np.max(np.abs(a * x - b * w - ab2 * z)) for a, b, ab2 in coeffs]
-
-
 @pytest.mark.parametrize("order", [2, 4])
-def test_curvature_buffers_bitwise_equal_list_comprehension(order):
-    """The reused buffers keep each element's a x - b w - 2ab z, so every maximum keeps its bits."""
+def test_residual_buffers_bitwise_equal_list_comprehension(order):
+    """The two reused buffers keep each element's (a - b) e_u - (a + b) e_v, so
+    every maximum keeps its bits, and the residual is left as it was."""
     rng = np.random.default_rng(60 + order)
     n, dt = 32, 0.03
     sten = DerivativeStencil(order, TWO_PI / n)
     coeffs = _chiral_coefficients((0.5, 1.0, 2.0, -1.0, 3.0))
     levels = signed_zero_levels(rng, n, 24)
-    packed = [_chiral_level(y) for y in levels]
-    for k in range(len(packed) - 2):
-        got = np.array(_chiral_curvature_at((*packed[k:k + 2], levels[k + 2]), coeffs, sten, dt))
-        want = comprehension_curvature_at(packed[k:k + 3], coeffs, sten, dt)
+    for k in range(len(levels) - 2):
+        e = levels[k + 2] - _predicted(levels[k], chiral_rhs(levels[k + 1], sten), dt)
+        before = e.copy()
+        got = np.array(_chiral_residual_max(e, coeffs, dt))
+        want = [np.max(np.abs((a - b) * e[0] - (a + b) * e[1])) / (2.0 * dt) for a, b in coeffs]
         assert_same_bits(got, np.array(want))
+        assert e.tobytes() == before.tobytes()
+
+
+# ------------------------------------------- curvature from the equation residual
+
+IDENTITY_N_S = 12
+
+
+def curvature_oracles(model, levels, params, sten, dt, lambdas):
+    """Each centered kind's curvature at the middle of three levels, from the
+    fields: the matrix pairs through ``zero_curvature_residual``, or the
+    compatibility relation."""
+    if model == "chiral":
+        return [zero_curvature_residual([chiral_lax(y[0], y[1], lam) for y in levels],
+                                        sten, dt).max_norm for lam in lambdas]
+    if model == "aniso_uv":
+        return [zero_curvature_residual(
+            [aniso_lax(2.0 * y[0], 2.0 * y[1], lam, params["P"]) for y in levels],
+            sten, dt).max_norm for lam in lambdas]
+    u, v = np.stack(levels).swapaxes(0, 1)
+    return [float(np.max(np.abs(compatibility_residual(u, v, sten, dt))))]
+
+
+def identity_bound(model, levels, params, sten, dt, lambdas):
+    """64 eps c (Y/dt + Y/ds + Y^2), Y the largest |entry| of the three levels.
+
+    Both sides round each term of the curvature once or twice: the time
+    difference at Y/dt, the slope at Y/ds, the quadratic terms at Y^2.  c
+    is the largest coefficient that multiplies a field: 1 + |lam| + 1/|lam|
+    for the chiral pair, 1 for the spin chain, and for the doubled so(4)
+    pair 2 (max |w| + 1)(1 + max |P|), w the diagonal of lam Id + J.
+    """
+    big = max(float(np.max(np.abs(y))) for y in levels)
+    if model == "chiral":
+        c = max(1.0 + abs(lam) + 1.0 / abs(lam) for lam in lambdas)
+    elif model == "aniso_uv":
+        p_max = float(np.max(np.abs(params["P"].diagonal)))
+        w_max = max(float(np.max(np.abs(lam + np.diagonal(build_J(params["P"])))))
+                    for lam in lambdas)
+        c = 2.0 * (w_max + 1.0) * (1.0 + p_max)
+    else:
+        c = 1.0
+    return 64.0 * np.finfo(float).eps * c * (big / dt + big / sten.ds + big * big)
+
+
+IDENTITY_LAMBDAS = {"chiral": (0.5, 1.0, 2.0, -1.0, 3.0, -0.3), "aniso_uv": (0.0, 0.5, 1.0),
+                    "spin_chain": None}
+IDENTITY_KINDS = {"chiral": "zero_curvature", "aniso_uv": "lax", "spin_chain": "zero_curvature"}
+entry = st.floats(-4.0, 4.0, allow_subnormal=False)
+nonzero = st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(levels=arrays(float, (3, 2, IDENTITY_N_S, 3), elements=entry, fill=st.nothing()),
+       dt=st.floats(1e-3, 0.5), order=st.sampled_from((2, 4)),
+       diagonals=st.lists(nonzero, min_size=9, max_size=9),
+       model=st.sampled_from(sorted(IDENTITY_KINDS)))
+def test_centered_kinds_are_linear_images_of_the_equation_residual(levels, dt, order,
+                                                                   diagonals, model):
+    """On arbitrary, non-solution levels each centered kind, evaluated as a run
+    evaluates it on y2 - (y0 + 2 dt f(y1)) with f the model's RHS, equals its
+    field oracle within ``identity_bound``: chiral_lax curvature for every
+    lambda (r = (a - b) R_u - (a + b) R_v, as a + b = 4ab), the
+    compatibility residual (R_v), and the doubled aniso_lax curvature
+    (embed_so4(2 R_v, 2 R_u)(lam Id + J))."""
+    sten = DerivativeStencil(order, TWO_PI / IDENTITY_N_S)
+    params = {"A": DiagonalParams(diagonals[:3], "inertia-A"),
+              "B": DiagonalParams([-abs(b) for b in diagonals[3:6]], "inertia-B"),
+              "P": DiagonalParams(diagonals[6:], "anisotropy-P")}
+    lambdas = IDENTITY_LAMBDAS[model]
+    spec = sim_harness._SPECS[model]
+    rate = spec.rhs(params, sten)(levels[1])
+    e = levels[2] - _predicted(levels[0], rate, dt)
+    cfg = SimpleNamespace(dt=dt, cadence=1, params=params)
+    got = spec.diagnostics[IDENTITY_KINDS[model]].evaluate(cfg, sten, e, lambdas)
+    got = list(got.values()) if isinstance(got, dict) else got
+    want = curvature_oracles(model, list(levels), params, sten, dt, lambdas or (1.0,))
+    bound = identity_bound(model, levels, params, sten, dt, lambdas or (1.0,))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+    if model == "chiral":
+        assert got[lambdas.index(-1.0)] == 0.0
 
 
 # ------------------------------------------------------------------- aniso_lax

@@ -26,9 +26,13 @@ from gstrand import (
     WaveProfile,
     _g17,
     aniso_lax,
+    build_J,
     chiral_curvature_max,
+    chiral_lax,
     compatibility_residual,
     convergence_study,
+    embed_so4,
+    integrability,
     invariant_drift,
     list_scenarios,
     peakon_dynamics,
@@ -38,6 +42,7 @@ from gstrand import (
     s_constraint_residual,
     sim_harness,
     single_peakon_exact,
+    so3_dynamics,
     zero_curvature_residual,
 )
 from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
@@ -827,9 +832,9 @@ def test_each_state_is_scanned_for_non_finite_values_once(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["chiral", "aniso_uv", "aniso_xy"])
-def test_one_stencil_call_per_rhs_evaluation_and_curvature_level(model, monkeypatch):
+def test_one_stencil_call_per_rhs_evaluation_and_none_per_curvature_level(model, monkeypatch):
     """Each stage differentiates both fields in one call on the node-first
-    view, and so does each stored level of the chiral curvature."""
+    view; the chiral curvature, read from the step's first stage, makes none."""
     calls = []
     original = DerivativeStencil.__call__
     monkeypatch.setattr(DerivativeStencil, "__call__",
@@ -838,8 +843,7 @@ def test_one_stencil_call_per_rhs_evaluation_and_curvature_level(model, monkeypa
     d["diagnostics"] = [{"kind": "zero_curvature"}] if model == "chiral" else []
     cfg = ScenarioConfig.from_dict(d)
     run_scenario(cfg, keep_snapshots=False)
-    curvature_levels = cfg.n_steps // cfg.cadence - 1 if model == "chiral" else 0
-    assert calls == [(cfg.n_nodes, 2, 3)] * (4 * cfg.n_steps + curvature_levels)
+    assert calls == [(cfg.n_nodes, 2, 3)] * (4 * cfg.n_steps)
 
 
 def test_non_finite_initial_data_fails_in_the_first_stage(tmp_path):
@@ -1518,19 +1522,111 @@ def trajectory_columns(cfg, snaps, times):
     return out
 
 
+def residual_columns(cfg, snaps):
+    """The spin_chain and aniso_uv centered columns from the leapfrog residual
+    e = y_{k+1} - (f(y_k) 2 dt + y_{k-1}), in the run's order of operations:
+    max |e_v| / (2 dt), and the max-norm of the so(4) image
+    embed_so4(e_v, e_u)(lam Id + J), divided by dt.  Each product of an
+    embedded entry with the diagonal weight rounds once, so the matrix form
+    has the bits of the run's vector form."""
+    sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
+    rhs = sim_harness._SPECS[cfg.model].rhs(cfg.params, sten)
+    dt = cfg.dt * cfg.cadence
+    residuals = [snaps[k + 1] - (rhs(snaps[k]) * (2.0 * dt) + snaps[k - 1])
+                 for k in range(1, len(snaps) - 1)]
+    (entry,) = cfg.diagnostics
+    if cfg.model == "spin_chain":
+        return {entry["kind"]: {"residual": np.array(
+            [np.max(np.abs(e[1])) / (2.0 * dt) for e in residuals])}}
+    lambdas = entry["lambdas"]
+    return {entry["kind"]: {
+        name: np.array([np.max(np.abs(embed_so4(e[1], e[0])
+                                      @ (lam * np.eye(4) + build_J(cfg.params["P"])))) / dt
+                        for e in residuals])
+        for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas)}}
+
+
+def matrix_chiral_columns(cfg, snaps):
+    """The chiral curvature columns through ``chiral_lax`` and ``zero_curvature_residual``."""
+    sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
+    (entry,) = cfg.diagnostics
+    lambdas = entry["lambdas"]
+    columns = {}
+    for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas):
+        fields = zero_curvature_residual([chiral_lax(y[0], y[1], lam) for y in snaps], sten,
+                                         cfg.dt * cfg.cadence).fields
+        columns[name] = np.max(np.abs(fields), axis=(1, 2, 3))
+    return {entry["kind"]: columns}
+
+
+def centered_bound(cfg, snaps):
+    """64 eps c (Y/dt + Y/ds + Y^2) with dt the level spacing and Y the largest
+    |entry| of the run: how far the residual form of a centered column may
+    sit from its field oracle by round-off.  c = 1 + |lam| + 1/|lam| for the
+    chiral pair, 1 for the spin chain's compatibility residual, and
+    2 (max |w| + 1)(1 + max |P|) for the doubled aniso_lax pair, w the
+    diagonal of lam Id + J.  See
+    ``tests/test_integrability.py::identity_bound``."""
+    big = max(float(np.max(np.abs(y))) for y in snaps)
+    c = 1.0
+    if cfg.model == "chiral":
+        c = max(1.0 + abs(lam) + 1.0 / abs(lam) for lam in cfg.diagnostics[0]["lambdas"])
+    elif cfg.model == "aniso_uv":
+        p = cfg.params["P"]
+        w = max(float(np.max(np.abs(lam + np.diagonal(build_J(p)))))
+                for lam in cfg.diagnostics[0]["lambdas"])
+        c = 2.0 * (w + 1.0) * (1.0 + float(np.max(np.abs(p.diagonal))))
+    dt = cfg.dt * cfg.cadence
+    return 64.0 * np.finfo(float).eps * c * (big / dt + big / (cfg.s_length / cfg.n_nodes)
+                                            + big * big)
+
+
+def assert_series_match_oracles(cfg, report):
+    """Every series of a run against the functions applied to its whole stored
+    trajectory.  Each has their bits, except that the spin_chain and aniso_uv
+    centered columns, evaluated from the step's first stage, have those of
+    ``residual_columns`` and match their old oracles in ``trajectory_columns``
+    within ``centered_bound``.  The chiral columns have the bits of
+    ``chiral_curvature_max`` and match the matrix path within that bound."""
+    expected = trajectory_columns(cfg, report.snapshots, report.times)
+    bitwise, near = dict(expected), {}
+    if cfg.model == "chiral":
+        near = matrix_chiral_columns(cfg, report.snapshots)
+    elif cfg.model in ("spin_chain", "aniso_uv"):
+        near = {kind: expected[kind] for kind in expected}
+        bitwise.update(residual_columns(cfg, report.snapshots))
+    series = report.series()
+    assert list(series) == list(expected)
+    for kind, columns in bitwise.items():
+        got = series[kind]["columns"]
+        assert list(got) == list(columns), kind
+        for key, values in columns.items():
+            assert np.array_equal(got[key], values), (kind, key)
+            if kind in near:
+                np.testing.assert_allclose(got[key], near[kind][key], rtol=0.0,
+                                           atol=centered_bound(cfg, report.snapshots))
+
+
 @pytest.mark.parametrize("name", sorted(set(output_digests.small_runs()) - {BLOW_UP}))
 def test_per_level_series_equal_trajectory_functions(name):
     """Each series evaluated level by level has the bits of the list functions
-    applied to the whole stored trajectory."""
+    applied to the whole stored trajectory (the chiral curvature those of
+    ``chiral_curvature_max``); see ``assert_series_match_oracles``."""
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()[name])
+    assert_series_match_oracles(cfg, run_scenario(cfg))
+
+
+@pytest.mark.parametrize("cadence", [2, 3])
+@pytest.mark.parametrize("name", ["chiral", "spin_chain", "aniso_uv"])
+def test_centered_columns_at_cadence_two_and_three_match_their_oracles(name, cadence):
+    """A centered kind stored every ``cadence`` steps reads the first stage of
+    the step leaving each stored level, and the level spacing cadence dt."""
+    d = output_digests.small_runs()[name]
+    d["output"]["cadence"] = cadence
+    cfg = ScenarioConfig.from_dict(d)
     report = run_scenario(cfg)
-    expected = trajectory_columns(cfg, report.snapshots, report.times)
-    series = report.series()
-    assert list(series) == list(expected)
-    for kind, columns in expected.items():
-        assert list(series[kind]["columns"]) == list(columns), kind
-        for key, values in columns.items():
-            assert np.array_equal(series[kind]["columns"][key], values), (kind, key)
+    assert len(report.times) == 6 // cadence + 1
+    assert_series_match_oracles(cfg, report)
 
 
 def chiral_memory_peak(steps, **kwargs):
@@ -1559,44 +1655,58 @@ def test_memory_does_not_grow_with_run_length():
 def test_chiral_run_peaks_below_six_and_a_half_packed_states():
     """A chiral zero_curvature run at N_s = 1024 that keeps no snapshots
     peaks inside one RHS evaluation: the state, k1, the stage input, the RHS
-    output with its ``_cross`` temporaries, and one formed (D, S) level, the
-    older of the two stored levels the diagnostic holds between steps.
-    6.16 packed states measured.  Forming each level as it is stored held a
-    second formed level, 7.31; with one formed level but a step that held
-    four arrays, the run peaked between RHS calls, at 6.31."""
+    output with its ``_cross`` temporaries, and one diagnostic buffer, the
+    prediction formed from k1 (or, before it, the stored level before the
+    state).  6.16 packed states measured.  Holding two formed (u - v, u + v)
+    levels peaked at 7.31; one formed level and a step that held four
+    arrays peaked between RHS calls, at 6.31."""
     state_bytes = 2 * 1024 * 3 * 8
     assert chiral_memory_peak(40, keep_snapshots=False) < 6.5 * state_bytes
 
 
-def test_centered_diagnostic_holds_one_formed_level_between_steps(monkeypatch):
-    """A chiral zero_curvature run never has more than one of its level-hook
-    arrays alive while the right-hand side runs: the oldest of the three it
-    reads is dropped once they are evaluated, and the newest is not formed
-    until the next level is stored."""
-    spec = sim_harness._SPECS["chiral"]
-    diag = spec.diagnostics["zero_curvature"]
+CENTERED_RHS = {"chiral": "chiral_rhs", "spin_chain": "spin_chain_rhs",
+                "aniso_uv": "aniso_rhs_uv"}
+
+
+@pytest.mark.parametrize("cadence", [1, 2])
+@pytest.mark.parametrize("model", sorted(CENTERED_RHS))
+def test_centered_run_makes_four_rhs_calls_a_step_and_holds_one_buffer(model, cadence,
+                                                                       monkeypatch):
+    """A centered run calls the model's right-hand side exactly four times a
+    step, the stages alone.  While it runs, the run holds one diagnostic
+    buffer besides the stored level it steps from: the stored level before
+    that one, or, once the step's first stage is taken, the prediction
+    formed from it.  Stored levels and predictions are tracked until they
+    are freed."""
     tokens = itertools.count()
     alive = set()
     seen = []
 
-    def counted_level(y):
-        level = diag.level(y)
+    def track(array):
         token = next(tokens)
         alive.add(token)
-        weakref.finalize(level, alive.discard, token)
-        return level
+        weakref.finalize(array, alive.discard, token)
+        return array
 
-    def counted_rhs(y, sten, rhs=sim_harness.chiral_rhs):
+    def counted_rhs(*args, rhs=getattr(sim_harness, CENTERED_RHS[model])):
         seen.append(len(alive))
-        return rhs(y, sten)
+        return rhs(*args)
 
-    monkeypatch.setitem(sim_harness._SPECS, "chiral", spec._replace(
-        diagnostics={"zero_curvature": diag._replace(level=counted_level)}))
-    monkeypatch.setattr(sim_harness, "chiral_rhs", counted_rhs)
-    report = run_scenario(ScenarioConfig.from_dict(chiral_dict()), keep_snapshots=False)
+    def tracked_diagnostics(cfg, sten, y, *args, evaluate=sim_harness._evaluate_diagnostics):
+        return evaluate(cfg, sten, track(y), *args)
+
+    monkeypatch.setattr(sim_harness, CENTERED_RHS[model], counted_rhs)
+    monkeypatch.setattr(sim_harness, "_evaluate_diagnostics", tracked_diagnostics)
+    monkeypatch.setattr(sim_harness, "_predicted",
+                        lambda *args, predicted=sim_harness._predicted: track(predicted(*args)))
+    d = output_digests.small_runs()[model]
+    d["output"]["cadence"] = cadence
+    cfg = ScenarioConfig.from_dict(d)
+    report = run_scenario(cfg, keep_snapshots=False)
     assert report.status == "ok"
-    assert len(report.diagnostics["zero_curvature"]["times"]) == 7
-    assert max(seen) == 1
+    assert len(report.series()[cfg.diagnostics[0]["kind"]]["times"]) == 6 // cadence - 1
+    assert len(seen) == 4 * cfg.n_steps
+    assert max(seen) == 2
 
 
 def series_run(name, steps):
@@ -1663,17 +1773,37 @@ def test_drift_field_selects_the_convergence_scalar(monkeypatch):
     assert study["conservation_sums"]["errors"][0] == sums["max"] == max(sums["columns"].values())
 
 
-def test_spin_chain_levels_are_stacked_three_at_a_time(monkeypatch):
-    shapes = []
+CROSSES_PER_RHS = {"chiral": 1, "spin_chain": 3, "aniso_uv": 2}
 
-    def spy(u, v, sten, dt):
-        shapes.append(u.shape)
-        return compatibility_residual(u, v, sten, dt)
 
-    monkeypatch.setattr(sim_harness, "compatibility_residual", spy)
-    cfg = ScenarioConfig.from_dict(output_digests.small_runs()["spin_chain"])
-    run_scenario(cfg, keep_snapshots=False)
-    assert shapes == [(3, cfg.n_nodes, 3)] * (cfg.n_steps - 1)
+@pytest.mark.parametrize("model", sorted(CROSSES_PER_RHS))
+def test_centered_kinds_take_no_stencil_cross_or_lax_matrix_of_their_own(model, monkeypatch):
+    """Every stencil call and cross product of a centered run is its RHS's,
+    and no Lax connection, curvature field or compatibility stack is built."""
+    counts = {"stencil": 0, "cross": 0}
+    stencil, cross = DerivativeStencil.__call__, so3_dynamics._cross
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a centered diagnostic built its curvature from the fields")
+
+    monkeypatch.setattr(DerivativeStencil, "__call__", counted("stencil", stencil))
+    monkeypatch.setattr(so3_dynamics, "_cross", counted("cross", cross))
+    for owner, name in ((sim_harness, "chiral_lax"), (sim_harness, "aniso_lax"),
+                        (sim_harness, "zero_curvature_residual"), (integrability, "hat"),
+                        (so3_dynamics, "compatibility_residual")):
+        monkeypatch.setattr(owner, name, forbidden)
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()[model])
+    report = run_scenario(cfg, keep_snapshots=False)
+    assert len(report.series()[cfg.diagnostics[0]["kind"]]["times"]) == cfg.n_steps - 1
+    rhs_calls = 4 * cfg.n_steps
+    assert counts == {"stencil": rhs_calls * (2 if model == "spin_chain" else 1),
+                      "cross": rhs_calls * CROSSES_PER_RHS[model]}
 
 
 def test_report_summary_structure():
