@@ -26,6 +26,11 @@ when a call raises, the error's type and message:
 - ``_node_magnitudes``, the per-node |X|^2 and |Y|^2 of ``invariant_drift``,
   on the same packed fields;
 - ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3;
+- ``WaveProfile.on_nodes``, the exact references' node evaluator, on
+  seeded profiles of every kind (traveling in both directions, standing,
+  constant, superpositions flat and nested) bound to 8 to 512 nodes, at
+  t = 0, four mid-run times and t = 1e3, with the factors 1 of (h, h_t,
+  h_s), with those of the single-peakon data (Q, M, N) and for h alone;
 - ``_g17.cells``, the CSV writer's ``%.17g``, on every power of ten from
   1e-330 to 1e308 with its two nearest doubles on either side, random
   mantissas at every exponent, +-0.0, infinities, nans and exact ties at
@@ -164,6 +169,34 @@ def g17_cases(seed=23):
     return values[rng.permutation(values.size)]
 
 
+def _profile(rng, depth):
+    """A seeded wave-profile descriptor: traveling, standing, constant or,
+    above depth 0, a superposition of two or three profiles."""
+    kind = rng.choice(("traveling", "standing", "constant", "superposition")
+                      if depth else ("traveling", "standing", "constant"))
+    if kind == "traveling":
+        terms = [[float(rng.uniform(-1.0, 1.0)), int(rng.integers(0, 5)),
+                  float(rng.uniform(0.0, TWO_PI))] for _ in range(rng.integers(0, 4))]
+        return {"type": "traveling", "terms": terms, "direction": int(rng.choice((-1, 1)))}
+    if kind == "standing":
+        return {"type": "standing", "amplitude": float(rng.uniform(-1.0, 1.0)),
+                "wavenumber": int(rng.integers(1, 5))}
+    if kind == "constant":
+        return {"type": "traveling", "terms": [[float(rng.uniform(-2.0, 2.0)), 0, 0.5 * np.pi]],
+                "direction": 1}
+    return {"type": "superposition",
+            "parts": [_profile(rng, depth - 1) for _ in range(rng.integers(2, 4))]}
+
+
+def profile_cases(seed=25, count=40):
+    """(descriptor, node count, times) tuples: seeded profiles of every kind,
+    nested two deep at most, on 8 to 512 nodes, at t = 0, four mid-run times
+    and t = 1e3."""
+    rng = np.random.default_rng(seed)
+    return [(_profile(rng, 2), int(rng.integers(8, 513)),
+             (0.0, *rng.uniform(0.0, 2.0, 4).tolist(), 1e3)) for _ in range(count)]
+
+
 class Digest:
     """SHA-256 over a sequence of call outcomes."""
 
@@ -185,7 +218,7 @@ class Digest:
         return self.hash.hexdigest()
 
 
-def digests(peakons, so3, curvature, g17):
+def digests(peakons, so3, curvature, profiles, g17):
     import gstrand as g
 
     table = {}
@@ -244,6 +277,19 @@ def digests(peakons, so3, curvature, g17):
     for snaps, lambdas, order, ds, dt in curvature:
         digest.call(g.chiral_curvature_max, snaps, lambdas, g.DerivativeStencil(order, ds), dt)
 
+    from gstrand.peakon_dynamics import K0
+
+    def node_values(profile, s, scales, times):
+        at = profile.on_nodes(s, scales)
+        return tuple(at(t) for t in times)
+
+    digest = table["WaveProfile.on_nodes"] = Digest()
+    for descriptor, n_nodes, times in profiles:
+        profile = g.profile_from_descriptor(descriptor)
+        s = np.arange(n_nodes) * (TWO_PI / n_nodes)
+        for scales in ((1.0, 1.0, 1.0), (1.0, 1.0 / K0, -1.0 / K0), (1.0,)):
+            digest.call(node_values, profile, s, scales, times)
+
     from gstrand import _g17
 
     def compacted(chunk):
@@ -265,7 +311,7 @@ def main(argv):
     checkout = Path(argv[0]).resolve() if argv else HERE
     # drawn before gstrand is imported
     inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), curvature_cases(),
-              g17_cases())
+              profile_cases(), g17_cases())
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():
         sys.exit(f"kernel_digests: no gstrand sources under {src}")

@@ -61,15 +61,19 @@ class WaveProfile:
     ):
         self._value = h
         self._jet = lambda s, t: (h(s, t), dh_dt(s, t), dh_ds(s, t))
+        self._separable = False  # ``on_nodes`` calls the jet
         self.descriptor = dict(descriptor)
         self._self_check()
 
     @classmethod
-    def _exact(cls, value, jet, descriptor):
-        """Profile of a factory, whose evaluators are exact: no finite-difference check."""
+    def _exact(cls, value, jet, descriptor, separable=True):
+        """Profile of a factory, whose evaluators are exact: no finite-difference
+        check.  Its descriptor gives its separable form (see ``on_nodes``)
+        unless it superposes a profile built by hand."""
         profile = cls.__new__(cls)
         profile._value = value
         profile._jet = jet
+        profile._separable = separable
         profile.descriptor = descriptor
         return profile
 
@@ -87,6 +91,53 @@ class WaveProfile:
 
     def dh_ds(self, s, t):
         return self.jet(s, t)[2]
+
+    def on_nodes(self, s, scales=(1.0, 1.0, 1.0)):
+        """Bind the profile to fixed nodes ``s``: a function of t giving the
+        array (h, h_t, h_s) on them, shaped (3, N_s), each output times its
+        factor in ``scales``; fewer factors give fewer leading outputs, one
+        gives h alone, shaped (1, N_s).
+
+        Every factory profile is a sum of separable harmonics, and each output
+        term of a harmonic is Re(E kappa(t)), with E = cos(k s + phase) +
+        i sin(k s + phase) on the nodes and kappa a complex scalar: a
+        traveling term's time shift turns E by exp(-i k direction t), a
+        standing term weighs cos(k s) or sin(k s) by cos(k t) or sin(k t).
+        So E is formed here, once per harmonic (two doubles per node), and a
+        call takes scalar cos and sin of t, one complex product per harmonic
+        and output and one addition per further term, in the jet's order of
+        summands.  At t = 0 one of the two products in each Re(E kappa) is
+        +-0.0 and the other is the jet's own, so every value is the jet's
+        times its factor (the sign of a zero aside), bit for bit when the
+        factors are +-powers of two; later values agree with the jet to
+        round-off.  A profile built by hand calls its jet.
+        """
+        s = np.asarray(s, dtype=float)
+        scales = tuple(float(f) for f in scales)
+        if not self._separable:
+            def from_jet(t):
+                out = np.stack(self.jet(s, t)[:len(scales)])
+                for row, factor in zip(out, scales):
+                    row *= factor
+                return out
+            return from_jet
+        harmonics = []
+        plan = _plan(self.descriptor, harmonics)
+        rows = np.empty((len(harmonics), s.size), dtype=complex)
+        for row, (k, phase, *_) in zip(rows, harmonics):
+            arg = k * s + phase
+            np.cos(arg, out=row.real)
+            np.sin(arg, out=row.imag)
+        size = s.size
+
+        def at(t):
+            kappas = [_kappas(harmonic, t) for harmonic in harmonics]
+            out = np.empty((len(scales), size))
+            for o, row in enumerate(out):
+                _fold(plan, rows, kappas, o, scales[o], row)
+            return out
+
+        return at
 
     def _self_check(self):
         s = np.linspace(0.0, 2.0 * np.pi, 7)[:, None]
@@ -174,7 +225,72 @@ class WaveProfile:
             return sum(part.h(s, t) for part in parts)
 
         return cls._exact(value, jet, {"type": "superposition",
-                                       "parts": [p.descriptor for p in parts]})
+                                       "parts": [p.descriptor for p in parts]},
+                          all(part._separable for part in parts))
+
+
+def _plan(d, harmonics):
+    """Descriptor ``d`` of a factory profile as a plan of ``_fold``: the index
+    of each of its harmonics in ``harmonics``, where it is appended, in the
+    order in which the jet adds them.  The jet adds each superposed part's
+    sum to the total, so the first part's harmonics and a later part's lone
+    harmonic join the total's own sum, and any other part is a nested plan.
+    A harmonic is (k, phase, a, direction), direction 0 for a standing wave.
+    """
+    if d["type"] == "traveling":
+        plan = []
+        for a, k, ph in d["terms"]:
+            harmonics.append((k, ph, a, d["direction"]))
+            plan.append(len(harmonics) - 1)
+        return plan
+    if d["type"] == "standing":
+        harmonics.append((d["wavenumber"], 0.0, d["amplitude"], 0))
+        return [len(harmonics) - 1]
+    parts = [_plan(part, harmonics) for part in d["parts"]]
+    return parts[0] + [x for part in parts[1:] for x in (part if len(part) == 1 else [part])]
+
+
+def _kappas(harmonic, t):
+    """The complex scalars whose products with E = cos(k s + phase) +
+    i sin(k s + phase) have the harmonic's h, h_t and h_s at t as their real
+    parts, formed from the jet's own factors.  A traveling term turns E by
+    exp(-i theta), theta = k direction t, and -i turns the sin into the real
+    part; h_t = -direction h_s exactly.  A standing term weighs cos(k s) by
+    a cos(k t) and -a k sin(k t), and Re(E i b) = -b sin(k s)."""
+    k, _, a, direction = harmonic
+    if direction == 0:
+        minus_ak = -a * k
+        cos_t = math.cos(k * t)
+        return a * cos_t, minus_ak * math.sin(k * t), complex(0.0, -minus_ak * cos_t)
+    ak = a * k
+    minus_dak = -direction * ak
+    theta = k * (direction * t)
+    c, sn = math.cos(theta), math.sin(theta)
+    return (complex(-a * sn, -a * c), complex(minus_dak * c, -minus_dak * sn),
+            complex(ak * c, -ak * sn))
+
+
+def _fold(plan, rows, kappas, o, factor, out):
+    """Sum Re(rows[i] kappas[i][o] factor) over the harmonics i of ``plan``
+    into ``out``, from the first summand on, a nested plan summed apart
+    first.  Output by output, so no more than two products are held."""
+    total = None
+    for item in plan:
+        if isinstance(item, int):
+            term = (rows[item] * (kappas[item][o] * factor)).real
+        else:
+            term = _fold(item, rows, kappas, o, factor, np.empty_like(out))
+        if total is None:
+            total = term
+        elif total is out:
+            out += term
+        else:
+            total = np.add(total, term, out=out)
+    if total is None:
+        out[...] = 0.0
+    elif total is not out:
+        out[...] = total
+    return out
 
 
 _PROFILE_KEYS = {
@@ -291,7 +407,16 @@ class CollisionSolution:
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
 
     def separation(self, s, t):
-        return self.branch * 2.0 * _log_cosh(self.profile.h(s, t))
+        return self._separation(self.profile.h(s, t))
+
+    def separation_on_nodes(self, s):
+        """The separation on fixed nodes ``s``, as a function of t, from the
+        profile's node evaluator (``WaveProfile.on_nodes``)."""
+        profile_at = self.profile.on_nodes(s, (1.0,))
+        return lambda t: self._separation(profile_at(t)[0])
+
+    def _separation(self, h):
+        return self.branch * 2.0 * _log_cosh(h)
 
     def evaluate(self, s, t) -> CollisionSample:
         """Positions and momenta; M_1 = X_t / (2(K0 - K(X))), N_1 = -X_s / (2(K0 - K(X)))."""

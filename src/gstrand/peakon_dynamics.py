@@ -360,15 +360,22 @@ def peakon_rhs(q, m, n, stencil: DerivativeStencil):
     is dQ = K0 M, dM = -d_s N, dN = -d_s M, formed without the kernel.  It
     has no gap to check and its condition bound is 1, so no guard is lost.
     The general path's sums start from +0.0; the closed form keeps those
-    additions, so every bit, signed zeros included, is the same.
+    additions, so every bit, signed zeros included, is the same.  It forms
+    each term in its own slot of the output, with one stencil call per
+    slope into the last slot, so it holds no array but its output.
     """
     count = q.shape[1]
     if count == 1:
-        terms = np.zeros((3,) + q.shape)  # K^{-1} G is +0.0
-        terms[0] += K0 * m  # K M summed from +0.0
-        np.subtract(n * 0.0, m * 0.0, out=terms[1])
-    else:
-        terms = _kernel_terms(q, m, n)
+        terms = np.empty((3,) + q.shape)
+        np.multiply(K0, m, out=terms[0])
+        terms[0] += 0.0  # K M summed from +0.0
+        np.multiply(m, 0.0, out=terms[2])
+        np.multiply(n, 0.0, out=terms[1])
+        terms[1] -= terms[2]  # the D term, n 0 - m 0
+        terms[1] -= stencil(n, out=terms[2])
+        np.subtract(0.0, stencil(m, out=terms[2]), out=terms[2])  # K^{-1} G is +0.0
+        return terms
+    terms = _kernel_terms(q, m, n)
     slopes = stencil(np.concatenate((n, m), axis=1))  # d_s N and d_s M in one call
     terms[1] -= slopes[:, :count]
     terms[2] -= slopes[:, count:]

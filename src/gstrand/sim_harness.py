@@ -34,7 +34,8 @@ a list of ``[amplitude, wavenumber, phase]`` harmonics summed as
 integer number of periods on the strand.  Constants are the ``k = 0``
 harmonic with phase pi/2.  The two ``*_exact`` peakon models instead take a
 wave-profile descriptor (see ``analytic_solutions``) and draw their initial
-data and reference values from the closed-form solutions.
+data from the closed-form solutions, and their reference values from the
+profile bound to the run's nodes (``WaveProfile.on_nodes``).
 """
 
 import contextlib
@@ -76,7 +77,7 @@ from .integrability import (  # noqa: F401
     invariant_drift,
     zero_curvature_residual,
 )
-from .peakon_dynamics import MAX_PEAKONS, peakon_rhs, s_constraint_residual
+from .peakon_dynamics import K0, MAX_PEAKONS, peakon_rhs, s_constraint_residual
 from .so3_dynamics import (
     MIN_NODES,
     SpinChainParams,
@@ -268,9 +269,24 @@ def _single_fields(p, s):
     return np.stack([f[:, None] for f in single_peakon_exact(p["profile"], s, 0.0)])
 
 
-def _single_errors(p, s, y, t):
-    errors = np.max(np.abs(y[:, :, 0] - single_peakon_exact(p["profile"], s, t)), axis=1)
-    return dict(zip(("err_Q", "err_M", "err_N"), errors))
+def _single_reference(p, s):
+    """The single-peakon errors of a level at t, from the profile bound to the nodes ``s``.
+
+    The evaluator forms (Q, M, N) = (h, h_t / K0, -h_s / K0) with the bits of
+    ``single_peakon_exact`` on its (h, h_t, h_s), since K0 = 1/2 makes its
+    factors exact; the errors are formed in its array, in one subtract/abs/max
+    pass.
+    """
+    qmn_at = p["profile"].on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))
+
+    def errors(y, t):
+        err = qmn_at(t)
+        np.subtract(y[:, :, 0], err, out=err)
+        # np.maximum.reduce is np.max without its argument handling
+        return dict(zip(("err_Q", "err_M", "err_N"),
+                        np.maximum.reduce(np.abs(err, out=err), axis=1)))
+
+    return errors
 
 
 def _parse_collision(params, s_length):
@@ -299,9 +315,10 @@ def _collision_fields(p, s):
     return np.stack([np.stack(sample[i:i + 2], axis=1) for i in (0, 2, 4)])
 
 
-def _collision_errors(p, s, y, t):
-    separation = p["solution"].separation(s, t)
-    return {"err_X": np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation))}
+def _collision_reference(p, s):
+    """The separation error of a level at t, from the profile bound to the nodes ``s``."""
+    separation = p["solution"].separation_on_nodes(s)
+    return lambda y, t: {"err_X": np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation(t)))}
 
 
 def _spin_chain_rhs(p, sten):
@@ -384,7 +401,8 @@ class ModelSpec(NamedTuple):
     rhs: Callable  # (parsed, stencil) -> function of the packed state
     fields: tuple  # output name of each slot of the packed state
     diagnostics: dict  # kind -> Diagnostic
-    reference: Callable | None = None  # (parsed, s, level, t) -> named errors at t
+    # (parsed, s) -> function (level, t) -> named errors at t, bound once per run
+    reference: Callable | None = None
     check_nodes: Callable | None = None  # (parsed, s) -> None; rejects data singular on s
     wave_speed: Callable = lambda p: 1.0  # (parsed) -> largest wave speed, bounding the CFL number
 
@@ -431,12 +449,12 @@ MODEL_SPECS = (
     ModelSpec(
         "peakon_single_exact", "single peakon riding a closed-form wave profile",
         _parse_single, _single_fields, _peakon_rhs, ("Q", "M", "N"), _PEAKON_DIAGNOSTICS,
-        _single_errors,
+        _single_reference,
     ),
     ModelSpec(
         "peakon_collision_exact", "antisymmetric peakon-antipeakon pair from a wave profile",
         _parse_collision, _collision_fields, _peakon_rhs, ("Q", "M", "N"),
-        _PEAKON_DIAGNOSTICS, _collision_errors, _check_collision_nodes,
+        _PEAKON_DIAGNOSTICS, _collision_reference, _check_collision_nodes,
     ),
 )
 MODEL_NAMES = tuple(spec.name for spec in MODEL_SPECS)
@@ -694,9 +712,10 @@ class _Window:
             self.previous = None
 
 
-def _reference_errors(cfg, s, y, t):
-    """Errors of the stored level ``y`` against the model's reference at ``t``."""
-    return _SPECS[cfg.model].reference(cfg.params, s, y, t)
+def _reference_errors(reference, y, t):
+    """Errors of the stored level ``y`` against the run's bound reference at
+    ``t``; one call per stored level, under a name a tracer can wrap."""
+    return reference(y, t)
 
 
 def _new_columns(entry):
@@ -913,7 +932,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     before the newest: that level itself, or, while a step runs, the
     centered kinds' prediction formed from it and the step's first stage
     (see ``_Window``).  The window's hook is installed only when the run
-    has a centered kind.
+    has a centered kind.  An exact model binds its reference to the nodes
+    once, before the first level is stored, and holds its node rows (two
+    rows of N_s doubles per harmonic of the profile) in place of the nodes.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each
@@ -966,13 +987,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
             snaps.append(y)
         times.append(t)
         _evaluate_diagnostics(cfg, sten, y, held, series, window)
-        if spec.reference is not None:
-            _append(errors, _reference_errors(cfg, s, y, t))
+        if reference_at is not None:
+            _append(errors, _reference_errors(reference_at, y, t))
 
     try:
         y = spec.initial(cfg.params, s)
     except SimulationError as exc:
         raise _located(exc, "initial data, t = 0") from exc
+    reference_at = None if spec.reference is None else spec.reference(cfg.params, s)
+    del s  # the bound reference holds what it reads of the nodes
     store(y, 0.0)
     failure = None
     for i in range(cfg.n_steps):

@@ -22,9 +22,11 @@ class DerivativeStencil:
         if not (self.ds > 0.0 and np.isfinite(self.ds)):
             raise ValueError(f"grid spacing must be positive and finite, got {self.ds}")
 
-    def __call__(self, f):
+    def __call__(self, f, out=None):
+        """The derivative of ``f``, in a new array or, given ``out`` shaped like
+        ``f`` and not overlapping it, in ``out``, with the same bits."""
         f = np.asarray(f, dtype=float)
-        d1 = _centered_difference(f, 1)
+        d1 = _centered_difference(f, 1, out)
         if self.order == 2:
             d1 /= 2.0 * self.ds
             return d1
@@ -44,8 +46,9 @@ def slot_derivatives(stencil, y):
     return stencil(y.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-def _centered_difference(f, k):
-    """f[i + k] - f[i - k] for every row i of f, periodic along axis 0.
+def _centered_difference(f, k, out=None):
+    """f[i + k] - f[i - k] for every row i of f, periodic along axis 0, in
+    ``out`` if given.
 
     Equal element for element to ``np.roll(f, -k, 0) - np.roll(f, k, 0)``:
     one slice difference for the interior rows and one for each band of k
@@ -54,8 +57,9 @@ def _centered_difference(f, k):
     n = f.shape[0]
     if n < 2 * k:  # grid narrower than the stencil: neighbours alias
         i = np.arange(n)
-        return f[(i + k) % n] - f[(i - k) % n]
-    out = np.empty_like(f)
+        return np.subtract(f[(i + k) % n], f[(i - k) % n], out=out)
+    if out is None:
+        out = np.empty_like(f)
     np.subtract(f[2 * k:], f[:n - 2 * k], out=out[k:n - k])
     np.subtract(f[k:2 * k], f[n - k:], out=out[:k])
     np.subtract(f[:k], f[n - 2 * k:n - k], out=out[n - k:])

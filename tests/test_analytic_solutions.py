@@ -296,6 +296,109 @@ def test_value_alone_forms_no_derivatives(monkeypatch):
     assert spy.calls == {"sin": 2, "cos": 2}
 
 
+def harmonic_terms(d):
+    """(amplitude, wavenumber, phase) of every harmonic of a built profile's
+    descriptor, a standing wave's phase 0."""
+    if d["type"] == "traveling":
+        return [tuple(term) for term in d["terms"]]
+    if d["type"] == "standing":
+        return [(d["amplitude"], d["wavenumber"], 0.0)]
+    return [term for part in d["parts"] for term in harmonic_terms(part)]
+
+
+def node_bound(d, s, t):
+    """How far ``on_nodes`` may sit from the jet at t, by round-off: each
+    harmonic's argument is rounded in both, at most 4 eps (1 + |k| (|s| + |t|)
+    + |phase|) apart, and a shift of the argument moves h by |a| and h_s, h_t
+    by |a k| times it; the products and sums add a few eps of each."""
+    eps = np.finfo(float).eps
+    reach = float(np.max(np.abs(s))) + abs(t)
+    return sum(8.0 * eps * abs(a) * (1.0 + abs(k)) * (2.0 + abs(k) * reach + abs(ph))
+               for a, k, ph in harmonic_terms(d))
+
+
+ON_NODES_PROFILES = {
+    **JET_PROFILES,
+    "right-nested": WaveProfile.superpose([
+        WaveProfile.traveling([(0.3, 1.0, 0.1)], 1),
+        WaveProfile.superpose([
+            WaveProfile.traveling([(0.1, 2.0, 5.0), (-0.7, 3.0, 2.0)], -1),
+            WaveProfile.standing(0.2, 3.0),
+            WaveProfile.superpose([WaveProfile.constant(0.7), WaveProfile.standing(-0.4, 2.0)]),
+        ]),
+        WaveProfile.traveling([(0.9, 1.0, 4.0), (0.6, 2.0, 0.3)], 1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1e3])
+@pytest.mark.parametrize("name", list(ON_NODES_PROFILES))
+def test_node_evaluator_matches_the_jet(name, t):
+    """The profile bound to fixed nodes gives the jet's (h, h_t, h_s): its
+    values at t = 0, in every nesting of superpositions, and within
+    ``node_bound`` later, also with the factors of the single-peakon data."""
+    prof = ON_NODES_PROFILES[name]
+    s = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+    want = np.stack(prof.jet(s, t))
+    got = prof.on_nodes(s)(t)
+    assert got.shape == (3, 48)
+    scaled = prof.on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))(t)
+    exact = np.stack(single_peakon_exact(prof, s, t))
+    value = prof.on_nodes(s, (1.0,))(t)
+    assert value.shape == (1, 48)
+    if t == 0.0:
+        assert np.array_equal(got, want)
+        assert np.array_equal(scaled, exact)
+        assert np.array_equal(value[0], prof.h(s, t))
+    else:
+        bound = node_bound(prof.descriptor, s, t)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+        np.testing.assert_allclose(scaled, exact, rtol=0.0, atol=bound / K0)
+        assert np.array_equal(value[0], got[0])
+
+
+def test_node_bound_is_not_loose():
+    """The bound of ``test_node_evaluator_matches_the_jet`` is within a
+    factor 100 of what the evaluator's round-off reaches over its profiles
+    (a factor 24 measured)."""
+    s = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+    ratios = [float(np.max(np.abs(prof.on_nodes(s)(t) - np.stack(prof.jet(s, t)))))
+              / node_bound(prof.descriptor, s, t)
+              for prof in ON_NODES_PROFILES.values() if node_bound(prof.descriptor, s, 0.0)
+              for t in (0.3, 1e3)]
+    assert 1.0 / 100.0 < max(ratios) <= 1.0
+
+
+def test_node_evaluator_of_a_hand_built_profile_calls_its_jet():
+    """A profile built from callables has no separable form: its node
+    evaluator is its jet, times the factors."""
+    s = np.linspace(0.0, 1.0, 5)
+    at = linear_profile().on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))
+    assert np.array_equal(at(2.0), np.stack(single_peakon_exact(linear_profile(), s, 2.0)))
+
+
+def test_node_evaluator_forms_no_sin_or_cos_of_the_nodes_per_call(monkeypatch):
+    """The nodes' sin and cos rows are formed once, when the profile is
+    bound; a call takes scalar cos and sin of t alone."""
+    prof = ON_NODES_PROFILES["right-nested"]
+    spy = CountingNumpy()
+    monkeypatch.setattr(analytic_solutions, "np", spy)
+    at = prof.on_nodes(np.linspace(0.0, 6.0, 32))
+    assert spy.calls == {"sin": 8, "cos": 8}
+    for t in (0.0, 0.5, 1.0):
+        at(t)
+    assert spy.calls == {"sin": 8, "cos": 8}
+
+
+def test_collision_separation_on_nodes_matches_separation():
+    sol = CollisionSolution(JET_PROFILES["superposition"], -1)
+    s = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+    at = sol.separation_on_nodes(s)
+    assert np.array_equal(at(0.0), sol.separation(s, 0.0))
+    bound = 2.0 * node_bound(sol.profile.descriptor, s, 0.7) + 8.0 * np.finfo(float).eps
+    np.testing.assert_allclose(at(0.7), sol.separation(s, 0.7), rtol=0.0, atol=bound)
+
+
 # -------------------------------------------------------- single peakon closed form
 
 

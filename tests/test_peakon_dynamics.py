@@ -301,8 +301,12 @@ def shuffle_per_node(rng, *fields):
     return tuple(np.take_along_axis(f, perm, axis=-1) for f in fields)
 
 
-def zero_stencil(f):
-    return np.zeros_like(f)
+def zero_stencil(f, out=None):
+    """A stencil whose slopes are +0.0, with the interface of DerivativeStencil."""
+    if out is None:
+        return np.zeros_like(f)
+    out[...] = 0.0
+    return out
 
 
 @pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])

@@ -47,6 +47,8 @@ from gstrand import (
 )
 from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
 from gstrand.cli import main
+from gstrand.peakon_dynamics import K0
+from test_analytic_solutions import node_bound
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -1581,20 +1583,55 @@ def centered_bound(cfg, snaps):
                                             + big * big)
 
 
+def node_reference_columns(cfg, snaps, times):
+    """The reference error columns of the exact models from the profile bound
+    to the nodes, ``WaveProfile.on_nodes``, in the run's order of operations."""
+    s = np.arange(cfg.n_nodes) * (cfg.s_length / cfg.n_nodes)
+    if cfg.model == "peakon_single_exact":
+        qmn_at = cfg.params["profile"].on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))
+        exact = [qmn_at(t) for t in times]
+        return {key: np.array([np.max(np.abs(y[i][:, 0] - ref[i])) for y, ref in zip(snaps, exact)])
+                for i, key in enumerate(("err_Q", "err_M", "err_N"))}
+    separation = cfg.params["solution"].separation_on_nodes(s)
+    return {"err_X": np.array([np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation(t)))
+                               for y, t in zip(snaps, times)])}
+
+
+def reference_bound(cfg, snaps, times):
+    """How far the node evaluator's reference error columns may sit from
+    ``single_peakon_exact`` and ``CollisionSolution.separation`` by round-off:
+    ``node_bound`` of the profile at the last time over K0, or, for the
+    separation 2 log cosh h, whose slope is at most 2 in h, twice it plus
+    8 eps of the largest separation."""
+    s = np.arange(cfg.n_nodes) * (cfg.s_length / cfg.n_nodes)
+    if cfg.model == "peakon_single_exact":
+        return node_bound(cfg.params["profile"].descriptor, s, times[-1]) / K0
+    big = max(float(np.max(np.abs(y[0][:, 0] - y[0][:, 1]))) for y in snaps)
+    return (2.0 * node_bound(cfg.params["solution"].profile.descriptor, s, times[-1])
+            + 8.0 * np.finfo(float).eps * (1.0 + big))
+
+
 def assert_series_match_oracles(cfg, report):
     """Every series of a run against the functions applied to its whole stored
     trajectory.  Each has their bits, except that the spin_chain and aniso_uv
     centered columns, evaluated from the step's first stage, have those of
     ``residual_columns`` and match their old oracles in ``trajectory_columns``
     within ``centered_bound``.  The chiral columns have the bits of
-    ``chiral_curvature_max`` and match the matrix path within that bound."""
+    ``chiral_curvature_max`` and match the matrix path within that bound.
+    The reference errors have the bits of ``node_reference_columns`` and
+    match the closed forms' within ``reference_bound``."""
     expected = trajectory_columns(cfg, report.snapshots, report.times)
     bitwise, near = dict(expected), {}
+    bound = centered_bound(cfg, report.snapshots)
     if cfg.model == "chiral":
         near = matrix_chiral_columns(cfg, report.snapshots)
     elif cfg.model in ("spin_chain", "aniso_uv"):
         near = {kind: expected[kind] for kind in expected}
         bitwise.update(residual_columns(cfg, report.snapshots))
+    elif "reference_error" in expected:
+        near = {"reference_error": expected["reference_error"]}
+        bitwise["reference_error"] = node_reference_columns(cfg, report.snapshots, report.times)
+        bound = reference_bound(cfg, report.snapshots, report.times)
     series = report.series()
     assert list(series) == list(expected)
     for kind, columns in bitwise.items():
@@ -1603,8 +1640,7 @@ def assert_series_match_oracles(cfg, report):
         for key, values in columns.items():
             assert np.array_equal(got[key], values), (kind, key)
             if kind in near:
-                np.testing.assert_allclose(got[key], near[kind][key], rtol=0.0,
-                                           atol=centered_bound(cfg, report.snapshots))
+                np.testing.assert_allclose(got[key], near[kind][key], rtol=0.0, atol=bound)
 
 
 @pytest.mark.parametrize("name", sorted(set(output_digests.small_runs()) - {BLOW_UP}))
@@ -1953,24 +1989,56 @@ def test_only_the_collision_model_checks_its_nodes(monkeypatch):
 
 def test_single_errors_equal_the_per_field_loop():
     """One subtract/abs/max pass over the packed level gives the bits of
-    the per-field errors, NaN and signed zeros included."""
+    the per-field errors against the bound evaluator's (Q, M, N), NaN and
+    signed zeros included."""
     cfg = ScenarioConfig.from_dict(single_exact_dict())
     s = sim_harness._nodes(cfg.s_length, cfg.n_nodes)
+    errors = sim_harness._single_reference(cfg.params, s)
+    qmn_at = cfg.params["profile"].on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))
     rng = np.random.default_rng(7)
     for t in (0.0, 0.05, 0.1):
-        exact = single_peakon_exact(cfg.params["profile"], s, t)
+        exact = qmn_at(t)
         for noise in (0.0, 1e-9, 1.0):
-            y = np.stack([f[:, None] for f in exact]) + noise * rng.standard_normal((3, 64, 1))
+            y = exact[:, :, None] + noise * rng.standard_normal((3, 64, 1))
             y[1, 5, 0] = -0.0
             if noise == 1.0:
                 y[2, 7, 0] = np.nan
-            got = sim_harness._single_errors(cfg.params, s, y, t)
+            got = errors(y, t)
             want = {key: np.max(np.abs(field - ref[:, None]))
                     for key, field, ref in zip(("err_Q", "err_M", "err_N"), y, exact)}
             assert list(got) == list(want)
             for key in want:
                 assert type(got[key]) is type(want[key])
                 assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+
+def single_exact_memory_peak(n_nodes=512, steps=24):
+    """tracemalloc peak, in bytes, of a peakon_single_exact run that keeps
+    no snapshots, with the two-wave profile of ``single_exact_dict``."""
+    d = single_exact_dict()
+    dt = 0.5 * TWO_PI / n_nodes
+    d["grid"] = {"S": TWO_PI, "N_s": n_nodes, "dt": dt, "t_end": steps * dt}
+    cfg = ScenarioConfig.from_dict(d)
+    run_scenario(cfg, keep_snapshots=False)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, keep_snapshots=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_exact_run_peaks_below_six_and_a_half_states():
+    """A peakon_single_exact run at N_s = 512 that keeps no snapshots peaks
+    inside an RHS evaluation: the state, k1, the stage input and the lone
+    peakon's output, which takes each slope in its last slot, besides the
+    reference's node rows (two harmonics, four rows of N_s doubles) and the
+    run's small objects.  5.92 packed states measured.  The old A = 1 step
+    held the (N_s, 2) slope input and output besides its output: with it
+    and the node rows the run peaked at 7.25, and with it and the exact
+    data formed afresh per level, keeping no rows, at 6.19."""
+    state_bytes = 3 * 512 * 8
+    assert single_exact_memory_peak() < 6.5 * state_bytes
 
 
 def small_run_with_lambdas(name):
