@@ -219,23 +219,28 @@ def _chiral_residual_max(residual, coeffs, dt):
     return maxes
 
 
-def _aniso_curvature_max(residual, lambdas, p: DiagonalParams, dt):
-    """Max-norm so(4) curvature of ``aniso_lax`` at the doubled fields, for each lam.
+def _aniso_weights(lambdas, p: DiagonalParams):
+    """|w_j| = |lam + J_jj| of W = lam Id + J (``build_J``), for each lam."""
+    diagonal = np.diagonal(build_J(p)).tolist()
+    return [[abs(lam + j) for j in diagonal] for lam in lambdas]
+
+
+def _aniso_curvature_max(residual, weights, dt):
+    """Max-norm so(4) curvature of ``aniso_lax`` at the doubled fields, for each
+    lam, given its ``_aniso_weights``.
 
     ``residual`` holds e = 2 dt R, the packed residual of ``aniso_rhs_uv``.
     Along the doubled fields the curvature is embed_so4(2 R_v, 2 R_u) W with
-    the diagonal W = lam Id + J (``build_J``), whose entry (i, j) is an
-    embedded component times w_j: component k of 2 R_v sits in the columns
-    j != k of the so(3) block, component i of 2 R_u in column 3 and in row 3,
-    column i.  So the max norm is the largest of max |2 R_v[k]| |w_j|,
-    j != k, and max |2 R_u[i]| max(|w_i|, |w_3|), with 2 R = e / dt; no 4x4
-    matrix is formed.
+    the diagonal W = lam Id + J, whose entry (i, j) is an embedded component
+    times w_j: component k of 2 R_v sits in the columns j != k of the so(3)
+    block, component i of 2 R_u in column 3 and in row 3, column i.  So the
+    max norm is the largest of max |2 R_v[k]| |w_j|, j != k, and
+    max |2 R_u[i]| max(|w_i|, |w_3|), with 2 R = e / dt; no 4x4 matrix is
+    formed.
     """
     (peak_u, peak_v) = np.max(np.abs(residual), axis=1).tolist()
-    diagonal = np.diagonal(build_J(p)).tolist()
     out = []
-    for lam in lambdas:
-        w = [abs(lam + j) for j in diagonal]
+    for w in weights:
         block = max(peak_v[k] * w[j] for k in range(3) for j in range(3) if j != k)
         edge = max(peak_u[i] * max(w[i], w[3]) for i in range(3))
         out.append(max(block, edge) / dt)

@@ -8,21 +8,23 @@ reference errors in the same pass, as each level is stored, and then writes
 one CSV per field and per diagnostic plus a ``report.json``.  Identical
 configurations produce byte-identical files.
 
-The diagnostics are local in time: a centered kind reads the newest three
-stored levels, the drift kind the first and the newest, every other kind the
-newest alone.  A centered kind reads them through the method-of-lines
-residual R_k = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k) at the middle one, dt
-the spacing of stored levels, whose fixed linear image is its discrete
-curvature (see ``integrability``).  f(y_k) is the first stage that the step
-leaving y_k takes, so the run forms the prediction y_{k-1} + 2 dt f(y_k)
-from it in place of y_{k-1}, and the residual in the prediction's buffer
-once y_{k+1} is stored.  Between steps the centered kinds hold the level
-before the newest, and while a step runs that prediction.  A run holds
-only those levels, unless it writes field CSVs or its caller asks for the
-snapshots (``keep_snapshots``); then it keeps every stored level.  What
-does grow with the run is its series: each stored time and each value of
-a diagnostic or reference error is appended to one float64 column per
-name, about 8 bytes a value.
+The diagnostics are local in time.  Each is bound to the run once, at the
+first stored level, which fixes its columns and run constants (the drift
+kind keeps that level's node magnitudes); then a centered kind reads the
+newest three stored levels, every other kind the newest alone, and each
+appends its values to its columns by position.  A centered kind reads the
+method-of-lines residual R_k = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k) at the
+middle one, dt the spacing of stored levels, whose fixed linear image is
+its discrete curvature (see ``integrability``).  f(y_k) is the first stage
+that the step leaving y_k takes, so the run forms the prediction
+y_{k-1} + 2 dt f(y_k) from it in place of y_{k-1}, and the residual in the
+prediction's buffer once y_{k+1} is stored.  Between steps the centered
+kinds hold the level before the newest, and while a step runs that
+prediction.  A run holds only those levels, unless it writes field CSVs or
+its caller asks for the snapshots (``keep_snapshots``); then it keeps every
+stored level.  What does grow with the run is its series: each stored time
+and each value of a diagnostic or reference error is appended to one
+float64 column per name, about 8 bytes a value.
 
 Every model is one ``ModelSpec`` record in ``MODEL_SPECS``: its parameter
 parser, initial data, right-hand side on the packed state array, field
@@ -67,6 +69,7 @@ from .errors import (
 # (perfbench/spans.py) wraps them by these names
 from .integrability import (  # noqa: F401
     _aniso_curvature_max,
+    _aniso_weights,
     _chiral_coefficients,
     _chiral_residual_max,
     _magnitude_drift,
@@ -270,7 +273,7 @@ def _single_fields(p, s):
 
 
 def _single_reference(p, s):
-    """The single-peakon errors of a level at t, from the profile bound to the nodes ``s``.
+    """(err_Q, err_M, err_N) and their evaluator (level, t), bound to the nodes ``s``.
 
     The evaluator forms (Q, M, N) = (h, h_t / K0, -h_s / K0) with the bits of
     ``single_peakon_exact`` on its (h, h_t, h_s), since K0 = 1/2 makes its
@@ -283,10 +286,9 @@ def _single_reference(p, s):
         err = qmn_at(t)
         np.subtract(y[:, :, 0], err, out=err)
         # np.maximum.reduce is np.max without its argument handling
-        return dict(zip(("err_Q", "err_M", "err_N"),
-                        np.maximum.reduce(np.abs(err, out=err), axis=1)))
+        return np.maximum.reduce(np.abs(err, out=err), axis=1)
 
-    return errors
+    return ("err_Q", "err_M", "err_N"), errors
 
 
 def _parse_collision(params, s_length):
@@ -316,9 +318,9 @@ def _collision_fields(p, s):
 
 
 def _collision_reference(p, s):
-    """The separation error of a level at t, from the profile bound to the nodes ``s``."""
+    """(err_X,) and its evaluator (level, t), bound to the nodes ``s``."""
     separation = p["solution"].separation_on_nodes(s)
-    return lambda y, t: {"err_X": np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation(t)))}
+    return ("err_X",), lambda y, t: [np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation(t)))]
 
 
 def _spin_chain_rhs(p, sten):
@@ -331,42 +333,41 @@ def _peakon_rhs(p, sten):
 
 
 # --------------------------------------------------------------------------
-# diagnostics at one stored level; each returns its named values there, or
-# one value per lambda.  ``levels`` holds what the kind reads of the stored
-# levels (see Diagnostic); a centered kind gets 2 dt R, the scaled residual
-# at the middle of the newest three, with dt their spacing.
+# diagnostic binders (see Diagnostic); ``evaluate`` returns the values of a
+# stored level, or of a centered kind's 2 dt R, in column order.
 
 
-def _chiral_curvature(cfg, sten, residual, lambdas):
-    return _chiral_residual_max(residual, _chiral_coefficients(lambdas), cfg.dt * cfg.cadence)
+def _chiral_curvature(cfg, sten, lambdas, first):
+    coeffs, dt = _chiral_coefficients(lambdas), cfg.dt * cfg.cadence
+    return _lambda_columns(lambdas), lambda e: _chiral_residual_max(e, coeffs, dt)
 
 
-def _aniso_curvature(cfg, sten, residual, lambdas):
-    return _aniso_curvature_max(residual, lambdas, cfg.params["P"], cfg.dt * cfg.cadence)
+def _aniso_curvature(cfg, sten, lambdas, first):
+    weights, dt = _aniso_weights(lambdas, cfg.params["P"]), cfg.dt * cfg.cadence
+    return _lambda_columns(lambdas), lambda e: _aniso_curvature_max(e, weights, dt)
 
 
-def _compatibility(cfg, sten, residual, lambdas):
+def _compatibility(cfg, sten, lambdas, first):
     # v_t - u_s + u x v is R_v: spin_chain_rhs sets v_t = u_s + v x u
-    return {"residual": np.max(np.abs(residual[1])) / (2.0 * (cfg.dt * cfg.cadence))}
+    two_dt = 2.0 * (cfg.dt * cfg.cadence)
+    return ("residual",), lambda e: [np.max(np.abs(e[1])) / two_dt]
 
 
-def _invariant_drift(cfg, sten, levels, lambdas):
-    drift_x, drift_y = _magnitude_drift(levels[0], levels[-1])
-    return {"drift_X": drift_x, "drift_Y": drift_y}
+def _invariant_drift(cfg, sten, lambdas, first):
+    base = _node_magnitudes(first)
+    return ("drift_X", "drift_Y"), lambda y: _magnitude_drift(base, _node_magnitudes(y))
 
 
-def _s_constraint(cfg, sten, levels, lambdas):
-    (y,) = levels
-    return {"residual": np.max(np.abs(s_constraint_residual(y[0], y[2], sten)))}
+def _s_constraint(cfg, sten, lambdas, first):
+    return ("residual",), lambda y: [np.max(np.abs(s_constraint_residual(y[0], y[2], sten)))]
 
 
-def _conservation_sums(cfg, sten, levels, lambdas):
-    (y,) = levels
+def _conservation_sums(cfg, sten, lambdas, first):
     ds = cfg.s_length / cfg.n_nodes
-    values = {"sum_M": np.sum(y[1]) * ds}
-    if y.shape[2] == 2:
-        values["sum_N_skew"] = np.sum(y[2][:, 0] - y[2][:, 1]) * ds
-    return values
+    if first.shape[2] != 2:
+        return ("sum_M",), lambda y: [np.sum(y[1]) * ds]
+    return ("sum_M", "sum_N_skew"), lambda y: [
+        np.sum(y[1]) * ds, np.sum(y[2][:, 0] - y[2][:, 1]) * ds]
 
 
 # --------------------------------------------------------------------------
@@ -374,24 +375,22 @@ def _conservation_sums(cfg, sten, levels, lambdas):
 
 
 class Diagnostic(NamedTuple):
-    """One diagnostic kind of a model."""
+    """One diagnostic kind of a model, bound to a run once, at its first stored level."""
 
-    evaluate: Callable  # (cfg, stencil, levels, lambdas) -> named values, or one per lambda
+    bind: Callable  # (cfg, stencil, lambdas, first level) -> (column names, evaluate)
     lambdas: tuple | None = None  # default spectral parameters; None: takes none
     pole_at_zero: bool = False  # reject lambda = 0 and any lambda whose 1/lambda overflows
-    # levels: 2 dt R, the scaled method-of-lines residual at the middle of the
-    # newest 3, whose time it is evaluated at; R's f is the step's first stage
+    # evaluate takes 2 dt R, the scaled method-of-lines residual at the middle
+    # of the newest 3 levels, timed there; R's f is the step's first stage
     centered: bool = False
-    from_first: bool = False  # levels: the first and the newest
-    level: Callable | None = None  # what evaluate reads of a level, formed once per level
     drift: bool = False  # the series' convergence scalar is its largest change from t = 0
 
 
 class ModelSpec(NamedTuple):
     """Everything the harness knows about one model.
 
-    The functions in a record call the RHS, Lax and reference functions by
-    their module names when a run uses them, so those stay patchable.
+    The functions in a record, and those they bind, call the RHS, Lax and
+    reference functions by their module names, so those stay patchable.
     """
 
     name: str
@@ -401,7 +400,7 @@ class ModelSpec(NamedTuple):
     rhs: Callable  # (parsed, stencil) -> function of the packed state
     fields: tuple  # output name of each slot of the packed state
     diagnostics: dict  # kind -> Diagnostic
-    # (parsed, s) -> function (level, t) -> named errors at t, bound once per run
+    # (parsed, s) -> (column names, function (level, t) -> errors in that order)
     reference: Callable | None = None
     check_nodes: Callable | None = None  # (parsed, s) -> None; rejects data singular on s
     wave_speed: Callable = lambda p: 1.0  # (parsed) -> largest wave speed, bounding the CFL number
@@ -439,8 +438,7 @@ MODEL_SPECS = (
         _parse_fields(("X", "Y"), P="anisotropy-P"), _harmonic_fields,
         lambda p, sten: lambda y: aniso_rhs_XY(y, p["P"], sten),
         ("X", "Y"),
-        {"invariant_drift": Diagnostic(_invariant_drift, from_first=True,
-                                        level=_node_magnitudes)},
+        {"invariant_drift": Diagnostic(_invariant_drift)},
     ),
     ModelSpec(
         "peakon", "Diff(R)-strand peakon system with free initial data",
@@ -659,16 +657,18 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _evaluate_diagnostics(cfg, sten, y, held, series, window):
+def _evaluate_diagnostics(cfg, sten, y, monitors, window):
     """Evaluate each diagnostic at the newly stored level ``y``.
 
-    ``held[kind]`` keeps what a non-centered kind reads of the stored levels,
-    and the values are appended to the columns ``series[kind]`` (see
-    ``_append``).  The centered kinds share ``window``, a ``_Window`` (None
-    when the run has none): once it holds the prediction
-    P = y_{k-1} + 2 dt f(y_k), every centered kind is evaluated on
-    y - P = 2 dt R_k, formed in P's buffer, at y_k's time.  Then the window
-    moves on to (y_k, y).
+    ``monitors`` holds (centered, evaluate, columns) per diagnostic, bound
+    by ``_bind_diagnostics``; each level's values are appended to
+    ``columns``.  ``cfg`` and ``sten`` are not read, since the kinds are bound
+    to them; they keep ``y`` the third argument, where wrappers of this
+    function find it.  The centered kinds share
+    ``window``, a ``_Window`` (None when the run has none): once it holds
+    the prediction P = y_{k-1} + 2 dt f(y_k), every centered kind is
+    evaluated on y - P = 2 dt R_k, formed in P's buffer, at y_k's time.
+    Then the window moves on to (y_k, y).
     """
     residual = None
     if window is not None:
@@ -676,18 +676,23 @@ def _evaluate_diagnostics(cfg, sten, y, held, series, window):
             residual = np.subtract(y, window.prediction, out=window.prediction)
             window.prediction = None
         window.previous, window.newest = window.newest, y
+    for centered, evaluate, columns in monitors:
+        if not centered:
+            _append(columns, evaluate(y))
+        elif residual is not None:
+            _append(columns, evaluate(residual))
+
+
+def _bind_diagnostics(cfg, sten, first):
+    """(centered, evaluate, columns) of each diagnostic of ``cfg``, bound to the
+    run at its first stored level; ``columns`` holds one empty float64
+    ``array`` per column name."""
+    monitors = []
     for entry in cfg.diagnostics:
-        kind = entry["kind"]
-        diag = _SPECS[cfg.model].diagnostics[kind]
-        if diag.centered:
-            if residual is not None:
-                _append(series[kind], diag.evaluate(cfg, sten, residual, entry.get("lambdas")))
-            continue
-        levels = held[kind]
-        levels.append(y if diag.level is None else diag.level(y))
-        if len(levels) > (2 if diag.from_first else 1):
-            del levels[-2]
-        _append(series[kind], diag.evaluate(cfg, sten, levels, entry.get("lambdas")))
+        diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
+        names, evaluate = diag.bind(cfg, sten, entry.get("lambdas"), first)
+        monitors.append((diag.centered, evaluate, {name: array("d") for name in names}))
+    return monitors
 
 
 @dataclass(slots=True)
@@ -718,23 +723,9 @@ def _reference_errors(reference, y, t):
     return reference(y, t)
 
 
-def _new_columns(entry):
-    """Empty series of a diagnostic entry: one column per spectral parameter, if
-    it takes them; otherwise ``_append`` names them from the first level."""
-    lambdas = entry.get("lambdas")
-    return {} if lambdas is None else {name: array("d") for name in _lambda_columns(lambdas)}
-
-
 def _append(columns, values):
-    """Append one level's values to ``columns``, one float64 ``array`` per name.
-
-    ``values`` is a dict of named values, whose names and order the first
-    level fixes, or the values of the existing columns in their order.
-    """
-    if isinstance(values, dict):
-        if not columns:
-            columns.update((key, array("d")) for key in values)
-        values = [values[key] for key in columns]
+    """Append one level's values, in column order, to ``columns``, one float64
+    ``array`` per name."""
     for column, value in zip(columns.values(), values):
         column.append(value)
 
@@ -744,17 +735,13 @@ def _columns(columns):
     return {key: np.frombuffer(column) for key, column in columns.items()}
 
 
-def _diagnostic_series(cfg, series, times):
+def _diagnostic_series(cfg, monitors, times):
     """Named series of each diagnostic, with their times (an array of every
     stored time)."""
-    out = {}
-    for entry in cfg.diagnostics:
-        diag = _SPECS[cfg.model].diagnostics[entry["kind"]]
-        out[entry["kind"]] = {
-            "times": times[1:-1] if diag.centered else times,
-            "columns": _columns(series[entry["kind"]]),
-        }
-    return out
+    return {
+        entry["kind"]: {"times": times[1:-1] if centered else times, "columns": _columns(columns)}
+        for entry, (centered, _, columns) in zip(cfg.diagnostics, monitors)
+    }
 
 
 def _diagnostic_scalar(data, drift=False):
@@ -926,15 +913,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     Writes CSV and report files when the config (or ``out_dir``) names an
     output directory; the directory is made before the first step, and a
     path that cannot be one is a ConfigError, as is a file that cannot be
-    written after the run.  Diagnostics and reference errors are evaluated
-    as each level is stored, so of the fields a run holds, besides the state
-    it steps, only what they read of the first stored level and of the one
-    before the newest: that level itself, or, while a step runs, the
-    centered kinds' prediction formed from it and the step's first stage
-    (see ``_Window``).  The window's hook is installed only when the run
-    has a centered kind.  An exact model binds its reference to the nodes
-    once, before the first level is stored, and holds its node rows (two
-    rows of N_s doubles per harmonic of the profile) in place of the nodes.
+    written after the run.  Each diagnostic and reference is bound once, at
+    the first stored level, and evaluated as each level is stored.  So of
+    the fields a run holds, besides the state it steps, only what the bound
+    kinds keep of the first level (the drift kind's node magnitudes, the
+    reference's two rows of N_s doubles per harmonic of the profile) and
+    the level before the newest: that level itself, or, while a step runs,
+    the centered kinds' prediction formed from it and the step's first
+    stage (see ``_Window``).  The window's hook is installed only when the
+    run has a centered kind.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each
@@ -978,15 +965,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
             window.predict(y, rate)
             return rate
 
-    snaps, times, errors = [], array("d"), {}
-    held = {entry["kind"]: [] for entry in cfg.diagnostics}
-    series = {entry["kind"]: _new_columns(entry) for entry in cfg.diagnostics}
+    snaps, times = [], array("d")
 
     def store(y, t):
         if keep:
             snaps.append(y)
         times.append(t)
-        _evaluate_diagnostics(cfg, sten, y, held, series, window)
+        _evaluate_diagnostics(cfg, sten, y, monitors, window)
         if reference_at is not None:
             _append(errors, _reference_errors(reference_at, y, t))
 
@@ -994,7 +979,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         y = spec.initial(cfg.params, s)
     except SimulationError as exc:
         raise _located(exc, "initial data, t = 0") from exc
-    reference_at = None if spec.reference is None else spec.reference(cfg.params, s)
+    monitors = _bind_diagnostics(cfg, sten, y)
+    reference_at = None
+    if spec.reference is not None:
+        names, reference_at = spec.reference(cfg.params, s)
+        errors = {name: array("d") for name in names}
     del s  # the bound reference holds what it reads of the nodes
     store(y, 0.0)
     failure = None
@@ -1014,7 +1003,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
 
     times = np.frombuffer(times)
     if failure is None:
-        diagnostics = _diagnostic_series(cfg, series, times)
+        diagnostics = _diagnostic_series(cfg, monitors, times)
         reference = None if spec.reference is None else {
             "times": times, "columns": _columns(errors)}
         status = "ok"

@@ -282,20 +282,6 @@ def test_value_alone_has_the_bits_of_the_jet(name, point):
     assert_same_bits(prof.h(s, t), prof.jet(s, t)[0])
 
 
-def test_value_alone_forms_no_derivatives(monkeypatch):
-    """h of a traveling and standing superposition makes one sin per traveling
-    harmonic and two cos per standing part, and never calls a jet."""
-    prof = WaveProfile.superpose([
-        WaveProfile.traveling([(0.3, 1.0, 0.1), (0.1, 2.0, 0.0)], 1),
-        WaveProfile.standing(0.5, 1.0),
-    ])
-    spy = CountingNumpy()
-    monkeypatch.setattr(analytic_solutions, "np", spy)
-    monkeypatch.setattr(WaveProfile, "jet", None)
-    CollisionSolution(prof, 1).separation(np.linspace(0.0, 6.0, 32), 0.4)
-    assert spy.calls == {"sin": 2, "cos": 2}
-
-
 def harmonic_terms(d):
     """(amplitude, wavenumber, phase) of every harmonic of a built profile's
     descriptor, a standing wave's phase 0."""

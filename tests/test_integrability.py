@@ -375,12 +375,12 @@ nonzero = st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))
        model=st.sampled_from(sorted(IDENTITY_KINDS)))
 def test_centered_kinds_are_linear_images_of_the_equation_residual(levels, dt, order,
                                                                    diagonals, model):
-    """On arbitrary, non-solution levels each centered kind, evaluated as a run
-    evaluates it on y2 - (y0 + 2 dt f(y1)) with f the model's RHS, equals its
-    field oracle within ``identity_bound``: chiral_lax curvature for every
-    lambda (r = (a - b) R_u - (a + b) R_v, as a + b = 4ab), the
-    compatibility residual (R_v), and the doubled aniso_lax curvature
-    (embed_so4(2 R_v, 2 R_u)(lam Id + J))."""
+    """On arbitrary, non-solution levels each centered kind, bound and
+    evaluated as a run evaluates it on y2 - (y0 + 2 dt f(y1)) with f the
+    model's RHS, equals its field oracle within ``identity_bound``:
+    chiral_lax curvature for every lambda (r = (a - b) R_u - (a + b) R_v, as
+    a + b = 4ab), the compatibility residual (R_v), and the doubled
+    aniso_lax curvature (embed_so4(2 R_v, 2 R_u)(lam Id + J))."""
     sten = DerivativeStencil(order, TWO_PI / IDENTITY_N_S)
     params = {"A": DiagonalParams(diagonals[:3], "inertia-A"),
               "B": DiagonalParams([-abs(b) for b in diagonals[3:6]], "inertia-B"),
@@ -390,8 +390,8 @@ def test_centered_kinds_are_linear_images_of_the_equation_residual(levels, dt, o
     rate = spec.rhs(params, sten)(levels[1])
     e = levels[2] - _predicted(levels[0], rate, dt)
     cfg = SimpleNamespace(dt=dt, cadence=1, params=params)
-    got = spec.diagnostics[IDENTITY_KINDS[model]].evaluate(cfg, sten, e, lambdas)
-    got = list(got.values()) if isinstance(got, dict) else got
+    _, evaluate = spec.diagnostics[IDENTITY_KINDS[model]].bind(cfg, sten, lambdas, levels[0])
+    got = list(evaluate(e))
     want = curvature_oracles(model, list(levels), params, sten, dt, lambdas or (1.0,))
     bound = identity_bound(model, levels, params, sten, dt, lambdas or (1.0,))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)

@@ -1745,6 +1745,28 @@ def test_centered_run_makes_four_rhs_calls_a_step_and_holds_one_buffer(model, ca
     assert max(seen) == 2
 
 
+@pytest.mark.parametrize("model, owner, name", [
+    ("chiral", sim_harness, "_chiral_coefficients"),
+    ("aniso_uv", integrability, "build_J"),
+])
+def test_run_constants_are_formed_once_per_run(model, owner, name, monkeypatch):
+    """A centered kind forms its run constants when it is bound, once per run:
+    the chiral (a, b) table and the aniso_uv J weights, not one per stored
+    level."""
+    calls = []
+
+    def counted(*args, fn=getattr(owner, name)):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    report = run_scenario(ScenarioConfig.from_dict(output_digests.small_runs()[model]),
+                          keep_snapshots=False)
+    assert report.status == "ok"
+    assert len(report.times) == 7
+    assert len(calls) == 1
+
+
 def series_run(name, steps):
     """A ``small_runs`` scenario, or a free peakon run with A = 8, lasting ``steps``."""
     runs = output_digests.small_runs()
@@ -1993,7 +2015,7 @@ def test_single_errors_equal_the_per_field_loop():
     signed zeros included."""
     cfg = ScenarioConfig.from_dict(single_exact_dict())
     s = sim_harness._nodes(cfg.s_length, cfg.n_nodes)
-    errors = sim_harness._single_reference(cfg.params, s)
+    names, errors = sim_harness._single_reference(cfg.params, s)
     qmn_at = cfg.params["profile"].on_nodes(s, (1.0, 1.0 / K0, -1.0 / K0))
     rng = np.random.default_rng(7)
     for t in (0.0, 0.05, 0.1):
@@ -2003,13 +2025,12 @@ def test_single_errors_equal_the_per_field_loop():
             y[1, 5, 0] = -0.0
             if noise == 1.0:
                 y[2, 7, 0] = np.nan
-            got = errors(y, t)
-            want = {key: np.max(np.abs(field - ref[:, None]))
-                    for key, field, ref in zip(("err_Q", "err_M", "err_N"), y, exact)}
-            assert list(got) == list(want)
-            for key in want:
-                assert type(got[key]) is type(want[key])
-                assert np.array_equal(got[key], want[key], equal_nan=True), key
+            got = list(errors(y, t))
+            want = [np.max(np.abs(field - ref[:, None])) for field, ref in zip(y, exact)]
+            assert names == ("err_Q", "err_M", "err_N")
+            for key, a, b in zip(names, got, want):
+                assert type(a) is type(b)
+                assert np.array_equal(a, b, equal_nan=True), key
 
 
 def single_exact_memory_peak(n_nodes=512, steps=24):
