@@ -18,11 +18,9 @@ when a call raises, the error's type and message:
   the bound shows apart from the tables;
 - the five packed SO(3) right-hand sides, ``spin_chain_rhs``,
   ``lie_poisson_rhs_spin_chain``, ``chiral_rhs``, ``aniso_rhs_uv`` and
-  ``aniso_rhs_XY``, on fields with +-0.0 entries;
-- ``DiagonalParams.apply`` and ``DiagonalParams.solve``, for the two
-  inertia diagonals and the singular anisotropy diagonal of each of those
-  cases (``solve`` raises on the last), on one node's 3-vector, one field,
-  the packed pair and the pair reversed (a view with a negative stride);
+  ``aniso_rhs_XY``, on fields with +-0.0 entries, with two inertia
+  diagonals and one singular anisotropy diagonal tiled to the fields'
+  nodes, as a run passes them;
 - ``_node_magnitudes``, the per-node |X|^2 and |Y|^2 of ``invariant_drift``,
   on the same packed fields;
 - ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3;
@@ -242,33 +240,22 @@ def digests(peakons, so3, curvature, profiles, g17):
         checked.call(kernel_tables, q)
         cond.call(lambda q: _checked_kernel(q).cond, q)
 
-    def spin(a, b):
-        return g.SpinChainParams(g.DiagonalParams(a, "inertia-A"), g.DiagonalParams(b, "inertia-B"))
-
     so3_rhs = {
-        "spin_chain_rhs": lambda y, a, b, p, sten: g.spin_chain_rhs(y, spin(a, b), sten),
+        "spin_chain_rhs": lambda y, a, b, p, sten: g.spin_chain_rhs(y, a, b, sten),
         "lie_poisson_rhs_spin_chain":
-            lambda y, a, b, p, sten: g.lie_poisson_rhs_spin_chain(y, spin(a, b), sten),
+            lambda y, a, b, p, sten: g.lie_poisson_rhs_spin_chain(y, a, b, sten),
         "chiral_rhs": lambda y, a, b, p, sten: g.chiral_rhs(y, sten),
-        "aniso_rhs_uv":
-            lambda y, a, b, p, sten: g.aniso_rhs_uv(y, g.DiagonalParams(p, "anisotropy-P"), sten),
-        "aniso_rhs_XY":
-            lambda y, a, b, p, sten: g.aniso_rhs_XY(y, g.DiagonalParams(p, "anisotropy-P"), sten),
+        "aniso_rhs_uv": lambda y, a, b, p, sten: g.aniso_rhs_uv(y, p, sten),
+        "aniso_rhs_XY": lambda y, a, b, p, sten: g.aniso_rhs_XY(y, p, sten),
     }
     for name, fn in so3_rhs.items():
         digest = table[name] = Digest()
         for y, diagonals, order, ds in so3:
-            digest.call(fn, y, *diagonals, g.DerivativeStencil(order, ds))
+            tiled = [np.tile(d, (y.shape[1], 1)) for d in diagonals]
+            digest.call(fn, y, *tiled, g.DerivativeStencil(order, ds))
 
     from gstrand.integrability import _node_magnitudes
 
-    apply, solve = table["DiagonalParams.apply"], table["DiagonalParams.solve"] = Digest(), Digest()
-    for y, diagonals, _, _ in so3:
-        for diagonal, role in zip(diagonals, ("inertia-A", "inertia-B", "anisotropy-P")):
-            params = g.DiagonalParams(diagonal, role)
-            for w in (y[0, 0], y[0], y, y[::-1]):
-                apply.call(params.apply, w)
-                solve.call(params.solve, w)
     digest = table["_node_magnitudes"] = Digest()
     for y, *_ in so3:
         digest.call(lambda y: tuple(_node_magnitudes(y)), y)

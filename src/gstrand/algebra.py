@@ -6,14 +6,9 @@ cross product and the trace pairing <m, n> = tr(m^T n)/2 is the Euclidean
 dot product, so adjoint and coadjoint actions reduce to cross products.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 ANTISYMMETRY_TOL = 1e-12
-
-DIAGONAL_ROLES = ("inertia-A", "inertia-B", "anisotropy-P")
 
 
 def hat(u):
@@ -107,68 +102,7 @@ def extract_so4(a):
     return u, v
 
 
-@dataclass(frozen=True)
-class DiagonalParams:
-    """Diagonal 3x3 operator tagged with its role in the strand models.
-
-    Roles: "inertia-A" and "inertia-B" (invertible inertia operators of the
-    spin-chain Lagrangian) or "anisotropy-P" (coupling weights of the
-    anisotropic model, allowed to be singular).
-
-    ``apply`` and ``solve`` multiply and divide fields of N_s nodes by the
-    diagonal tiled to (N_s, 3), formed once per node count, so numpy runs
-    one inner loop over the whole field instead of N_s loops of length 3;
-    the products and quotients are those of the plain broadcast.
-    ``diagonal`` is the object's own read-only copy, so no tiled operand
-    goes stale.
-    """
-
-    diagonal: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        diag = np.array(self.diagonal, dtype=float)
-        if diag.shape != (3,):
-            raise ValueError(f"diagonal must have shape (3,), got {diag.shape}")
-        entries = diag.tolist()  # three floats: cheaper to test than through numpy
-        if not all(map(math.isfinite, entries)):
-            raise ValueError("diagonal entries must be finite")
-        if self.role not in DIAGONAL_ROLES:
-            raise ValueError(f"unknown role {self.role!r}, expected one of {DIAGONAL_ROLES}")
-        singular = 0.0 in entries  # -0.0 included
-        if self.role.startswith("inertia") and singular:
-            raise ValueError(f"role {self.role!r} requires nonzero diagonal entries")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "_singular", singular)
-        object.__setattr__(self, "_tiled", {})  # node count -> diagonal tiled to (N_s, 3)
-
-    def _operand(self, w):
-        """The diagonal, tiled to w's nodes when w holds (N_s, 3) fields."""
-        if w.ndim < 2:
-            return self.diagonal
-        n = w.shape[-2]
-        tiled = self._tiled.get(n)
-        if tiled is None:
-            tiled = self._tiled[n] = np.tile(self.diagonal, (n, 1))
-        return tiled
-
-    def apply(self, w):
-        """Componentwise product diag * w on trailing axis of length 3."""
-        w = np.asarray(w, dtype=float)
-        return w * self._operand(w)
-
-    def solve(self, w):
-        """Componentwise division, valid only for invertible (inertia) operators."""
-        if self._singular:
-            raise ValueError("operator is singular")
-        w = np.asarray(w, dtype=float)
-        return w / self._operand(w)
-
-
-def build_J(p: DiagonalParams):
-    """Diagonal 4x4 weight matrix -diag(P1, P2, P3, P1+P2+P3)/2 of the four-dimensional Lax potentials."""
-    if p.role != "anisotropy-P":
-        raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    d = p.diagonal
-    return -0.5 * np.diag([d[0], d[1], d[2], d[0] + d[1] + d[2]])
+def build_J(p):
+    """Diagonal 4x4 weight matrix -diag(P1, P2, P3, P1+P2+P3)/2 of the four-dimensional
+    Lax potentials, from the (3,) diagonal P."""
+    return -0.5 * np.diag([p[0], p[1], p[2], p[0] + p[1] + p[2]])

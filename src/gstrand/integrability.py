@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ANTISYMMETRY_TOL, DiagonalParams, build_J, embed_so4, hat
+from .algebra import ANTISYMMETRY_TOL, build_J, embed_so4, hat
 from .so3_dynamics import chiral_rhs
 from .stencil import DerivativeStencil, slot_derivatives
 
@@ -90,15 +90,15 @@ def chiral_lax(u, v, lam: float) -> LaxConnection:
     )
 
 
-def aniso_lax(u, v, lam: float, p: DiagonalParams) -> LaxConnection:
+def aniso_lax(u, v, lam: float, p) -> LaxConnection:
     """4x4 pair of the anisotropic model at the (N_s, 3) fields u, v.
 
     space = A(v, u)(lam Id + J), time = A(u, v)(lam Id + J) with the diagonal
-    weight J built from the coupling parameters.  The compatibility condition
-    of this pair matches the model with its quadratic terms halved; along
-    trajectories of ``aniso_rhs_uv`` the curvature therefore vanishes for the
-    connection evaluated at the doubled fields (2u, 2v), which is what
-    ``run_scenario`` monitors.
+    weight J built from P, the (3,) diagonal of the coupling weights.  The
+    compatibility condition of this pair matches the model with its quadratic
+    terms halved; along trajectories of ``aniso_rhs_uv`` the curvature
+    therefore vanishes for the connection evaluated at the doubled fields
+    (2u, 2v), which is what ``run_scenario`` monitors.
     """
     w = lam * np.eye(4) + build_J(p)
     return LaxConnection(
@@ -219,7 +219,7 @@ def _chiral_residual_max(residual, coeffs, dt):
     return maxes
 
 
-def _aniso_weights(lambdas, p: DiagonalParams):
+def _aniso_weights(lambdas, p):
     """|w_j| = |lam + J_jj| of W = lam Id + J (``build_J``), for each lam."""
     diagonal = np.diagonal(build_J(p)).tolist()
     return [[abs(lam + j) for j in diagonal] for lam in lambdas]

@@ -52,7 +52,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _g17
-from .algebra import DiagonalParams
 from .analytic_solutions import (
     CollisionSolution,
     _descriptor_wavenumbers,
@@ -83,7 +82,6 @@ from .integrability import (  # noqa: F401
 from .peakon_dynamics import K0, MAX_PEAKONS, peakon_rhs, s_constraint_residual
 from .so3_dynamics import (
     MIN_NODES,
-    SpinChainParams,
     aniso_rhs_XY,
     aniso_rhs_uv,
     chiral_rhs,
@@ -177,14 +175,15 @@ def _check_profile(descriptor, s_length, path):
     return profile
 
 
-def _diagonal(x, role, path):
+def _diagonal(x, path, invertible):
+    """A diagonal operator as a (3,) float64 array: 3 finite numbers, none of
+    them zero (-0.0 included) if it must be ``invertible``."""
     if not isinstance(x, list) or len(x) != 3:
         raise ConfigError(f"{path} must be a list of 3 numbers")
     vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(x)]
-    try:
-        return DiagonalParams(np.array(vals), role)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if invertible and 0.0 in vals:
+        raise ConfigError(f"{path}: an inertia operator needs nonzero entries, got {vals}")
+    return np.array(vals)
 
 
 # --------------------------------------------------------------------------
@@ -213,15 +212,12 @@ def _harmonic_fields(p, s):
     ])
 
 
-def _parse_fields(names, **diagonals):
+def _parse_fields(names, *diagonals, invertible=False):
     """Parser for a two-field model: diagonal operators plus (N_s, 3) initial fields."""
 
     def parse(params, s_length):
         _require_keys(params, (*diagonals, "initial"), (), "params")
-        parsed = {
-            key: _diagonal(params[key], role, f"params.{key}")
-            for key, role in diagonals.items()
-        }
+        parsed = {key: _diagonal(params[key], f"params.{key}", invertible) for key in diagonals}
         parsed["initial"] = _initial_terms(params["initial"], names, 3, s_length)
         return parsed
 
@@ -236,9 +232,8 @@ def _parse_spin_chain(params, s_length):
     modes growing like exp(k sqrt(B_i / A_i) t) where it is > 0, an
     ill-posed initial-value problem on which a finer grid blows up sooner.
     """
-    parsed = _parse_fields(("u", "v"), A="inertia-A", B="inertia-B")(params, s_length)
-    for i, (a, b) in enumerate(zip(parsed["A"].diagonal.tolist(),
-                                   parsed["B"].diagonal.tolist())):
+    parsed = _parse_fields(("u", "v"), "A", "B", invertible=True)(params, s_length)
+    for i, (a, b) in enumerate(zip(parsed["A"].tolist(), parsed["B"].tolist())):
         if (a > 0.0) == (b > 0.0):
             raise ConfigError(
                 f"params.B[{i}] / params.A[{i}] = {b!r} / {a!r} > 0: the spin chain is "
@@ -250,8 +245,7 @@ def _parse_spin_chain(params, s_length):
 
 def _spin_chain_speed(p):
     """Largest linear wave speed sqrt(-B_i / A_i) of the spin chain (inf if it overflows)."""
-    return max(math.sqrt(-b / a) for a, b in zip(p["A"].diagonal.tolist(),
-                                                  p["B"].diagonal.tolist()))
+    return max(math.sqrt(-b / a) for a, b in zip(p["A"].tolist(), p["B"].tolist()))
 
 
 def _parse_peakons(params, s_length):
@@ -323,12 +317,28 @@ def _collision_reference(p, s):
     return ("err_X",), lambda y, t: [np.max(np.abs((y[0][:, 0] - y[0][:, 1]) - separation(t)))]
 
 
-def _spin_chain_rhs(p, sten):
-    params = SpinChainParams(p["A"], p["B"])
-    return lambda y: spin_chain_rhs(y, params, sten)
+def _tile(diagonal, s):
+    """A (3,) diagonal tiled to (N_s, 3) on the nodes ``s``, so that numpy runs
+    one inner loop over a field in place of N_s loops of length 3."""
+    return np.tile(diagonal, (len(s), 1))
 
 
-def _peakon_rhs(p, sten):
+def _spin_chain_rhs(p, sten, s):
+    a, b = _tile(p["A"], s), _tile(p["B"], s)
+    return lambda y: spin_chain_rhs(y, a, b, sten)
+
+
+def _aniso_uv_rhs(p, sten, s):
+    weights = _tile(p["P"], s)
+    return lambda y: aniso_rhs_uv(y, weights, sten)
+
+
+def _aniso_xy_rhs(p, sten, s):
+    weights = _tile(p["P"], s)
+    return lambda y: aniso_rhs_XY(y, weights, sten)
+
+
+def _peakon_rhs(p, sten, s):
     return lambda y: peakon_rhs(y[0], y[1], y[2], sten)
 
 
@@ -397,7 +407,7 @@ class ModelSpec(NamedTuple):
     description: str
     parse: Callable  # (params, S) -> parsed params; validates, evaluates no field
     initial: Callable  # (parsed, s) -> packed initial state
-    rhs: Callable  # (parsed, stencil) -> function of the packed state
+    rhs: Callable  # (parsed, stencil, s) -> function of the packed state
     fields: tuple  # output name of each slot of the packed state
     diagnostics: dict  # kind -> Diagnostic
     # (parsed, s) -> (column names, function (level, t) -> errors in that order)
@@ -422,22 +432,18 @@ MODEL_SPECS = (
     ModelSpec(
         "chiral", "SO(3) chiral model u_t = v_s, v_t = u_s - u x v",
         _parse_fields(("u", "v")), _harmonic_fields,
-        lambda p, sten: lambda y: chiral_rhs(y, sten), ("u", "v"),
+        lambda p, sten, s: lambda y: chiral_rhs(y, sten), ("u", "v"),
         {"zero_curvature": Diagnostic(_chiral_curvature, (0.5, 1.0, 2.0, -1.0),
                                       pole_at_zero=True, centered=True)},
     ),
     ModelSpec(
         "aniso_uv", "anisotropic chiral model in (u, v) variables",
-        _parse_fields(("u", "v"), P="anisotropy-P"), _harmonic_fields,
-        lambda p, sten: lambda y: aniso_rhs_uv(y, p["P"], sten),
-        ("u", "v"),
+        _parse_fields(("u", "v"), "P"), _harmonic_fields, _aniso_uv_rhs, ("u", "v"),
         {"lax": Diagnostic(_aniso_curvature, (0.0, 0.5, 1.0), centered=True)},
     ),
     ModelSpec(
         "aniso_xy", "anisotropic chiral model in counter-propagating (X, Y) variables",
-        _parse_fields(("X", "Y"), P="anisotropy-P"), _harmonic_fields,
-        lambda p, sten: lambda y: aniso_rhs_XY(y, p["P"], sten),
-        ("X", "Y"),
+        _parse_fields(("X", "Y"), "P"), _harmonic_fields, _aniso_xy_rhs, ("X", "Y"),
         {"invariant_drift": Diagnostic(_invariant_drift)},
     ),
     ModelSpec(
@@ -657,18 +663,16 @@ def _guard_finite(y):
         raise BlowUpError("non-finite field values during stage evaluation")
 
 
-def _evaluate_diagnostics(cfg, sten, y, monitors, window):
+def _evaluate_diagnostics(y, monitors, window):
     """Evaluate each diagnostic at the newly stored level ``y``.
 
     ``monitors`` holds (centered, evaluate, columns) per diagnostic, bound
     by ``_bind_diagnostics``; each level's values are appended to
-    ``columns``.  ``cfg`` and ``sten`` are not read, since the kinds are bound
-    to them; they keep ``y`` the third argument, where wrappers of this
-    function find it.  The centered kinds share
-    ``window``, a ``_Window`` (None when the run has none): once it holds
-    the prediction P = y_{k-1} + 2 dt f(y_k), every centered kind is
-    evaluated on y - P = 2 dt R_k, formed in P's buffer, at y_k's time.
-    Then the window moves on to (y_k, y).
+    ``columns``.  The centered kinds share ``window``, a ``_Window`` (None
+    when the run has none): once it holds the prediction
+    P = y_{k-1} + 2 dt f(y_k), every centered kind is evaluated on
+    y - P = 2 dt R_k, formed in P's buffer, at y_k's time.  Then the window
+    moves on to (y_k, y).
     """
     residual = None
     if window is not None:
@@ -944,7 +948,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     spec = _SPECS[cfg.model]
     s = _nodes(cfg.s_length, cfg.n_nodes)
     sten = DerivativeStencil(order=2, ds=cfg.s_length / cfg.n_nodes)
-    model_rhs = spec.rhs(cfg.params, sten)
+    model_rhs = spec.rhs(cfg.params, sten, s)
     stages = 0
     stepped = None  # the state rk4_step last returned, which it has scanned
 
@@ -971,7 +975,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
         if keep:
             snaps.append(y)
         times.append(t)
-        _evaluate_diagnostics(cfg, sten, y, monitors, window)
+        _evaluate_diagnostics(y, monitors, window)
         if reference_at is not None:
             _append(errors, _reference_errors(reference_at, y, t))
 

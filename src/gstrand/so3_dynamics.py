@@ -8,34 +8,21 @@ the node-wise time derivatives of both fields as one packed array for
 method-of-lines integration.  The chiral and anisotropic right-hand sides
 differentiate both fields in one stencil call on the node-first view (see
 ``stencil.slot_derivatives``) and form each pair of slot-for-slot cross
-terms in one ``_cross`` call.
+terms in one ``_cross`` call.  The diagonal operators (the spin chain's
+inertia A and B, the anisotropic weights P) are plain float arrays, (3,) or
+tiled to (N_s, 3), checked once by the config; a right-hand side multiplies
+and divides by them as they are.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DiagonalParams, _cross
+from .algebra import _cross
 from .stencil import DerivativeStencil, slot_derivatives
 
 MIN_NODES = 8  # fewest strand nodes of any model, the peakon system included
 
 
-@dataclass(frozen=True)
-class SpinChainParams:
-    """Inertia operators of the spin-chain Lagrangian l = (<u, Au> + <v, Bv>)/2."""
-
-    a: DiagonalParams
-    b: DiagonalParams
-
-    def __post_init__(self):
-        if self.a.role != "inertia-A":
-            raise ValueError(f"first operator must have role 'inertia-A', got {self.a.role!r}")
-        if self.b.role != "inertia-B":
-            raise ValueError(f"second operator must have role 'inertia-B', got {self.b.role!r}")
-
-
-def spin_chain_rhs(y, params: SpinChainParams, stencil: DerivativeStencil):
+def spin_chain_rhs(y, a, b, stencil: DerivativeStencil):
     """Euler-Poincare spin-chain equations on the packed state y = (u, v).
 
     d/dt(Au) + u x (Au) + d/ds(Bv) + v x (Bv) = 0 solved for u_t, together
@@ -43,10 +30,10 @@ def spin_chain_rhs(y, params: SpinChainParams, stencil: DerivativeStencil):
     as one (2, N_s, 3) array.
     """
     u, v = y
-    au = params.a.apply(u)
-    bv = params.b.apply(v)
+    au = u * a
+    bv = v * b
     out = np.empty_like(y, dtype=float)
-    np.negative(params.a.solve(_cross(u, au) + stencil(bv) + _cross(v, bv)), out=out[0])
+    np.negative((_cross(u, au) + stencil(bv) + _cross(v, bv)) / a, out=out[0])
     np.add(stencil(u), _cross(v, u), out=out[1])
     return out
 
@@ -59,7 +46,7 @@ def chiral_rhs(y, stencil: DerivativeStencil):
     return out
 
 
-def lie_poisson_rhs_spin_chain(y, params: SpinChainParams, stencil: DerivativeStencil):
+def lie_poisson_rhs_spin_chain(y, a, b, stencil: DerivativeStencil):
     """Lie-Poisson form of the spin chain on the packed state y = (m, v), m = Au.
 
     m_t = ad*_{dh/dm} m + d/ds(dh/dv) - ad*_v(dh/dv) and
@@ -68,31 +55,29 @@ def lie_poisson_rhs_spin_chain(y, params: SpinChainParams, stencil: DerivativeSt
     (2, N_s, 3) array.
     """
     m, v = np.asarray(y, dtype=float)
-    dh_dm = params.a.solve(m)
-    dh_dv = -params.b.apply(v)
+    dh_dm = m / a
+    dh_dv = -(v * b)
     out = np.empty((2,) + m.shape)
     np.subtract(_cross(m, dh_dm) + stencil(dh_dv), _cross(dh_dv, v), out=out[0])
     np.subtract(stencil(dh_dm), _cross(dh_dm, v), out=out[1])
     return out
 
 
-def aniso_rhs_uv(y, p: DiagonalParams, stencil: DerivativeStencil):
+def aniso_rhs_uv(y, p, stencil: DerivativeStencil):
     """Anisotropic chiral model with coupling weights P on the packed state
     y = (u, v), returned as one (2, N_s, 3) array:
 
     u_t = v_s - v x (Pv) + u x (Pu)
     v_t = u_s - u x (Pv) + v x (Pu)
     """
-    if p.role != "anisotropy-P":
-        raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
-    py = p.apply(y)
+    py = y * p
     out = slot_derivatives(stencil, y[::-1])
     out -= _cross(y[::-1], py[1])
     out += _cross(y, py[0])
     return out
 
 
-def aniso_rhs_XY(y, p: DiagonalParams, stencil: DerivativeStencil):
+def aniso_rhs_XY(y, p, stencil: DerivativeStencil):
     """Anisotropic chiral model in the counter-propagating variables, on the
     packed state y = (X, Y), returned as one (2, N_s, 3) array:
 
@@ -102,10 +87,8 @@ def aniso_rhs_XY(y, p: DiagonalParams, stencil: DerivativeStencil):
     Y = -u - v (inversely u = (X - Y)/2, v = -(X + Y)/2); both cross terms are orthogonal to their field, so per-node |X|^2 and |Y|^2
     ride along the two transport characteristics unchanged.
     """
-    if p.role != "anisotropy-P":
-        raise ValueError(f"expected anisotropy-P parameters, got role {p.role!r}")
     out = slot_derivatives(stencil, y)
-    cross = _cross(y, p.apply(y[::-1]))
+    cross = _cross(y, y[::-1] * p)
     np.negative(out[0], out=out[0])
     out[0] -= cross[0]
     out[1] += cross[1]

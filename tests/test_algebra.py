@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gstrand import (
-    DiagonalParams,
     ad,
     ad_star_so3,
     build_J,
@@ -259,111 +258,9 @@ def test_embed_bracket_closure():
 
 
 def test_build_J_values():
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
-    np.testing.assert_array_equal(build_J(p), np.diag([-0.5, -1.0, -1.5, -3.0]))
+    np.testing.assert_array_equal(build_J(np.array([1.0, 2.0, 3.0])),
+                                  np.diag([-0.5, -1.0, -1.5, -3.0]))
 
 
 def test_build_J_isotropic():
-    p = DiagonalParams(np.ones(3), "anisotropy-P")
-    np.testing.assert_array_equal(build_J(p), np.diag([-0.5, -0.5, -0.5, -1.5]))
-
-
-def test_build_J_requires_anisotropy_role():
-    with pytest.raises(ValueError, match="anisotropy-P"):
-        build_J(DiagonalParams(np.ones(3), "inertia-A"))
-
-
-@pytest.mark.parametrize(
-    "diag,role",
-    [
-        (np.ones(4), "inertia-A"),
-        (np.array([1.0, np.nan, 1.0]), "inertia-A"),
-        (np.ones(3), "mass"),
-        (np.array([1.0, 0.0, 1.0]), "inertia-B"),
-    ],
-)
-def test_diagonal_params_validation(diag, role):
-    with pytest.raises(ValueError):
-        DiagonalParams(diag, role)
-
-
-def test_diagonal_params_apply_solve():
-    p = DiagonalParams(np.array([1.0, 2.0, 4.0]), "inertia-A")
-    w = np.full(3, 8.0)
-    np.testing.assert_array_equal(p.apply(w), [8.0, 16.0, 32.0])
-    np.testing.assert_array_equal(p.solve(w), [8.0, 4.0, 2.0])
-    np.testing.assert_array_equal(p.solve(p.apply(w)), w)
-
-
-def test_singular_anisotropy_applies_but_cannot_solve():
-    p = DiagonalParams(np.array([1.0, 0.0, 2.0]), "anisotropy-P")
-    np.testing.assert_array_equal(p.apply(np.ones(3)), [1.0, 0.0, 2.0])
-    with pytest.raises(ValueError, match="singular"):
-        p.solve(np.ones(3))
-
-
-def bits(a):
-    """The bytes of a float array, so that -0.0 and nan payloads compare too."""
-    return np.ascontiguousarray(a).tobytes()
-
-
-def signed_fields(rng, n_nodes):
-    """A packed (2, N_s, 3) pair with +-0.0, inf and nan entries."""
-    y = rng.standard_normal((2, n_nodes, 3))
-    y[0, 0] = [0.0, -0.0, -0.0]
-    y[1, 1] = [-0.0, np.inf, -np.inf]
-    y[1, -1, 2] = np.nan
-    return y
-
-
-@pytest.mark.parametrize("diag, role", [
-    ([0.5, -2.0, 3.0], "inertia-A"),
-    ([1.5, 0.25, 7.0], "inertia-B"),
-    ([-0.0, 1.25, 0.0], "anisotropy-P"),
-])
-def test_apply_and_solve_equal_the_plain_broadcast(diag, role):
-    """Bit for bit on one 3-vector, one field, the packed pair and its
-    reversed view, for two node counts in turn on one params object; the
-    operand of one node count is never used for another, and no input is
-    written: every input is read-only, so a write would raise."""
-    rng = np.random.default_rng(25)
-    p = DiagonalParams(np.array(diag), role)
-    d = np.array(diag)
-    for n_nodes in (7, 12, 7, 2, 12):
-        y = signed_fields(rng, n_nodes)
-        y.setflags(write=False)
-        for w in (y[0, 0], y[1], y, y[::-1], y[:, ::-1]):
-            with np.errstate(invalid="ignore"):  # 0 * inf
-                got, expected = p.apply(w), w * d
-            assert got.shape == expected.shape and bits(got) == bits(expected)
-            if role == "anisotropy-P":
-                with pytest.raises(ValueError, match="operator is singular"):
-                    p.solve(w)
-            else:
-                assert bits(p.solve(w)) == bits(w / d)
-
-
-def test_diagonal_is_a_read_only_copy():
-    """Changing the array a params object was made from changes nothing, and
-    its own diagonal cannot be written."""
-    source = np.array([1.0, 2.0, 4.0])
-    p = DiagonalParams(source, "inertia-A")
-    w = np.ones((5, 3))
-    before = bits(p.apply(w))
-    source[:] = 9.0
-    assert bits(p.apply(w)) == before
-    assert bits(p.solve(w)) == bits(w / [1.0, 2.0, 4.0])
-    with pytest.raises(ValueError):
-        p.diagonal[0] = 3.0
-
-
-def test_singularity_is_decided_at_construction():
-    """An inertia diagonal with a zero entry, -0.0 included, is rejected
-    when made; an anisotropy one is kept, and its solve raises each time."""
-    for zero in (0.0, -0.0):
-        with pytest.raises(ValueError, match="requires nonzero diagonal entries"):
-            DiagonalParams(np.array([1.0, zero, 2.0]), "inertia-A")
-        p = DiagonalParams(np.array([1.0, zero, 2.0]), "anisotropy-P")
-        for w in (np.ones(3), np.ones((4, 3)), np.ones((2, 4, 3))):
-            with pytest.raises(ValueError, match="operator is singular"):
-                p.solve(w)
+    np.testing.assert_array_equal(build_J(np.ones(3)), np.diag([-0.5, -0.5, -0.5, -1.5]))

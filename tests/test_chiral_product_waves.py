@@ -114,10 +114,10 @@ def chiral_cross_mutant(y, stencil):
     return out
 
 
-def spin_chain_cross_mutant(y, params, stencil):
+def spin_chain_cross_mutant(y, a, b, stencil):
     u, v = y
-    au, bv = params.a.apply(u), params.b.apply(v)
-    du = -params.a.solve(_cross(u, au) + stencil(bv) + _cross(v, bv))
+    au, bv = u * a, v * b
+    du = -((_cross(u, au) + stencil(bv) + _cross(v, bv)) / a)
     return np.stack((du, stencil(u) + 0.9 * _cross(v, u)))
 
 

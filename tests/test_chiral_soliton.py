@@ -80,8 +80,8 @@ def final_errors():
     for n_nodes in LEVELS:
         ds = S_LENGTH / n_nodes
         steps = math.ceil(T_END * math.pi / ds)
-        rhs = sim_harness._SPECS["chiral"].rhs({}, DerivativeStencil(order=2, ds=ds))
         s = -0.5 * S_LENGTH + np.arange(n_nodes) * ds
+        rhs = sim_harness._SPECS["chiral"].rhs({}, DerivativeStencil(order=2, ds=ds), s)
         y = soliton(s, 0.0)
         for _ in range(steps):
             y = rk4_step(y, rhs, T_END / steps)

@@ -2,7 +2,8 @@
 
 import gstrand
 
-REMOVED = ("So3StrandState", "XYState", "PeakonState", "to_XY", "from_XY")
+REMOVED = ("So3StrandState", "XYState", "PeakonState", "to_XY", "from_XY",
+           "DiagonalParams", "SpinChainParams")
 
 
 def test_every_export_resolves_once():
@@ -19,9 +20,10 @@ def test_star_import_binds_exactly_the_export_list():
 
 
 def test_state_containers_are_gone():
-    """The library takes plain arrays; it has no validated state classes."""
+    """The library takes plain arrays; it has no validated state or operator
+    classes."""
     for name in REMOVED:
         assert name not in gstrand.__all__
         assert not hasattr(gstrand, name)
-        for module in (gstrand.so3_dynamics, gstrand.peakon_dynamics):
+        for module in (gstrand.so3_dynamics, gstrand.peakon_dynamics, gstrand.algebra):
             assert not hasattr(module, name)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from gstrand import (
     DerivativeStencil,
-    DiagonalParams,
     LaxConnection,
     aniso_lax,
     ScenarioConfig,
@@ -352,7 +351,7 @@ def identity_bound(model, levels, params, sten, dt, lambdas):
     if model == "chiral":
         c = max(1.0 + abs(lam) + 1.0 / abs(lam) for lam in lambdas)
     elif model == "aniso_uv":
-        p_max = float(np.max(np.abs(params["P"].diagonal)))
+        p_max = float(np.max(np.abs(params["P"])))
         w_max = max(float(np.max(np.abs(lam + np.diagonal(build_J(params["P"])))))
                     for lam in lambdas)
         c = 2.0 * (w_max + 1.0) * (1.0 + p_max)
@@ -382,12 +381,12 @@ def test_centered_kinds_are_linear_images_of_the_equation_residual(levels, dt, o
     a + b = 4ab), the compatibility residual (R_v), and the doubled
     aniso_lax curvature (embed_so4(2 R_v, 2 R_u)(lam Id + J))."""
     sten = DerivativeStencil(order, TWO_PI / IDENTITY_N_S)
-    params = {"A": DiagonalParams(diagonals[:3], "inertia-A"),
-              "B": DiagonalParams([-abs(b) for b in diagonals[3:6]], "inertia-B"),
-              "P": DiagonalParams(diagonals[6:], "anisotropy-P")}
+    params = {"A": np.array(diagonals[:3]),
+              "B": np.array([-abs(b) for b in diagonals[3:6]]),
+              "P": np.array(diagonals[6:])}
     lambdas = IDENTITY_LAMBDAS[model]
     spec = sim_harness._SPECS[model]
-    rate = spec.rhs(params, sten)(levels[1])
+    rate = spec.rhs(params, sten, sim_harness._nodes(TWO_PI, IDENTITY_N_S))(levels[1])
     e = levels[2] - _predicted(levels[0], rate, dt)
     cfg = SimpleNamespace(dt=dt, cadence=1, params=params)
     _, evaluate = spec.diagnostics[IDENTITY_KINDS[model]].bind(cfg, sten, lambdas, levels[0])
@@ -405,7 +404,7 @@ def test_centered_kinds_are_linear_images_of_the_equation_residual(levels, dt, o
 def test_aniso_lax_matches_direct_product():
     rng = np.random.default_rng(23)
     u, v = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = np.array([1.0, 2.0, 3.0])
     lam = 0.7
     conn = aniso_lax(u, v, lam, p)
     w = lam * np.eye(4) + build_J(p)
@@ -420,7 +419,7 @@ def test_aniso_lax_matches_direct_product():
 
 def test_aniso_lax_frozen_entries():
     """u = e3, v = 0, P = (1,2,3), lam = 0: the weight is pure J."""
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = np.array([1.0, 2.0, 3.0])
     conn = aniso_lax(np.tile(E3, (8, 1)), np.zeros((8, 3)), 0.0, p)
     u_expect = np.zeros((4, 4))
     u_expect[2, 3] = -3.0
@@ -437,7 +436,7 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
     rng = np.random.default_rng(29)
     u = rng.standard_normal((8, 3))
     v = rng.standard_normal((8, 3))
-    conn = aniso_lax(u, v, 0.5, DiagonalParams(np.ones(3), "anisotropy-P"))
+    conn = aniso_lax(u, v, 0.5, np.ones(3))
     np.testing.assert_array_equal(conn.U_field[..., :3], np.zeros((8, 4, 3)))
     np.testing.assert_allclose(conn.U_field[:, :3, 3], -u, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(conn.V_field[:, :3, 3], -v, rtol=0.0, atol=1e-15)
@@ -508,7 +507,7 @@ def test_unit_lambda_residual_is_negated_compatibility_residual():
 def test_doubled_field_aniso_residual_converges_raw_does_not():
     """Curvature of the 4x4 pair vanishes at (2u, 2v) along the flow, not at (u, v)."""
     n, dt, steps = 128, 0.0125, 40
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = np.array([1.0, 2.0, 3.0])
     s = np.arange(n) * (TWO_PI / n)
     u = 0.3 * np.stack([np.sin(s), np.zeros(n), np.cos(s)], axis=1)
     v = 0.3 * np.stack([np.zeros(n), np.cos(s), np.zeros(n)], axis=1)
@@ -552,7 +551,7 @@ def test_zero_curvature_residual_bitwise_equals_per_level_loop(pair, order, monk
     rng = np.random.default_rng(order)
     n, dt = 16, 0.05
     sten = DerivativeStencil(order, TWO_PI / n)
-    p = DiagonalParams(np.array([1.5, 0.0, -2.0]), "anisotropy-P")
+    p = np.array([1.5, 0.0, -2.0])
     conns = [
         chiral_lax(y[0], y[1], 0.5) if pair == "chiral" else aniso_lax(y[0], y[1], 0.5, p)
         for y in signed_zero_levels(rng, n, 6)

@@ -151,7 +151,8 @@ def read_only(a):
 def test_rk4_bitwise_equals_sum_form(model):
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()[model])
     sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
-    rhs = sim_harness._SPECS[model].rhs(cfg.params, sten)
+    rhs = sim_harness._SPECS[model].rhs(cfg.params, sten,
+                                        sim_harness._nodes(cfg.s_length, cfg.n_nodes))
     rng = np.random.default_rng(17)
     for dt in (0.02, 1.0 / 3.0):
         y = signed_zero_packed(rng, (2, cfg.n_nodes, 3))
@@ -476,6 +477,11 @@ def model_dict(model):
                      id="diagonal-length-2"),
         pytest.param("spin_chain", ("params", "A"), [1.0, 0.0, 3.0], "params.A",
                      id="zero-inertia"),
+        # the zero check runs before the ellipticity check, which would name params.B
+        pytest.param("spin_chain", ("params", "A"), [1.0, -0.0, 3.0], "params.A",
+                     id="negative-zero-inertia-A"),
+        pytest.param("spin_chain", ("params", "B"), [-2.0, 0.0, -1.0], "params.B",
+                     id="zero-inertia-B"),
         pytest.param("peakon", ("params", "count"), 0, "params.count", id="count-0"),
         pytest.param("peakon", ("params", "count"), 9, "params.count", id="count-over-max"),
     ],
@@ -490,6 +496,23 @@ def test_config_rejection_names_its_path(model, path, value, where):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_dict(d)
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("model", ["aniso_uv", "aniso_xy"])
+def test_singular_weights_parse_and_run(model):
+    """Only the inertia operators must be invertible: weights P with 0.0 and
+    -0.0 entries parse and run, and the run equals the one with +0.0 in
+    place of -0.0 (signed zeros compare equal)."""
+    reports = []
+    for middle in (-0.0, 0.0):
+        d = output_digests.small_runs()[model]
+        d["params"]["P"] = [0.0, middle, 1.5]
+        reports.append(run_scenario(ScenarioConfig.from_dict(d)))
+    signed, unsigned = reports
+    assert signed.status == unsigned.status == "ok"
+    assert len(signed.snapshots) == len(unsigned.snapshots) > 1
+    for y, z in zip(signed.snapshots, unsigned.snapshots):
+        assert np.isfinite(y).all() and np.array_equal(y, z)
 
 
 @pytest.mark.parametrize(
@@ -1532,7 +1555,8 @@ def residual_columns(cfg, snaps):
     embedded entry with the diagonal weight rounds once, so the matrix form
     has the bits of the run's vector form."""
     sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
-    rhs = sim_harness._SPECS[cfg.model].rhs(cfg.params, sten)
+    rhs = sim_harness._SPECS[cfg.model].rhs(cfg.params, sten,
+                                            sim_harness._nodes(cfg.s_length, cfg.n_nodes))
     dt = cfg.dt * cfg.cadence
     residuals = [snaps[k + 1] - (rhs(snaps[k]) * (2.0 * dt) + snaps[k - 1])
                  for k in range(1, len(snaps) - 1)]
@@ -1577,7 +1601,7 @@ def centered_bound(cfg, snaps):
         p = cfg.params["P"]
         w = max(float(np.max(np.abs(lam + np.diagonal(build_J(p)))))
                 for lam in cfg.diagnostics[0]["lambdas"])
-        c = 2.0 * (w + 1.0) * (1.0 + float(np.max(np.abs(p.diagonal))))
+        c = 2.0 * (w + 1.0) * (1.0 + float(np.max(np.abs(p))))
     dt = cfg.dt * cfg.cadence
     return 64.0 * np.finfo(float).eps * c * (big / dt + big / (cfg.s_length / cfg.n_nodes)
                                             + big * big)
@@ -1728,8 +1752,8 @@ def test_centered_run_makes_four_rhs_calls_a_step_and_holds_one_buffer(model, ca
         seen.append(len(alive))
         return rhs(*args)
 
-    def tracked_diagnostics(cfg, sten, y, *args, evaluate=sim_harness._evaluate_diagnostics):
-        return evaluate(cfg, sten, track(y), *args)
+    def tracked_diagnostics(y, *args, evaluate=sim_harness._evaluate_diagnostics):
+        return evaluate(track(y), *args)
 
     monkeypatch.setattr(sim_harness, CENTERED_RHS[model], counted_rhs)
     monkeypatch.setattr(sim_harness, "_evaluate_diagnostics", tracked_diagnostics)

@@ -11,8 +11,6 @@ import pytest
 
 from gstrand import (
     DerivativeStencil,
-    DiagonalParams,
-    SpinChainParams,
     aniso_rhs_XY,
     aniso_rhs_uv,
     chiral_rhs,
@@ -39,20 +37,9 @@ def random_state(rng, n=24, length=TWO_PI):
     return packed_state(rng.standard_normal((n, 3)), rng.standard_normal((n, 3)), length)
 
 
-def spin_params(a_diag, b_diag):
-    return SpinChainParams(
-        a=DiagonalParams(np.asarray(a_diag, dtype=float), "inertia-A"),
-        b=DiagonalParams(np.asarray(b_diag, dtype=float), "inertia-B"),
-    )
-
-
-def test_spin_chain_params_role_check():
-    a = DiagonalParams(np.ones(3), "inertia-A")
-    b = DiagonalParams(np.ones(3), "inertia-B")
-    with pytest.raises(ValueError):
-        SpinChainParams(a=b, b=b)
-    with pytest.raises(ValueError):
-        SpinChainParams(a=a, b=a)
+def diag(*entries):
+    """The (3,) float diagonal of an operator."""
+    return np.array(entries, dtype=float)
 
 
 # ------------------------------------------------------------------ spin chain
@@ -60,7 +47,7 @@ def test_spin_chain_params_role_check():
 
 def test_spin_chain_zero_state():
     y, sten = constant_state(np.zeros(3), np.zeros(3))
-    du, dv = spin_chain_rhs(y, spin_params([1, 2, 3], [2, 1, 1]), sten)
+    du, dv = spin_chain_rhs(y, diag(1, 2, 3), diag(2, 1, 1), sten)
     np.testing.assert_array_equal(du, np.zeros_like(y[0]))
     np.testing.assert_array_equal(dv, np.zeros_like(y[1]))
 
@@ -68,7 +55,7 @@ def test_spin_chain_zero_state():
 def test_spin_chain_hand_example():
     """u = e1, v = e2 constants, A = diag(1,2,3), B = Id: u_t = 0, v_t = -e3."""
     y, sten = constant_state(E1, E2)
-    du, dv = spin_chain_rhs(y, spin_params([1, 2, 3], [1, 1, 1]), sten)
+    du, dv = spin_chain_rhs(y, diag(1, 2, 3), diag(1, 1, 1), sten)
     np.testing.assert_allclose(du, np.zeros_like(du), atol=1e-15)
     np.testing.assert_allclose(dv, np.tile(-E3, (y.shape[1], 1)), atol=1e-15)
 
@@ -77,11 +64,9 @@ def test_spin_chain_matches_loop_oracle():
     rng = np.random.default_rng(81)
     y, sten = random_state(rng)
     u, v = y
-    params = spin_params([1.0, 2.0, 3.0], [2.0, 1.0, 1.0])
-    du, dv = spin_chain_rhs(y, params, sten)
+    a, b = diag(1.0, 2.0, 3.0), diag(2.0, 1.0, 1.0)
+    du, dv = spin_chain_rhs(y, a, b, sten)
 
-    a = params.a.diagonal
-    b = params.b.diagonal
     d_bv = sten(v * b)
     d_u = sten(u)
     for i in range(y.shape[1]):
@@ -95,14 +80,12 @@ def test_spin_chain_matches_loop_oracle():
 def test_lie_poisson_form_agrees_with_velocity_form():
     """m = Au evolves so that A(du/dt) = dm/dt, and the v equations coincide."""
     rng = np.random.default_rng(123)
-    params = spin_params([1.0, 2.0, 3.0], [2.0, 1.0, 1.0])
+    a, b = diag(1.0, 2.0, 3.0), diag(2.0, 1.0, 1.0)
     for _ in range(20):
         y, sten = random_state(rng, n=32)
-        du, dv = spin_chain_rhs(y, params, sten)
-        dm, dv_lp = lie_poisson_rhs_spin_chain(
-            np.stack((params.a.apply(y[0]), y[1])), params, sten
-        )
-        np.testing.assert_allclose(params.a.apply(du), dm, rtol=0.0, atol=1e-12)
+        du, dv = spin_chain_rhs(y, a, b, sten)
+        dm, dv_lp = lie_poisson_rhs_spin_chain(np.stack((y[0] * a, y[1])), a, b, sten)
+        np.testing.assert_allclose(du * a, dm, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(dv, dv_lp, rtol=0.0, atol=1e-12)
 
 
@@ -122,7 +105,7 @@ def test_chiral_is_unit_inertia_spin_chain():
     for _ in range(10):
         y, sten = random_state(rng)
         du_c, dv_c = chiral_rhs(y, sten)
-        du_s, dv_s = spin_chain_rhs(y, spin_params([1, 1, 1], [-1, -1, -1]), sten)
+        du_s, dv_s = spin_chain_rhs(y, diag(1, 1, 1), diag(-1, -1, -1), sten)
         np.testing.assert_allclose(du_c, du_s, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(dv_c, dv_s, rtol=0.0, atol=1e-13)
 
@@ -133,7 +116,7 @@ def test_chiral_is_unit_inertia_spin_chain():
 def test_aniso_hand_example():
     """u = e1, v = e2 constants, P = diag(1,2,3): u_t = 0, v_t = -3 e3."""
     y, sten = constant_state(E1, E2)
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = diag(1.0, 2.0, 3.0)
     du, dv = aniso_rhs_uv(y, p, sten)
     np.testing.assert_allclose(du, np.zeros_like(du), atol=1e-15)
     np.testing.assert_allclose(dv, np.tile(-3.0 * E3, (y.shape[1], 1)), atol=1e-15)
@@ -144,7 +127,7 @@ def test_aniso_diagonal_states_transport():
     rng = np.random.default_rng(31)
     w = rng.standard_normal((24, 3))
     y, sten = packed_state(w, w)
-    p = DiagonalParams(np.array([0.5, 2.0, 1.5]), "anisotropy-P")
+    p = diag(0.5, 2.0, 1.5)
     du, dv = aniso_rhs_uv(y, p, sten)
     np.testing.assert_allclose(du, sten(w), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(dv, sten(w), rtol=0.0, atol=1e-14)
@@ -154,13 +137,13 @@ def test_aniso_matches_loop_oracle():
     rng = np.random.default_rng(44)
     y, sten = random_state(rng)
     u, v = y
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = diag(1.0, 2.0, 3.0)
     du, dv = aniso_rhs_uv(y, p, sten)
     d_v = sten(v)
     d_u = sten(u)
     for i in range(y.shape[1]):
         ui, vi = u[i], v[i]
-        pu, pv = p.diagonal * ui, p.diagonal * vi
+        pu, pv = p * ui, p * vi
         np.testing.assert_allclose(
             du[i], d_v[i] - np.cross(vi, pv) + np.cross(ui, pu), rtol=0.0, atol=1e-13
         )
@@ -169,17 +152,11 @@ def test_aniso_matches_loop_oracle():
         )
 
 
-def test_aniso_role_check():
-    y, sten = constant_state(E1, E2)
-    with pytest.raises(ValueError, match="anisotropy-P"):
-        aniso_rhs_uv(y, DiagonalParams(np.ones(3), "inertia-A"), sten)
-
-
 def test_isotropic_aniso_is_rescaled_chiral():
     """With P = Id, half-amplitude anisotropic flow reproduces the chiral flow:
     chiral_rhs(u, v) = 2 aniso_rhs_uv(u/2, v/2)."""
     rng = np.random.default_rng(55)
-    p = DiagonalParams(np.ones(3), "anisotropy-P")
+    p = np.ones(3)
     for _ in range(100):
         y, sten = random_state(rng, n=16)
         du_c, dv_c = chiral_rhs(y, sten)
@@ -194,7 +171,7 @@ def test_isotropic_aniso_is_rescaled_chiral():
 def test_aniso_XY_is_pushforward_of_uv():
     """d/dt of (X, Y) = (u - v, -u - v) along the (u, v) flow equals aniso_rhs_XY."""
     rng = np.random.default_rng(91)
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = diag(1.0, 2.0, 3.0)
     for _ in range(25):
         y, sten = random_state(rng, n=32)
         u, v = y
@@ -209,7 +186,7 @@ def test_aniso_XY_is_pushforward_of_uv():
 def test_aniso_XY_zero_X_stays_zero():
     rng = np.random.default_rng(6)
     xy, sten = packed_state(np.zeros((16, 3)), rng.standard_normal((16, 3)))
-    p = DiagonalParams(np.array([1.0, 2.0, 3.0]), "anisotropy-P")
+    p = diag(1.0, 2.0, 3.0)
     dx, _ = aniso_rhs_XY(xy, p, sten)
     np.testing.assert_array_equal(dx, np.zeros_like(dx))
 
@@ -219,7 +196,7 @@ def test_aniso_XY_magnitude_flux_vanishes():
     rng = np.random.default_rng(100)
     xy, sten = packed_state(rng.standard_normal((32, 3)), rng.standard_normal((32, 3)))
     x, y = xy
-    p = DiagonalParams(np.array([2.0, 1.0, 0.5]), "anisotropy-P")
+    p = diag(2.0, 1.0, 0.5)
     dx, dy = aniso_rhs_XY(xy, p, sten)
     np.testing.assert_allclose(
         np.sum(x * dx, axis=1), np.sum(x * (-sten(x)), axis=1), atol=1e-13
@@ -261,10 +238,10 @@ def test_compatibility_residual_zero_on_aligned_constants():
 # np.stack(f(u, v, ...)) must give the same bits, signed zeros included.
 
 
-def per_field_spin_chain(u, v, params, stencil):
-    au = params.a.apply(u)
-    bv = params.b.apply(v)
-    du = -params.a.solve(np.cross(u, au) + stencil(bv) + np.cross(v, bv))
+def per_field_spin_chain(u, v, a, b, stencil):
+    au = u * a
+    bv = v * b
+    du = -((np.cross(u, au) + stencil(bv) + np.cross(v, bv)) / a)
     dv = stencil(u) + np.cross(v, u)
     return du, dv
 
@@ -273,25 +250,25 @@ def per_field_chiral(u, v, stencil):
     return stencil(v), stencil(u) - np.cross(u, v)
 
 
-def per_field_lie_poisson(m, v, params, stencil):
-    dh_dm = params.a.solve(m)
-    dh_dv = -params.b.apply(v)
+def per_field_lie_poisson(m, v, a, b, stencil):
+    dh_dm = m / a
+    dh_dv = -(v * b)
     dm = np.cross(m, dh_dm) + stencil(dh_dv) - np.cross(dh_dv, v)
     dv = stencil(dh_dm) - np.cross(dh_dm, v)
     return dm, dv
 
 
 def per_field_aniso_uv(u, v, p, stencil):
-    pu = p.apply(u)
-    pv = p.apply(v)
+    pu = u * p
+    pv = v * p
     du = stencil(v) - np.cross(v, pv) + np.cross(u, pu)
     dv = stencil(u) - np.cross(u, pv) + np.cross(v, pu)
     return du, dv
 
 
 def per_field_aniso_XY(x, y, p, stencil):
-    dx = -stencil(x) - np.cross(x, p.apply(y))
-    dy = stencil(y) + np.cross(y, p.apply(x))
+    dx = -stencil(x) - np.cross(x, y * p)
+    dy = stencil(y) + np.cross(y, x * p)
     return dx, dy
 
 
@@ -311,17 +288,19 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-SPIN = spin_params([1.0, 2.0, -3.0], [2.0, -1.0, 0.5])
-ANISO = DiagonalParams(np.array([1.5, 0.0, -2.0]), "anisotropy-P")
+SPIN_A, SPIN_B = diag(1.0, 2.0, -3.0), diag(2.0, -1.0, 0.5)
+ANISO = diag(1.5, 0.0, -2.0)
+# the packed forms take each diagonal through ``op``: as it is, or tiled to
+# the (N_s, 3) operand that a run passes
 PACKED_RHS = {
-    "spin_chain": (lambda y, st: spin_chain_rhs(y, SPIN, st),
-                   lambda u, v, st: per_field_spin_chain(u, v, SPIN, st)),
-    "chiral": (chiral_rhs, per_field_chiral),
-    "lie_poisson": (lambda y, st: lie_poisson_rhs_spin_chain(y, SPIN, st),
-                    lambda m, v, st: per_field_lie_poisson(m, v, SPIN, st)),
-    "aniso_uv": (lambda y, st: aniso_rhs_uv(y, ANISO, st),
+    "spin_chain": (lambda y, st, op: spin_chain_rhs(y, op(SPIN_A), op(SPIN_B), st),
+                   lambda u, v, st: per_field_spin_chain(u, v, SPIN_A, SPIN_B, st)),
+    "chiral": (lambda y, st, op: chiral_rhs(y, st), per_field_chiral),
+    "lie_poisson": (lambda y, st, op: lie_poisson_rhs_spin_chain(y, op(SPIN_A), op(SPIN_B), st),
+                    lambda m, v, st: per_field_lie_poisson(m, v, SPIN_A, SPIN_B, st)),
+    "aniso_uv": (lambda y, st, op: aniso_rhs_uv(y, op(ANISO), st),
                  lambda u, v, st: per_field_aniso_uv(u, v, ANISO, st)),
-    "aniso_xy": (lambda y, st: aniso_rhs_XY(y, ANISO, st),
+    "aniso_xy": (lambda y, st, op: aniso_rhs_XY(y, op(ANISO), st),
                  lambda x, y, st: per_field_aniso_XY(x, y, ANISO, st)),
 }
 
@@ -329,6 +308,8 @@ PACKED_RHS = {
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("model", sorted(PACKED_RHS))
 def test_packed_rhs_bitwise_equals_per_field_form(model, order):
+    """Bit for bit, with each diagonal as it is and tiled to the nodes; no
+    input is written."""
     packed, per_field = PACKED_RHS[model]
     rng = np.random.default_rng(order)
     for n in (8, 16, 33):
@@ -336,7 +317,9 @@ def test_packed_rhs_bitwise_equals_per_field_form(model, order):
         for _ in range(5):
             y = signed_zero_state(rng, n)
             before = y.copy()
-            assert_same_bits(packed(y, sten), np.stack(per_field(y[0], y[1], sten)))
+            want = np.stack(per_field(y[0], y[1], sten))
+            for op in (lambda d: d, lambda d: np.tile(d, (n, 1))):
+                assert_same_bits(packed(y, sten, op), want)
             assert before.tobytes() == y.tobytes()
 
 

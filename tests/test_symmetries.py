@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gstrand import ScenarioConfig, run_scenario
-from gstrand.sim_harness import MODEL_SPECS, rk4_step
+from gstrand.sim_harness import MODEL_SPECS, _nodes, rk4_step
 from gstrand.stencil import DerivativeStencil
 
 TWO_PI = 2.0 * math.pi
@@ -118,7 +118,7 @@ def assert_commutes(model, transform, y, same):
     ``same(stepped transform, transform of stepped)`` holds."""
     cfg = ScenarioConfig.from_dict(scenario(model, (U, V)))
     spec = next(spec for spec in MODEL_SPECS if spec.name == model)
-    rhs = spec.rhs(cfg.params, DerivativeStencil(order=2, ds=TWO_PI / N_S))
+    rhs = spec.rhs(cfg.params, DerivativeStencil(order=2, ds=TWO_PI / N_S), _nodes(TWO_PI, N_S))
     z = transform(y)
     for _ in range(STEPS):
         y, z = rk4_step(y, rhs, 0.02), rk4_step(z, rhs, 0.02)
