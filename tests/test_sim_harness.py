@@ -459,6 +459,9 @@ def model_dict(model):
         d["params"].update(A=[1.0, 2.0, 3.0], B=[-2.0, -1.0, -1.0])
     elif model == "aniso_uv":
         d["params"]["P"] = [1.0, 2.0, 3.0]
+    elif model == "aniso_xy":
+        initial = d["params"]["initial"]
+        d["params"].update(P=[1.0, 2.0, 3.0], initial={"X": initial["u"], "Y": initial["v"]})
     elif model == "peakon":
         d["params"] = {
             "count": 1,
@@ -482,6 +485,21 @@ def model_dict(model):
                      id="negative-zero-inertia-A"),
         pytest.param("spin_chain", ("params", "B"), [-2.0, 0.0, -1.0], "params.B",
                      id="zero-inertia-B"),
+        pytest.param("spin_chain", ("params", "A"), [1.0, 2.0, 3.0, 4.0], "params.A",
+                     id="diagonal-length-4"),
+        pytest.param("spin_chain", ("params", "B"), -2.0, "params.B", id="diagonal-not-list"),
+        pytest.param("spin_chain", ("params", "B"), [-2.0, math.nan, -1.0], "params.B[1]",
+                     id="nan-inertia-B"),
+        pytest.param("spin_chain", ("params", "A"), [1.0, 2.0, math.inf], "params.A[2]",
+                     id="inf-inertia-A"),
+        pytest.param("aniso_uv", ("params", "P"), [math.nan, 2.0, 3.0], "params.P[0]",
+                     id="nan-weight"),
+        pytest.param("aniso_uv", ("params", "P"), [1.0, True, 3.0], "params.P[1]",
+                     id="bool-weight"),
+        pytest.param("aniso_xy", ("params", "P"), [1.0, 2.0, 3.0, 4.0], "params.P",
+                     id="xy-diagonal-length-4"),
+        pytest.param("aniso_xy", ("params", "P"), [1.0, "2", 3.0], "params.P[1]",
+                     id="xy-string-weight"),
         pytest.param("peakon", ("params", "count"), 0, "params.count", id="count-0"),
         pytest.param("peakon", ("params", "count"), 9, "params.count", id="count-over-max"),
     ],
@@ -496,6 +514,56 @@ def test_config_rejection_names_its_path(model, path, value, where):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_dict(d)
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("model,key", [
+    ("spin_chain", "A"), ("spin_chain", "B"), ("aniso_uv", "P"), ("aniso_xy", "P"),
+])
+def test_parsed_diagonal_is_a_float_copy_of_its_entries(model, key):
+    """A diagonal parses to a (3,) float64 array of its entries, -0.0 keeping
+    its sign, and changing the source list afterwards changes nothing."""
+    d = model_dict(model)
+    entries = {"A": [1, 2, 3], "B": [-2, -1, -1], "P": [-0.0, 2, 3]}[key]
+    d["params"][key] = entries
+    cfg = ScenarioConfig.from_dict(d)
+    got = cfg.params[key]
+    assert got.shape == (3,) and got.dtype == np.float64
+    want = np.array(entries, dtype=float)
+    assert got.tobytes() == want.tobytes()
+    entries[0] = 99
+    assert cfg.params[key].tobytes() == want.tobytes()
+
+
+DIAGONAL_RHS = {
+    "spin_chain": lambda y, p, sten: so3_dynamics.spin_chain_rhs(y, p["A"], p["B"], sten),
+    "aniso_uv": lambda y, p, sten: so3_dynamics.aniso_rhs_uv(y, p["P"], sten),
+    "aniso_xy": lambda y, p, sten: so3_dynamics.aniso_rhs_XY(y, p["P"], sten),
+}
+
+
+@pytest.mark.parametrize("model", sorted(DIAGONAL_RHS))
+def test_rhs_builder_equals_the_plain_diagonal(model):
+    """The RHS a run builds, with its diagonals tiled to the nodes, has the
+    bits of the kernel given the parsed (3,) diagonals, for each of several
+    node counts in turn; +-0.0, inf and nan entries included, and the
+    read-only input is never written."""
+    d = model_dict(model)
+    d["params"].update({"spin_chain": {"A": [0.5, -2.0, 3.0], "B": [-1.5, 0.25, -7.0]},
+                        "aniso_uv": {"P": [-0.0, 1.25, 0.0]},
+                        "aniso_xy": {"P": [1.5, -0.0, -2.0]}}[model])
+    spec = sim_harness._SPECS[model]
+    p = spec.parse(d["params"], TWO_PI)
+    rng = np.random.default_rng(25)
+    for n_nodes in (7, 12, 2):
+        sten = DerivativeStencil(2, TWO_PI / n_nodes)
+        rhs = spec.rhs(p, sten, sim_harness._nodes(TWO_PI, n_nodes))
+        y = signed_zero_packed(rng, (2, n_nodes, 3))
+        y[1, 0] = [-0.0, np.inf, -np.inf]
+        y[0, -1, 2] = np.nan
+        y = read_only(y)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, inf - inf
+            got, want = rhs(y), np.stack(DIAGONAL_RHS[model](y, p, sten))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("model", ["aniso_uv", "aniso_xy"])
