@@ -23,7 +23,11 @@ when a call raises, the error's type and message:
   nodes, as a run passes them;
 - ``_node_magnitudes``, the per-node |X|^2 and |Y|^2 of ``invariant_drift``,
   on the same packed fields;
-- ``chiral_curvature_max``, with the lambdas 0.5, 1, 2, -1 and 3;
+- the three centered diagnostic kinds, chiral ``zero_curvature``, aniso_uv
+  ``lax`` and spin_chain ``zero_curvature``, bound as a run binds them and
+  evaluated on the leapfrog residual y2 - (y0 + 2 dt f(y1)) of three seeded
+  levels, f the model's RHS, with 0.0 and -0.0 entries; the chiral kind
+  with the lambdas 0.5, 1, 2, -1 and 3, and with two sets that raise;
 - ``WaveProfile.on_nodes``, the exact references' node evaluator, on
   seeded profiles of every kind (traveling in both directions, standing,
   constant, superpositions flat and nested) bound to 8 to 512 nodes, at
@@ -39,18 +43,23 @@ when a call raises, the error's type and message:
 
 The inputs are drawn before gstrand is imported, from ``CHECKOUT/src``
 (default: this checkout); the script exits with status 1 when that is not
-the gstrand it imported.  One line per kernel, ``<function> <sha256>``.  Two
-checkouts compute the same bits, and raise the same errors, when their
-tables are equal:
+the gstrand it imported.  One line per kernel, ``<function> <sha256>``,
+a centered kind's named ``<model>.<kind>``.  Two checkouts compute the same
+bits, and raise the same errors, when the tables of their own scripts are
+equal:
 
-    diff <(python3 scripts/kernel_digests.py /path/to/parent) \\
+    diff <(python3 /path/to/parent/scripts/kernel_digests.py) \\
          <(python3 scripts/kernel_digests.py)
+
+Run on another checkout, this script also compares how the kernels are
+called: a changed signature reads as changed bits.
 """
 
 import hashlib
 import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,22 +136,39 @@ def so3_cases(seed=21, count=24):
     return cases
 
 
-def curvature_cases(seed=22, count=12):
-    """(snapshots, lambdas, stencil order, ds, dt) tuples; the last two raise."""
+# (model, kind, lambda sets) of each centered kind; the chiral pair's last
+# two sets raise, at 0 and where 1/lam overflows
+CENTERED_KINDS = (
+    ("chiral", "zero_curvature", ((0.5, 1.0, 2.0, -1.0, 3.0), (0.5, 0.0), (0.5, 1e-309))),
+    ("aniso_uv", "lax", ((0.0, 0.5, 1.0, -2.0),)),
+    ("spin_chain", "zero_curvature", (None,)),
+)
+
+
+def centered_cases(seed=22, count=12):
+    """(levels, diagonals, stencil order, ds, dt) tuples: three packed
+    (2, N_s, 3) levels, all of them +-0.0 on a common stretch of nodes
+    where the leapfrog residual y2 - (y0 + 2 dt f(y1)) is then 0.0 or -0.0,
+    and the diagonals A, B (B / A < 0, as a run accepts) and P, which has a
+    zero entry.  Every other case has further +-0.0 entries, and the last
+    case's levels are all +-0.0."""
     rng = np.random.default_rng(seed)
-    lambdas = (0.5, 1.0, 2.0, -1.0, 3.0)
     cases = []
     for k in range(count):
         n_nodes = int(rng.integers(8, 64))
-        levels = int(rng.integers(3, 8))
-        snaps = rng.standard_normal((levels, 2, n_nodes, 3))
+        levels = rng.standard_normal((3, 2, n_nodes, 3))
         if k % 2:
-            snaps = _signed_zeros(rng, snaps)
-        cases.append((list(snaps), lambdas, int(rng.choice((2, 4))), TWO_PI / n_nodes,
+            levels = _signed_zeros(rng, levels)
+        start, stop = sorted(rng.integers(n_nodes + 1, size=2))
+        if k == count - 1:
+            start, stop = 0, n_nodes
+        levels[:, :, start:stop] = np.where(rng.random((3, 2, stop - start, 3)) < 0.5, 0.0, -0.0)
+        a = rng.uniform(0.5, 3.0, 3)
+        b = -rng.uniform(0.5, 3.0, 3)
+        p = rng.uniform(-2.0, 2.0, 3)
+        p[rng.integers(3)] = 0.0
+        cases.append((levels, (a, b, p), int(rng.choice((2, 4))), TWO_PI / n_nodes,
                       float(rng.uniform(1e-3, 0.1))))
-    snaps = list(rng.standard_normal((4, 2, 16, 3)))
-    cases.append((snaps, (0.5, 0.0), 2, TWO_PI / 16, 0.01))
-    cases.append((snaps[:2], lambdas, 2, TWO_PI / 16, 0.01))
     return cases
 
 
@@ -216,7 +242,7 @@ class Digest:
         return self.hash.hexdigest()
 
 
-def digests(peakons, so3, curvature, profiles, g17):
+def digests(peakons, so3, centered, profiles, g17):
     import gstrand as g
 
     table = {}
@@ -260,9 +286,21 @@ def digests(peakons, so3, curvature, profiles, g17):
     for y, *_ in so3:
         digest.call(lambda y: tuple(_node_magnitudes(y)), y)
 
-    digest = table["chiral_curvature_max"] = Digest()
-    for snaps, lambdas, order, ds, dt in curvature:
-        digest.call(g.chiral_curvature_max, snaps, lambdas, g.DerivativeStencil(order, ds), dt)
+    def centered_values(diagnostic, cfg, sten, lambdas, first, residual):
+        return diagnostic.bind(cfg, sten, lambdas, first)[1](residual)
+
+    for model, kind, lambda_sets in CENTERED_KINDS:
+        spec = g.sim_harness._SPECS[model]
+        digest = table[f"{model}.{kind}"] = Digest()
+        for (y0, y1, y2), (a, b, p), order, ds, dt in centered:
+            params = {"A": a, "B": b, "P": p}
+            sten = g.DerivativeStencil(order, ds)
+            rate = spec.rhs(params, sten, np.arange(y1.shape[1]) * ds)(y1)
+            residual = y2 - (rate * (2.0 * dt) + y0)  # the run's e, bit for bit
+            cfg = SimpleNamespace(dt=dt, cadence=1, params=params)
+            for lambdas in lambda_sets:
+                digest.call(centered_values, spec.diagnostics[kind], cfg, sten, lambdas, y0,
+                            residual)
 
     from gstrand.peakon_dynamics import K0
 
@@ -297,7 +335,7 @@ def main(argv):
         sys.exit(__doc__)
     checkout = Path(argv[0]).resolve() if argv else HERE
     # drawn before gstrand is imported
-    inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), curvature_cases(),
+    inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), centered_cases(),
               profile_cases(), g17_cases())
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():

@@ -11,14 +11,15 @@ pairs, so the discrete curvature at the middle of three levels spaced dt
 apart is a fixed linear image of the method-of-lines residual
 R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k), f the model's right-hand side:
 
-- chiral pair: hat(r), r = (a - b) R_u - (a + b) R_v (``chiral_curvature_max``);
+- chiral pair: hat(r), r = (a - b) R_u - (a + b) R_v (``_chiral_residual_max``);
 - spin-chain compatibility relation v_t - u_s + u x v: R_v itself;
 - so(4) pair of the anisotropic model at the doubled fields:
   embed_so4(2 R_v, 2 R_u)(lam Id + J) (``_aniso_curvature_max``).
 
 Each holds to round-off on any data, not only along solutions.  The
-harness's centered diagnostics read R from the derivative its RK4 step
-already took; ``chiral_lax``, ``aniso_lax``, ``zero_curvature_residual`` and
+harness's centered diagnostics are their one implementation: bound once per
+run, they read R from the derivative its RK4 step already took.
+``chiral_lax``, ``aniso_lax``, ``zero_curvature_residual`` and
 ``so3_dynamics.compatibility_residual`` form the curvature from the fields
 and stay as the oracles.
 """
@@ -30,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ANTISYMMETRY_TOL, build_J, embed_so4, hat
-from .so3_dynamics import chiral_rhs
 from .stencil import DerivativeStencil, slot_derivatives
 
 
@@ -144,38 +144,6 @@ def zero_curvature_residual(
     return CurvatureResidual(max_norm=float(np.max(np.abs(fields))), fields=fields)
 
 
-def chiral_curvature_max(snapshots, lambdas, stencil: DerivativeStencil, dt: float):
-    """Per-time max-norm curvature of the chiral pair, from the equation residual.
-
-    ``snapshots`` holds (u, v) pairs of (N_s, 3) fields, such as packed
-    (2, N_s, 3) states, at uniform spacing ``dt``.  The chiral equations are
-    the compatibility condition of the pair of ``chiral_lax``, so its
-    discrete curvature is hat(r) with r a fixed linear image of the
-    method-of-lines residual R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k),
-    f = ``chiral_rhs``:
-
-        r = (a - b) R_u - (a + b) R_v,  a = (1 + lam)/4,  b = (1 + 1/lam)/4,
-
-    the cross terms cancelling because a + b = 4ab for every lam.  The
-    entries of hat(r) are 0 and +-r_i, so row i of the returned
-    (len(lambdas), len(snapshots) - 2) array, max |r| over nodes and
-    components at each interior time for ``lambdas[i]``, equals the per-time
-    max norm of ``zero_curvature_residual`` over ``chiral_lax`` connections
-    up to round-off.  Each residual is formed as ``run_scenario`` forms it,
-    so a run's ``zero_curvature`` columns have these bits.
-    """
-    if len(snapshots) < 3:
-        raise ValueError("need at least 3 stored time levels")
-    coeffs = _chiral_coefficients(lambdas)
-    out = np.empty((len(coeffs), len(snapshots) - 2))
-    for k in range(1, len(snapshots) - 1):
-        residual = _predicted(snapshots[k - 1],
-                              chiral_rhs(np.asarray(snapshots[k], dtype=float), stencil), dt)
-        np.subtract(snapshots[k + 1], residual, out=residual)
-        out[:, k - 1] = _chiral_residual_max(residual, coeffs, dt)
-    return out
-
-
 def _predicted(previous, rate, dt):
     """previous + 2 dt rate, the leapfrog prediction of the next level, in a fresh array."""
     out = rate * (2.0 * dt)
@@ -184,7 +152,7 @@ def _predicted(previous, rate, dt):
 
 
 def _chiral_coefficients(lambdas):
-    """(a, b) of each spectral parameter; see ``chiral_curvature_max``.
+    """(a, b) = ((1 + lam)/4, (1 + 1/lam)/4) of ``chiral_lax``, for each lam.
 
     A parameter of 0, or so close to 0 that 1/lam overflows, is a ValueError.
     """
@@ -201,7 +169,8 @@ def _chiral_coefficients(lambdas):
 
 
 def _chiral_residual_max(residual, coeffs, dt):
-    """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v, for each of ``coeffs``.
+    """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v, for each of ``coeffs``: the
+    max norm of the chiral curvature hat(r), its cross terms cancelled by a + b = 4ab.
 
     ``residual`` holds e = 2 dt R, the packed (e_u, e_v); r is formed in two
     (N_s, 3) buffers that every coefficient reuses.
@@ -220,8 +189,9 @@ def _chiral_residual_max(residual, coeffs, dt):
 
 
 def _aniso_weights(lambdas, p):
-    """|w_j| = |lam + J_jj| of W = lam Id + J (``build_J``), for each lam."""
-    diagonal = np.diagonal(build_J(p)).tolist()
+    """|w_j| = |lam + J_jj| of W = lam Id + J, J_jj formed as ``build_J`` forms it, per lam."""
+    p0, p1, p2 = p.tolist()
+    diagonal = [-0.5 * p0, -0.5 * p1, -0.5 * p2, -0.5 * ((p0 + p1) + p2)]
     return [[abs(lam + j) for j in diagonal] for lam in lambdas]
 
 

@@ -167,8 +167,7 @@ def _checked_kernel(q):
     it.  A = 1 has no gaps: K = 1/2, K^{-1} = 2 and the bound is 1.
     """
     count = q.shape[1]
-    index, qs, gaps = _sorted_frame(q)
-    gap = _smallest(gaps)
+    index, qs, gaps, gap = _sorted_frame(q)
     _check_gap(gap)
     with np.errstate(over="ignore"):  # far gaps: 1/inf = 0 is the right value
         cond = count * float(1.0 + 2.0 / np.expm1(2.0 * gap) + 1.0 / np.sinh(gap))
@@ -184,25 +183,28 @@ def _checked_kernel(q):
 
 
 def _sorted_frame(q):
-    """(index, qs, gaps) of positions q (N_s, A): the per-node sorted frame of ``SortedKernel``.
+    """(index, qs, gaps, gap) of q (N_s, A): the per-node sorted frame of ``SortedKernel``.
 
-    ``qs`` (A, N_s) holds the sorted positions and ``gaps`` (A - 1, N_s)
-    their adjacent differences.  Labels are in position order exactly when
-    every gap is > 0; then ``index`` is None and ``qs`` is q transposed.
-    Otherwise (a tie, a NaN or a (0.0, -0.0) pair included) each node is
-    argsorted.  Nothing is checked here.
+    ``qs`` (A, N_s) holds the sorted positions, ``gaps`` (A - 1, N_s) their
+    adjacent differences and ``gap`` their ``_smallest``.  Labels are in
+    position order exactly when every gap is > 0; then ``index`` is None and
+    ``qs`` is q transposed.  Otherwise (a tie, a NaN or a (0.0, -0.0) pair
+    included) each node is argsorted and ``gap`` taken again.  Nothing is
+    checked here.
     """
     n_nodes, count = q.shape
     qs = q.T.copy()
     gaps = qs[1:] - qs[:-1]
+    gap = _smallest(gaps)
     index = None
-    if not _smallest(gaps) > 0.0:  # NaN included
+    if not gap > 0.0:  # NaN included
         index = np.argsort(q, axis=-1)
         index += count * np.arange(n_nodes)[:, None]
         index = index.T.ravel()
         qs = q.take(index).reshape(count, n_nodes)
         gaps = qs[1:] - qs[:-1]
-    return index, qs, gaps
+        gap = _smallest(gaps)
+    return index, qs, gaps, gap
 
 
 def _pair_table(qs):
@@ -397,8 +399,7 @@ def s_constraint_residual(q, n, stencil: DerivativeStencil):
     count = q.shape[1]
     if count == 1:
         return stencil(q) + (K0 * n + 0.0)
-    index, qs, gaps = _sorted_frame(q)
-    del gaps
+    index, qs = _sorted_frame(q)[:2]
     table = _pair_table(qs)
     del qs
     ns = _in_frame(index, n)

@@ -3,7 +3,7 @@
 import gstrand
 
 REMOVED = ("So3StrandState", "XYState", "PeakonState", "to_XY", "from_XY",
-           "DiagonalParams", "SpinChainParams")
+           "DiagonalParams", "SpinChainParams", "chiral_curvature_max")
 
 
 def test_every_export_resolves_once():
@@ -21,9 +21,10 @@ def test_star_import_binds_exactly_the_export_list():
 
 def test_state_containers_are_gone():
     """The library takes plain arrays; it has no validated state or operator
-    classes."""
+    classes, and no whole-trajectory copy of the chiral curvature monitor."""
     for name in REMOVED:
         assert name not in gstrand.__all__
         assert not hasattr(gstrand, name)
-        for module in (gstrand.so3_dynamics, gstrand.peakon_dynamics, gstrand.algebra):
+        for module in (gstrand.so3_dynamics, gstrand.peakon_dynamics, gstrand.algebra,
+                       gstrand.integrability):
             assert not hasattr(module, name)

@@ -15,7 +15,6 @@ from gstrand import (
     aniso_lax,
     ScenarioConfig,
     aniso_rhs_uv,
-    chiral_curvature_max,
     chiral_lax,
     chiral_rhs,
     compatibility_residual,
@@ -29,6 +28,7 @@ from gstrand import (
 )
 from gstrand.algebra import build_J
 from gstrand.integrability import (
+    _aniso_weights,
     _chiral_coefficients,
     _chiral_residual_max,
     _node_magnitudes,
@@ -150,19 +150,31 @@ def test_chiral_lax_rejects_zero_lambda():
 
 @pytest.mark.parametrize("lam", [5e-324, 1e-309, -1e-309])
 def test_chiral_pair_rejects_lambda_whose_reciprocal_overflows(lam):
-    """chiral_lax and chiral_curvature_max raise the same ValueError."""
+    """chiral_lax and the run's chiral zero_curvature kind raise the same ValueError."""
     y = chiral_initial(16)
     message = f"^spectral parameter {lam!r} is too close to 0 for the chiral pair$"
     with pytest.raises(ValueError, match=message):
         chiral_lax(y[0], y[1], lam)
     with pytest.raises(ValueError, match=message):
-        chiral_curvature_max([y, y, y], (0.5, lam), DerivativeStencil(2, TWO_PI / 16), 0.01)
+        bound_chiral_curvature([y, y, y], (0.5, lam), DerivativeStencil(2, TWO_PI / 16), 0.01)
     assert math.isfinite(_chiral_coefficients((1e-308,))[0][1])
 
 
-# ------------------------------------------------------- chiral_curvature_max
+# ------------------------------------------- the run's chiral zero_curvature kind
 
 EQUIVALENCE_LAMBDAS = (0.5, 1.0, 2.0, -3.0, -1.0)
+
+
+def bound_chiral_curvature(levels, lambdas, sten, dt):
+    """The chiral zero_curvature columns as a run forms them, one row per lambda:
+    the kind bound once, then evaluated at each interior level on
+    y_{k+1} - (y_{k-1} + 2 dt chiral_rhs(y_k))."""
+    cfg = SimpleNamespace(dt=dt, cadence=1, params={})
+    kind = sim_harness._SPECS["chiral"].diagnostics["zero_curvature"]
+    _, evaluate = kind.bind(cfg, sten, lambdas, levels[0])
+    return np.array([
+        evaluate(levels[k + 1] - _predicted(levels[k - 1], chiral_rhs(levels[k], sten), dt))
+        for k in range(1, len(levels) - 1)]).T
 
 
 def matrix_curvature_max(snapshots, lambdas, sten, dt):
@@ -185,7 +197,7 @@ def roundoff_tolerance(snapshots, sten, dt):
 def assert_matches_matrix_path(snapshots, lambdas, sten, dt, vector=None):
     tol = roundoff_tolerance(snapshots, sten, dt)
     if vector is None:
-        vector = chiral_curvature_max(snapshots, lambdas, sten, dt)
+        vector = bound_chiral_curvature(snapshots, lambdas, sten, dt)
     reference = matrix_curvature_max(snapshots, lambdas, sten, dt)
     assert vector.shape == (len(lambdas), len(snapshots) - 2)
     np.testing.assert_allclose(vector, reference, rtol=0.0, atol=tol)
@@ -244,15 +256,6 @@ def test_harness_curvature_matches_matrix_path_at_cadence_two():
     assert_matches_matrix_path(rep.snapshots, EQUIVALENCE_LAMBDAS, sten, 0.025, columns)
 
 
-def test_curvature_max_rejects_zero_lambda_and_two_levels():
-    snaps = integrate_chiral(16, 0.05, 2)
-    sten = DerivativeStencil(2, TWO_PI / 16)
-    with pytest.raises(ValueError, match="nonzero"):
-        chiral_curvature_max(snaps, (1.0, 0.0), sten, 0.05)
-    with pytest.raises(ValueError, match="3"):
-        chiral_curvature_max(snaps[:2], (1.0,), sten, 0.05)
-
-
 def signed_zero_levels(rng, n, count):
     """Random packed (2, n, 3) levels with +-0.0 entries and flat stretches."""
     levels = rng.standard_normal((count, 2, n, 3))
@@ -277,10 +280,11 @@ def rhs_residual_curvature(levels, coeffs, stencil, dt):
 
 
 @pytest.mark.parametrize("order", [2, 4])
-def test_chiral_curvature_max_bitwise_equals_its_rhs_residual(order, monkeypatch):
-    """chiral_curvature_max is the leapfrog residual of chiral_rhs reduced per
-    lambda, bit for bit on +-0.0 entries, with one stencil call (the RHS's)
-    per interior level, and the snapshots left as they were."""
+def test_bound_chiral_kind_bitwise_equals_its_rhs_residual(order, monkeypatch):
+    """The run's chiral zero_curvature kind is the leapfrog residual of
+    chiral_rhs reduced per lambda, bit for bit on +-0.0 entries: binding and
+    evaluating it take no stencil call besides the RHS's one per interior
+    level, and leave the levels as they were."""
     rng = np.random.default_rng(40 + order)
     n, dt = 16, 0.05
     sten = DerivativeStencil(order, TWO_PI / n)
@@ -293,7 +297,7 @@ def test_chiral_curvature_max_bitwise_equals_its_rhs_residual(order, monkeypatch
     original = DerivativeStencil.__call__
     monkeypatch.setattr(DerivativeStencil, "__call__",
                         lambda self, f: calls.append(np.shape(f)) or original(self, f))
-    got = chiral_curvature_max(levels, EQUIVALENCE_LAMBDAS, sten, dt)
+    got = bound_chiral_curvature(levels, EQUIVALENCE_LAMBDAS, sten, dt)
     assert_same_bits(got, want)
     assert calls == [(n, 2, 3)] * (len(levels) - 2)
     for level, before in zip(levels, stored):
@@ -440,6 +444,20 @@ def test_aniso_lax_isotropic_half_lambda_is_rank_one():
     np.testing.assert_array_equal(conn.U_field[..., :3], np.zeros((8, 4, 3)))
     np.testing.assert_allclose(conn.U_field[:, :3, 3], -u, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(conn.V_field[:, :3, 3], -v, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [[0.0, -0.0, -1.5], [-0.0, 2.5, -3.25], [-1e-300, 0.0, 7.0],
+                               [0.1, 0.2, 0.3]])
+def test_aniso_weights_equal_the_diagonal_of_build_J(p):
+    """The aniso_uv kind's weights |lam + J_jj| have the bits of J's diagonal
+    taken from ``build_J``, (P1 + P2) + P3 in the last entry included, and
+    are Python floats."""
+    p = np.array(p)
+    lambdas = (0.0, -0.0, 0.5, 1.0, -2.0, 1.5)
+    want = [[abs(lam + j) for j in np.diagonal(build_J(p)).tolist()] for lam in lambdas]
+    got = _aniso_weights(lambdas, p)
+    assert all(type(w) is float for row in got for w in row)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ------------------------------------------------------- zero curvature residual

@@ -27,7 +27,6 @@ from gstrand import (
     _g17,
     aniso_lax,
     build_J,
-    chiral_curvature_max,
     chiral_lax,
     compatibility_residual,
     convergence_study,
@@ -1575,8 +1574,12 @@ def trajectory_columns(cfg, snaps, times):
     for entry in cfg.diagnostics:
         kind, lambdas = entry["kind"], entry.get("lambdas")
         if cfg.model == "chiral":
-            rows = chiral_curvature_max(snaps, lambdas, sten, dt)
-            columns = dict(zip(sim_harness._lambda_columns(lambdas), rows))
+            columns = {
+                name: np.max(np.abs(zero_curvature_residual(
+                    [chiral_lax(y[0], y[1], lam) for y in snaps], sten, dt).fields),
+                    axis=(1, 2, 3))
+                for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas)
+            }
         elif cfg.model == "spin_chain":
             u, v = np.stack(snaps).swapaxes(0, 1)
             residual = compatibility_residual(u, v, sten, dt)
@@ -1616,12 +1619,13 @@ def trajectory_columns(cfg, snaps, times):
 
 
 def residual_columns(cfg, snaps):
-    """The spin_chain and aniso_uv centered columns from the leapfrog residual
+    """The centered columns from the leapfrog residual
     e = y_{k+1} - (f(y_k) 2 dt + y_{k-1}), in the run's order of operations:
-    max |e_v| / (2 dt), and the max-norm of the so(4) image
-    embed_so4(e_v, e_u)(lam Id + J), divided by dt.  Each product of an
-    embedded entry with the diagonal weight rounds once, so the matrix form
-    has the bits of the run's vector form."""
+    max |(a - b) e_u - (a + b) e_v| / (2 dt) with the chiral pair's
+    a = (1 + lam)/4 and b = (1 + 1/lam)/4, max |e_v| / (2 dt), and the
+    max-norm of the so(4) image embed_so4(e_v, e_u)(lam Id + J), divided by
+    dt.  Each product of an embedded entry with the diagonal weight rounds
+    once, so the matrix form has the bits of the run's vector form."""
     sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
     rhs = sim_harness._SPECS[cfg.model].rhs(cfg.params, sten,
                                             sim_harness._nodes(cfg.s_length, cfg.n_nodes))
@@ -1633,24 +1637,17 @@ def residual_columns(cfg, snaps):
         return {entry["kind"]: {"residual": np.array(
             [np.max(np.abs(e[1])) / (2.0 * dt) for e in residuals])}}
     lambdas = entry["lambdas"]
+    if cfg.model == "chiral":
+        pairs = [(0.25 * (1.0 + lam), 0.25 * (1.0 + 1.0 / lam)) for lam in lambdas]
+        return {entry["kind"]: {
+            name: np.array([np.max(np.abs((a - b) * e[0] - (a + b) * e[1])) / (2.0 * dt)
+                            for e in residuals])
+            for name, (a, b) in zip(sim_harness._lambda_columns(lambdas), pairs)}}
     return {entry["kind"]: {
         name: np.array([np.max(np.abs(embed_so4(e[1], e[0])
                                       @ (lam * np.eye(4) + build_J(cfg.params["P"])))) / dt
                         for e in residuals])
         for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas)}}
-
-
-def matrix_chiral_columns(cfg, snaps):
-    """The chiral curvature columns through ``chiral_lax`` and ``zero_curvature_residual``."""
-    sten = DerivativeStencil(2, cfg.s_length / cfg.n_nodes)
-    (entry,) = cfg.diagnostics
-    lambdas = entry["lambdas"]
-    columns = {}
-    for name, lam in zip(sim_harness._lambda_columns(lambdas), lambdas):
-        fields = zero_curvature_residual([chiral_lax(y[0], y[1], lam) for y in snaps], sten,
-                                         cfg.dt * cfg.cadence).fields
-        columns[name] = np.max(np.abs(fields), axis=(1, 2, 3))
-    return {entry["kind"]: columns}
 
 
 def centered_bound(cfg, snaps):
@@ -1705,19 +1702,16 @@ def reference_bound(cfg, snaps, times):
 
 def assert_series_match_oracles(cfg, report):
     """Every series of a run against the functions applied to its whole stored
-    trajectory.  Each has their bits, except that the spin_chain and aniso_uv
-    centered columns, evaluated from the step's first stage, have those of
-    ``residual_columns`` and match their old oracles in ``trajectory_columns``
-    within ``centered_bound``.  The chiral columns have the bits of
-    ``chiral_curvature_max`` and match the matrix path within that bound.
-    The reference errors have the bits of ``node_reference_columns`` and
-    match the closed forms' within ``reference_bound``."""
+    trajectory.  Each has their bits, except that the chiral, spin_chain and
+    aniso_uv centered columns, evaluated from the step's first stage, have
+    those of ``residual_columns`` and match their field oracles in
+    ``trajectory_columns`` within ``centered_bound``.  The reference errors
+    have the bits of ``node_reference_columns`` and match the closed forms'
+    within ``reference_bound``."""
     expected = trajectory_columns(cfg, report.snapshots, report.times)
     bitwise, near = dict(expected), {}
     bound = centered_bound(cfg, report.snapshots)
-    if cfg.model == "chiral":
-        near = matrix_chiral_columns(cfg, report.snapshots)
-    elif cfg.model in ("spin_chain", "aniso_uv"):
+    if cfg.model in ("chiral", "spin_chain", "aniso_uv"):
         near = {kind: expected[kind] for kind in expected}
         bitwise.update(residual_columns(cfg, report.snapshots))
     elif "reference_error" in expected:
@@ -1738,8 +1732,8 @@ def assert_series_match_oracles(cfg, report):
 @pytest.mark.parametrize("name", sorted(set(output_digests.small_runs()) - {BLOW_UP}))
 def test_per_level_series_equal_trajectory_functions(name):
     """Each series evaluated level by level has the bits of the list functions
-    applied to the whole stored trajectory (the chiral curvature those of
-    ``chiral_curvature_max``); see ``assert_series_match_oracles``."""
+    applied to the whole stored trajectory (the centered columns those of
+    the leapfrog residual); see ``assert_series_match_oracles``."""
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()[name])
     assert_series_match_oracles(cfg, run_scenario(cfg))
 
@@ -1839,7 +1833,7 @@ def test_centered_run_makes_four_rhs_calls_a_step_and_holds_one_buffer(model, ca
 
 @pytest.mark.parametrize("model, owner, name", [
     ("chiral", sim_harness, "_chiral_coefficients"),
-    ("aniso_uv", integrability, "build_J"),
+    ("aniso_uv", sim_harness, "_aniso_weights"),
 ])
 def test_run_constants_are_formed_once_per_run(model, owner, name, monkeypatch):
     """A centered kind forms its run constants when it is bound, once per run:
