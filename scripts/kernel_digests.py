@@ -23,6 +23,12 @@ when a call raises, the error's type and message:
   nodes, as a run passes them;
 - ``_node_magnitudes``, the per-node |X|^2 and |Y|^2 of ``invariant_drift``,
   on the same packed fields;
+- the bound level kinds, aniso_xy ``invariant_drift`` and the peakon
+  models' ``s_constraint`` and ``conservation_sums``, each bound as a run
+  binds it, at a first level, and evaluated on two further seeded levels:
+  the aniso_xy kind on the three levels of the centered cases below, the
+  peakon kinds on packed (Q, M, N) levels of A = 1, 2 and 3 peakons, labels
+  in position order and shuffled per node, momenta with +-0.0 entries;
 - the three centered diagnostic kinds, chiral ``zero_curvature``, aniso_uv
   ``lax`` and spin_chain ``zero_curvature``, bound as a run binds them and
   evaluated on the leapfrog residual y2 - (y0 + 2 dt f(y1)) of three seeded
@@ -33,6 +39,10 @@ when a call raises, the error's type and message:
   constant, superpositions flat and nested) bound to 8 to 512 nodes, at
   t = 0, four mid-run times and t = 1e3, with the factors 1 of (h, h_t,
   h_s), with those of the single-peakon data (Q, M, N) and for h alone;
+- the exact references of ``peakon_single_exact`` and
+  ``peakon_collision_exact`` (both branches), each bound to the nodes as a
+  run binds it, from the same seeded profiles, and evaluated at their times
+  on seeded levels with +-0.0 entries;
 - ``_g17.cells``, the CSV writer's ``%.17g``, on every power of ten from
   1e-330 to 1e308 with its two nearest doubles on either side, random
   mantissas at every exponent, +-0.0, infinities, nans and exact ties at
@@ -44,9 +54,10 @@ when a call raises, the error's type and message:
 The inputs are drawn before gstrand is imported, from ``CHECKOUT/src``
 (default: this checkout); the script exits with status 1 when that is not
 the gstrand it imported.  One line per kernel, ``<function> <sha256>``,
-a centered kind's named ``<model>.<kind>``.  Two checkouts compute the same
-bits, and raise the same errors, when the tables of their own scripts are
-equal:
+a bound kind's named ``<model>.<kind>`` and an exact reference's
+``<model>.reference``, whose hashes cover their column names too.  Two
+checkouts compute the same bits, and raise the same errors, when the
+tables of their own scripts are equal:
 
     diff <(python3 /path/to/parent/scripts/kernel_digests.py) \\
          <(python3 scripts/kernel_digests.py)
@@ -172,6 +183,38 @@ def centered_cases(seed=22, count=12):
     return cases
 
 
+def peakon_level_cases(seed=26, repeats=3):
+    """(levels, stencil order, ds, dt) tuples: three packed (3, N_s, A)
+    levels (Q, M, N) of A = 1, 2 and 3 peakons, gaps from 0.05 to 2, labels
+    in position order or shuffled per node, M and N with +-0.0 entries."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _, count, shuffled in itertools.product(range(repeats), (1, 2, 3), (False, True)):
+        n_nodes = int(rng.integers(8, 80))
+        levels = []
+        for _ in range(3):
+            step = rng.uniform(0.05, 2.0, (n_nodes, count))
+            q = np.cumsum(step, axis=1) - 0.5 * step.sum(axis=1, keepdims=True)
+            m, n = (_signed_zeros(rng, f) for f in rng.standard_normal((2, n_nodes, count)))
+            level = np.stack((q, m, n))
+            if shuffled:
+                perm = rng.permuted(np.tile(np.arange(count), (n_nodes, 1)), axis=1)
+                level = np.take_along_axis(level, perm[None], axis=2)
+            levels.append(level)
+        cases.append((levels, int(rng.choice((2, 4))), TWO_PI / n_nodes,
+                      float(rng.uniform(1e-3, 0.1))))
+    return cases
+
+
+def reference_levels(profiles, seed=27):
+    """For each ``profile_cases`` tuple, one packed (3, N_s, 2) level (Q, M, N)
+    per time, each field with +-0.0 entries; the single peakon reads the
+    first column."""
+    rng = np.random.default_rng(seed)
+    return [[np.stack([_signed_zeros(rng, f) for f in rng.standard_normal((3, n_nodes, 2))])
+             for _ in times] for _, n_nodes, times in profiles]
+
+
 def g17_cases(seed=23):
     """Float64 values for ``_g17.cells``, in a seeded order."""
     rng = np.random.default_rng(seed)
@@ -242,7 +285,7 @@ class Digest:
         return self.hash.hexdigest()
 
 
-def digests(peakons, so3, centered, profiles, g17):
+def digests(peakons, so3, centered, peakon_levels, profiles, profile_levels, g17):
     import gstrand as g
 
     table = {}
@@ -302,6 +345,24 @@ def digests(peakons, so3, centered, profiles, g17):
                 digest.call(centered_values, spec.diagnostics[kind], cfg, sten, lambdas, y0,
                             residual)
 
+    def level_values(diagnostic, cfg, sten, levels):
+        names, evaluate = diagnostic.bind(cfg, sten, None, levels[0])
+        return (np.asarray(names), *(evaluate(y) for y in levels[1:]))
+
+    xy_drift = g.sim_harness._SPECS["aniso_xy"].diagnostics["invariant_drift"]
+    digest = table["aniso_xy.invariant_drift"] = Digest()
+    for levels, (_, _, p), order, ds, dt in centered:
+        cfg = SimpleNamespace(dt=dt, cadence=1, params={"P": p}, s_length=TWO_PI,
+                              n_nodes=levels.shape[2])
+        digest.call(level_values, xy_drift, cfg, g.DerivativeStencil(order, ds), levels)
+
+    for kind, diagnostic in g.sim_harness._SPECS["peakon"].diagnostics.items():
+        digest = table[f"peakon.{kind}"] = Digest()
+        for levels, order, ds, dt in peakon_levels:
+            cfg = SimpleNamespace(dt=dt, cadence=1, params={"count": levels[0].shape[2]},
+                                  s_length=TWO_PI, n_nodes=levels[0].shape[1])
+            digest.call(level_values, diagnostic, cfg, g.DerivativeStencil(order, ds), levels)
+
     from gstrand.peakon_dynamics import K0
 
     def node_values(profile, s, scales, times):
@@ -314,6 +375,22 @@ def digests(peakons, so3, centered, profiles, g17):
         s = np.arange(n_nodes) * (TWO_PI / n_nodes)
         for scales in ((1.0, 1.0, 1.0), (1.0, 1.0 / K0, -1.0 / K0), (1.0,)):
             digest.call(node_values, profile, s, scales, times)
+
+    def reference_values(spec, params, s, times, levels):
+        names, errors = spec.reference(spec.parse(params, TWO_PI), s)
+        return (np.asarray(names), *(errors(y, t) for t, y in zip(times, levels)))
+
+    single = g.sim_harness._SPECS["peakon_single_exact"]
+    collision = g.sim_harness._SPECS["peakon_collision_exact"]
+    single_digest = table["peakon_single_exact.reference"] = Digest()
+    collision_digest = table["peakon_collision_exact.reference"] = Digest()
+    for (descriptor, n_nodes, times), levels in zip(profiles, profile_levels):
+        s = np.arange(n_nodes) * (TWO_PI / n_nodes)
+        single_digest.call(reference_values, single, {"profile": descriptor}, s, times,
+                           [y[:, :, :1] for y in levels])
+        for branch in (1, -1):
+            collision_digest.call(reference_values, collision,
+                                  {"profile": descriptor, "branch": branch}, s, times, levels)
 
     from gstrand import _g17
 
@@ -335,8 +412,9 @@ def main(argv):
         sys.exit(__doc__)
     checkout = Path(argv[0]).resolve() if argv else HERE
     # drawn before gstrand is imported
+    profiles = profile_cases()
     inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), centered_cases(),
-              profile_cases(), g17_cases())
+              peakon_level_cases(), profiles, reference_levels(profiles), g17_cases())
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():
         sys.exit(f"kernel_digests: no gstrand sources under {src}")

@@ -59,18 +59,19 @@ class WaveProfile:
         descriptor: dict,
     ):
         self._jet = lambda s, t: (h(s, t), dh_dt(s, t), dh_ds(s, t))
-        self._separable = False  # ``on_nodes`` calls the jet
+        self._harmonics = self._plan = None  # ``on_nodes`` calls the jet
         self.descriptor = dict(descriptor)
         self._self_check()
 
     @classmethod
-    def _exact(cls, jet, descriptor, separable=True):
+    def _exact(cls, jet, descriptor, harmonics, plan):
         """Profile of a factory, whose evaluators are exact: no finite-difference
-        check.  Its descriptor gives its separable form (see ``on_nodes``)
-        unless it superposes a profile built by hand."""
+        check.  ``on_nodes`` binds its harmonics (k, phase, a, direction), direction
+        0 for a standing wave, and the ``_fold`` plan that sums them in the jet's
+        order; both are None if it superposes a profile built by hand."""
         profile = cls.__new__(cls)
         profile._jet = jet
-        profile._separable = separable
+        profile._harmonics, profile._plan = harmonics, plan
         profile.descriptor = descriptor
         return profile
 
@@ -99,26 +100,25 @@ class WaveProfile:
         i sin(k s + phase) on the nodes and kappa a complex scalar: a
         traveling term's time shift turns E by exp(-i k direction t), a
         standing term weighs cos(k s) or sin(k s) by cos(k t) or sin(k t).
-        So E is formed here, once per harmonic (two doubles per node), and a
-        call takes scalar cos and sin of t, one complex product per harmonic
-        and output and one addition per further term, in the jet's order of
-        summands.  At t = 0 one of the two products in each Re(E kappa) is
-        +-0.0 and the other is the jet's own, so every value is the jet's
-        times its factor (the sign of a zero aside), bit for bit when the
-        factors are +-powers of two; later values agree with the jet to
-        round-off.  A profile built by hand calls its jet.
+        So E is formed here, once per harmonic its factory recorded (two doubles
+        per node), and a call takes scalar cos and sin of t, one complex
+        product per harmonic and output and one addition per further term, in
+        the jet's order of summands (the factory's plan).  At t = 0 one of the
+        two products in each Re(E kappa) is +-0.0 and the other is the jet's
+        own, so every value is the jet's times its factor (the sign of a zero
+        aside), bit for bit when the factors are +-powers of two; later values
+        agree with the jet to round-off.  A profile built by hand calls its jet.
         """
         s = np.asarray(s, dtype=float)
         scales = tuple(float(f) for f in scales)
-        if not self._separable:
+        harmonics, plan = self._harmonics, self._plan
+        if harmonics is None:
             def from_jet(t):
                 out = np.stack(self.jet(s, t)[:len(scales)])
                 for row, factor in zip(out, scales):
                     row *= factor
                 return out
             return from_jet
-        harmonics = []
-        plan = _plan(self.descriptor, harmonics)
         rows = np.empty((len(harmonics), s.size), dtype=complex)
         for row, (k, phase, *_) in zip(rows, harmonics):
             arg = k * s + phase
@@ -173,7 +173,8 @@ class WaveProfile:
             return h, -direction * h_s, h_s
 
         return cls._exact(jet, {"type": "traveling", "terms": [list(t_) for t_ in terms],
-                                "direction": direction})
+                                "direction": direction},
+                          [(k, ph, a, direction) for a, k, ph in terms], list(range(len(terms))))
 
     @classmethod
     def standing(cls, amplitude, wavenumber):
@@ -188,7 +189,8 @@ class WaveProfile:
             return (a * cos_s * cos_t, minus_ak * cos_s * np.sin(kt),
                     minus_ak * np.sin(ks) * cos_t)
 
-        return cls._exact(jet, {"type": "standing", "amplitude": a, "wavenumber": k})
+        return cls._exact(jet, {"type": "standing", "amplitude": a, "wavenumber": k},
+                          [(k, 0.0, a, 0)], [0])
 
     @classmethod
     def constant(cls, value):
@@ -209,29 +211,22 @@ class WaveProfile:
                 h, h_t, h_s = h + p_h, h_t + p_t, h_s + p_s
             return h, h_t, h_s
 
-        return cls._exact(jet, {"type": "superposition", "parts": [p.descriptor for p in parts]},
-                          all(part._separable for part in parts))
+        descriptor = {"type": "superposition", "parts": [p.descriptor for p in parts]}
+        harmonics, plans = [], []
+        for part in parts:
+            if part._plan is None:
+                return cls._exact(jet, descriptor, None, None)
+            plans.append(_shifted(part._plan, len(harmonics)))
+            harmonics += part._harmonics
+        # the jet adds each part's sum to the total: the first part's harmonics
+        # and a later part's lone harmonic join its own sum, any other part nests
+        plan = plans[0] + [x for p in plans[1:] for x in (p if len(p) == 1 else [p])]
+        return cls._exact(jet, descriptor, harmonics, plan)
 
 
-def _plan(d, harmonics):
-    """Descriptor ``d`` of a factory profile as a plan of ``_fold``: the index
-    of each of its harmonics in ``harmonics``, where it is appended, in the
-    order in which the jet adds them.  The jet adds each superposed part's
-    sum to the total, so the first part's harmonics and a later part's lone
-    harmonic join the total's own sum, and any other part is a nested plan.
-    A harmonic is (k, phase, a, direction), direction 0 for a standing wave.
-    """
-    if d["type"] == "traveling":
-        plan = []
-        for a, k, ph in d["terms"]:
-            harmonics.append((k, ph, a, d["direction"]))
-            plan.append(len(harmonics) - 1)
-        return plan
-    if d["type"] == "standing":
-        harmonics.append((d["wavenumber"], 0.0, d["amplitude"], 0))
-        return [len(harmonics) - 1]
-    parts = [_plan(part, harmonics) for part in d["parts"]]
-    return parts[0] + [x for part in parts[1:] for x in (part if len(part) == 1 else [part])]
+def _shifted(plan, offset):
+    """``plan`` with every harmonic index, nested ones included, moved by ``offset``."""
+    return [item + offset if isinstance(item, int) else _shifted(item, offset) for item in plan]
 
 
 def _kappas(harmonic, t):
@@ -266,8 +261,6 @@ def _fold(plan, rows, kappas, o, factor, out):
             term = _fold(item, rows, kappas, o, factor, np.empty_like(out))
         if total is None:
             total = term
-        elif total is out:
-            out += term
         else:
             total = np.add(total, term, out=out)
     if total is None:
@@ -410,7 +403,7 @@ class CollisionSolution:
             raise SingularConfigurationError(
                 "collision instant: h = 0 makes the momentum evaluators singular"
             )
-        x = self.branch * 2.0 * _log_cosh(h)
+        x = self._separation(h)
         # K0 - K(X) = K0 tanh^2 h, so the momentum quotients reduce to h_t,s / (K0 tanh h)
         m1 = self.branch * h_t / (K0 * th)
         n1 = -self.branch * h_s / (K0 * th)

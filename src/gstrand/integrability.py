@@ -19,9 +19,9 @@ R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k), f the model's right-hand side:
 Each holds to round-off on any data, not only along solutions.  The
 harness's centered diagnostics are their one implementation: bound once per
 run, they read R from the derivative its RK4 step already took.
-``chiral_lax``, ``aniso_lax``, ``zero_curvature_residual`` and
-``so3_dynamics.compatibility_residual`` form the curvature from the fields
-and stay as the oracles.
+``chiral_lax``, ``aniso_lax`` and ``zero_curvature_residual`` form the
+curvature from the fields and stay as the oracles; the spin chain's
+whole-trajectory residual is a test oracle (``tests/oracles.py``).
 """
 
 import math

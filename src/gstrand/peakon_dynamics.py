@@ -201,7 +201,7 @@ def _sorted_frame(q):
         index = np.argsort(q, axis=-1)
         index += count * np.arange(n_nodes)[:, None]
         index = index.T.ravel()
-        qs = q.take(index).reshape(count, n_nodes)
+        qs = _in_frame(index, q)
         gaps = qs[1:] - qs[:-1]
         gap = _smallest(gaps)
     return index, qs, gaps, gap

@@ -855,45 +855,40 @@ def _csv_chunks(header, times, blocks, index=False):
         yield text.view(np.uint8).ravel()
 
 
-def _write_csvs(files):
-    """Write each CSV of ``files``, given as (path, header, times, blocks, index).
+def _write_csv(path, header, times, blocks, index):
+    """Write one CSV, the text of ``_csv_chunks(header, times, blocks, index)``.
 
-    File after file, in the calling thread: open it, write each chunk of
-    ``_csv_chunks`` with its zero bytes dropped before the next chunk forms,
-    then close it.  The first error stops the write; the file open then is
-    still closed, and an error closing it is raised only when nothing else
-    failed.
+    Open it, write each chunk with its zero bytes dropped before the next
+    chunk forms, then close it.  An error stops the write; the file is still
+    closed, and an error closing it is raised only when nothing else failed.
     """
-    for path, header, times, blocks, index in files:
-        fh = open(path, "wb")
-        try:
-            for chunk in _csv_chunks(header, times, blocks, index):
-                fh.write(chunk[chunk != 0])
-        except BaseException:
-            with contextlib.suppress(OSError):
-                fh.close()
-            raise
-        fh.close()
+    fh = open(path, "wb")
+    try:
+        for chunk in _csv_chunks(header, times, blocks, index):
+            fh.write(chunk[chunk != 0])
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise
+    fh.close()
 
 
 def _write_outputs(cfg, report, directory):
     """Every output file of ``report``: one CSV per field, per series, and report.json.
 
-    Every CSV goes through one ``_write_csvs`` call, the field files
-    first; report.json follows once they are all closed.
+    The field files are written first, file after file; report.json follows
+    once every CSV is closed.
     """
     directory = Path(directory)
     ncols = report.snapshots[0].shape[2]
-    files = []
     for slot, name in enumerate(_SPECS[cfg.model].fields):
         header = "t,s_index," + ",".join(f"{name}_{j + 1}" for j in range(ncols))
-        files.append((directory / f"{name}.csv", header, report.times,
-                      [y[slot] for y in report.snapshots], True))
+        _write_csv(directory / f"{name}.csv", header, report.times,
+                   [y[slot] for y in report.snapshots], True)
     for name, data in report.series().items():
         columns = data["columns"]
-        files.append((directory / f"{name}.csv", "t," + ",".join(columns), data["times"],
-                      np.column_stack(tuple(columns.values()))[:, None], False))
-    _write_csvs(files)
+        _write_csv(directory / f"{name}.csv", "t," + ",".join(columns), data["times"],
+                   np.column_stack(tuple(columns.values()))[:, None], False)
 
     with open(directory / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)

@@ -363,6 +363,25 @@ def test_node_evaluator_of_a_hand_built_profile_calls_its_jet():
     assert np.array_equal(at(2.0), np.stack(single_peakon_exact(linear_profile(), s, 2.0)))
 
 
+@pytest.mark.parametrize("parts", [
+    lambda: [linear_profile(), WaveProfile.traveling([(0.3, 1.0, 0.1)], -1),
+             WaveProfile.standing(0.2, 3.0)],
+    lambda: [WaveProfile.traveling([(0.1, 2.0, 5.0), (-0.7, 3.0, 2.0)], 1),
+             WaveProfile.superpose([WaveProfile.standing(-0.4, 2.0), WaveProfile.constant(0.7)]),
+             linear_profile()],
+    lambda: [linear_profile(), linear_profile()],
+], ids=["hand-built-first", "hand-built-last", "all-hand-built"])
+@pytest.mark.parametrize("t", [0.0, 0.7])
+def test_node_evaluator_of_a_superposition_with_a_hand_built_part_calls_its_jet(parts, t):
+    """A superposition that holds a profile built by hand, wherever it stands,
+    has no separable form either: its node evaluator is its jet times the
+    factors, bit for bit, signed zeros included."""
+    prof = WaveProfile.superpose(parts())
+    s = np.linspace(-1.0, 1.0, 9)
+    want = np.stack(prof.jet(s, t)) * np.array([1.0, 2.0, -2.0])[:, None]
+    assert_same_bits(prof.on_nodes(s, (1.0, 2.0, -2.0))(t), want)
+
+
 def test_node_evaluator_forms_no_sin_or_cos_of_the_nodes_per_call(monkeypatch):
     """The nodes' sin and cos rows are formed once, when the profile is
     bound; a call takes scalar cos and sin of t alone."""

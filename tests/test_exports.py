@@ -3,7 +3,8 @@
 import gstrand
 
 REMOVED = ("So3StrandState", "XYState", "PeakonState", "to_XY", "from_XY",
-           "DiagonalParams", "SpinChainParams", "chiral_curvature_max")
+           "DiagonalParams", "SpinChainParams", "chiral_curvature_max",
+           "compatibility_residual")
 
 
 def test_every_export_resolves_once():
@@ -21,7 +22,7 @@ def test_star_import_binds_exactly_the_export_list():
 
 def test_state_containers_are_gone():
     """The library takes plain arrays; it has no validated state or operator
-    classes, and no whole-trajectory copy of the chiral curvature monitor."""
+    classes, and no whole-trajectory copy of a centered monitor's columns."""
     for name in REMOVED:
         assert name not in gstrand.__all__
         assert not hasattr(gstrand, name)

@@ -17,7 +17,6 @@ from gstrand import (
     aniso_rhs_uv,
     chiral_lax,
     chiral_rhs,
-    compatibility_residual,
     embed_so4,
     hat,
     invariant_drift,
@@ -34,6 +33,7 @@ from gstrand.integrability import (
     _node_magnitudes,
     _predicted,
 )
+from oracles import compatibility_residual
 
 TWO_PI = 2.0 * math.pi
 E3 = np.array([0.0, 0.0, 1.0])

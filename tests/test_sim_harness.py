@@ -28,7 +28,6 @@ from gstrand import (
     aniso_lax,
     build_J,
     chiral_lax,
-    compatibility_residual,
     convergence_study,
     embed_so4,
     integrability,
@@ -47,6 +46,7 @@ from gstrand import (
 from gstrand.analytic_solutions import MAX_PROFILE_DEPTH
 from gstrand.cli import main
 from gstrand.peakon_dynamics import K0
+from oracles import compatibility_residual
 from test_analytic_solutions import node_bound
 
 TWO_PI = 2.0 * math.pi
@@ -1132,7 +1132,7 @@ def test_chunks_of_different_widths_keep_every_byte(tmp_path, monkeypatch, chunk
             values = np.copysign(rng.uniform(1e13, 1e15, values.shape), values)
         blocks.append(values)
     header = "t,s_index,a,b,c" if index else "t,a,b,c"
-    sim_harness._write_csvs([(tmp_path / "f.csv", header, times, blocks, index)])
+    sim_harness._write_csv(tmp_path / "f.csv", header, times, blocks, index)
     rows = ((t, *((idx,) if index else ()), *values)
             for t, y in zip(times, blocks) for idx, values in enumerate(y))
     assert (tmp_path / "f.csv").read_bytes() == oracle_csv(header, rows).encode()
@@ -1939,8 +1939,7 @@ def test_centered_kinds_take_no_stencil_cross_or_lax_matrix_of_their_own(model, 
     monkeypatch.setattr(DerivativeStencil, "__call__", counted("stencil", stencil))
     monkeypatch.setattr(so3_dynamics, "_cross", counted("cross", cross))
     for owner, name in ((sim_harness, "chiral_lax"), (sim_harness, "aniso_lax"),
-                        (sim_harness, "zero_curvature_residual"), (integrability, "hat"),
-                        (so3_dynamics, "compatibility_residual")):
+                        (sim_harness, "zero_curvature_residual"), (integrability, "hat")):
         monkeypatch.setattr(owner, name, forbidden)
     cfg = ScenarioConfig.from_dict(output_digests.small_runs()[model])
     report = run_scenario(cfg, keep_snapshots=False)

@@ -14,10 +14,10 @@ from gstrand import (
     aniso_rhs_XY,
     aniso_rhs_uv,
     chiral_rhs,
-    compatibility_residual,
     lie_poisson_rhs_spin_chain,
     spin_chain_rhs,
 )
+from oracles import compatibility_residual
 
 TWO_PI = 2.0 * math.pi
 E1, E2, E3 = np.eye(3)
