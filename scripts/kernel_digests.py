@@ -79,11 +79,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def _signed_zeros(rng, f):
-    """``f`` with about a tenth of its entries set to 0.0 or -0.0, and its first row to -0.0."""
+    """``f`` with about a tenth of its entries set to 0.0 or -0.0, and its first
+    node row to -0.0: axis -2 indexes the nodes, so a packed field or level
+    keeps every other node of each of its slots."""
     f = f.copy()
     hit = rng.random(f.shape) < 0.1
     f[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
-    f[0] = -0.0
+    f[..., 0, :] = -0.0
     return f
 
 

@@ -11,16 +11,16 @@ pairs, so the discrete curvature at the middle of three levels spaced dt
 apart is a fixed linear image of the method-of-lines residual
 R = (y_{k+1} - y_{k-1}) / (2 dt) - f(y_k), f the model's right-hand side:
 
-- chiral pair: hat(r), r = (a - b) R_u - (a + b) R_v (``_chiral_residual_max``);
+- chiral pair: hat(r), r = (a - b) R_u - (a + b) R_v;
 - spin-chain compatibility relation v_t - u_s + u x v: R_v itself;
 - so(4) pair of the anisotropic model at the doubled fields:
-  embed_so4(2 R_v, 2 R_u)(lam Id + J) (``_aniso_curvature_max``).
+  embed_so4(2 R_v, 2 R_u)(lam Id + J).
 
 Each holds to round-off on any data, not only along solutions.  The
-harness's centered diagnostics are their one implementation: bound once per
-run, they read R from the derivative its RK4 step already took.
-``chiral_lax``, ``aniso_lax`` and ``zero_curvature_residual`` form the
-curvature from the fields and stay as the oracles; the spin chain's
+harness's centered diagnostics, bound once per run in ``sim_harness``, are
+their one implementation: they read R from the derivative its RK4 step
+already took.  ``chiral_lax``, ``aniso_lax`` and ``zero_curvature_residual``
+form the curvature from the fields and stay as the oracles; the spin chain's
 whole-trajectory residual is a test oracle (``tests/oracles.py``).
 """
 
@@ -144,13 +144,6 @@ def zero_curvature_residual(
     return CurvatureResidual(max_norm=float(np.max(np.abs(fields))), fields=fields)
 
 
-def _predicted(previous, rate, dt):
-    """previous + 2 dt rate, the leapfrog prediction of the next level, in a fresh array."""
-    out = rate * (2.0 * dt)
-    out += previous
-    return out
-
-
 def _chiral_coefficients(lambdas):
     """(a, b) = ((1 + lam)/4, (1 + 1/lam)/4) of ``chiral_lax``, for each lam.
 
@@ -166,55 +159,6 @@ def _chiral_coefficients(lambdas):
             raise ValueError(f"spectral parameter {lam!r} is too close to 0 for the chiral pair")
         coeffs.append((a, b))
     return coeffs
-
-
-def _chiral_residual_max(residual, coeffs, dt):
-    """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v, for each of ``coeffs``: the
-    max norm of the chiral curvature hat(r), its cross terms cancelled by a + b = 4ab.
-
-    ``residual`` holds e = 2 dt R, the packed (e_u, e_v); r is formed in two
-    (N_s, 3) buffers that every coefficient reuses.
-    """
-    e_u, e_v = residual
-    r = np.empty_like(e_u)
-    term = np.empty_like(e_u)
-    maxes = []
-    for a, b in coeffs:
-        np.multiply(a - b, e_u, out=r)
-        np.multiply(a + b, e_v, out=term)
-        r -= term
-        np.abs(r, out=r)
-        maxes.append(np.maximum.reduce(r, axis=None) / (2.0 * dt))
-    return maxes
-
-
-def _aniso_weights(lambdas, p):
-    """|w_j| = |lam + J_jj| of W = lam Id + J, J_jj formed as ``build_J`` forms it, per lam."""
-    p0, p1, p2 = p.tolist()
-    diagonal = [-0.5 * p0, -0.5 * p1, -0.5 * p2, -0.5 * ((p0 + p1) + p2)]
-    return [[abs(lam + j) for j in diagonal] for lam in lambdas]
-
-
-def _aniso_curvature_max(residual, weights, dt):
-    """Max-norm so(4) curvature of ``aniso_lax`` at the doubled fields, for each
-    lam, given its ``_aniso_weights``.
-
-    ``residual`` holds e = 2 dt R, the packed residual of ``aniso_rhs_uv``.
-    Along the doubled fields the curvature is embed_so4(2 R_v, 2 R_u) W with
-    the diagonal W = lam Id + J, whose entry (i, j) is an embedded component
-    times w_j: component k of 2 R_v sits in the columns j != k of the so(3)
-    block, component i of 2 R_u in column 3 and in row 3, column i.  So the
-    max norm is the largest of max |2 R_v[k]| |w_j|, j != k, and
-    max |2 R_u[i]| max(|w_i|, |w_3|), with 2 R = e / dt; no 4x4 matrix is
-    formed.
-    """
-    (peak_u, peak_v) = np.max(np.abs(residual), axis=1).tolist()
-    out = []
-    for w in weights:
-        block = max(peak_v[k] * w[j] for k in range(3) for j in range(3) if j != k)
-        edge = max(peak_u[i] * max(w[i], w[3]) for i in range(3))
-        out.append(max(block, edge) / dt)
-    return out
 
 
 @dataclass(frozen=True)

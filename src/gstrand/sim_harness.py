@@ -67,13 +67,9 @@ from .errors import (
 # called here; they stay module attributes because the benchmark tracer
 # (perfbench/spans.py) wraps them by these names
 from .integrability import (  # noqa: F401
-    _aniso_curvature_max,
-    _aniso_weights,
     _chiral_coefficients,
-    _chiral_residual_max,
     _magnitude_drift,
     _node_magnitudes,
-    _predicted,
     aniso_lax,
     chiral_lax,
     invariant_drift,
@@ -348,13 +344,53 @@ def _peakon_rhs(p, sten, s):
 
 
 def _chiral_curvature(cfg, sten, lambdas, first):
-    coeffs, dt = _chiral_coefficients(lambdas), cfg.dt * cfg.cadence
-    return _lambda_columns(lambdas), lambda e: _chiral_residual_max(e, coeffs, dt)
+    """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v of e = 2 dt R, for each
+    lambda: the max norm of the chiral curvature hat(r), its cross terms
+    cancelled by a + b = 4ab; r is formed in two (N_s, 3) buffers."""
+    coeffs, two_dt = _chiral_coefficients(lambdas), 2.0 * (cfg.dt * cfg.cadence)
+
+    def evaluate(e):
+        e_u, e_v = e
+        r, term = np.empty_like(e_u), np.empty_like(e_u)
+        maxes = []
+        for a, b in coeffs:
+            np.multiply(a - b, e_u, out=r)
+            np.multiply(a + b, e_v, out=term)
+            r -= term
+            np.abs(r, out=r)
+            maxes.append(np.maximum.reduce(r, axis=None) / two_dt)
+        return maxes
+
+    return _lambda_columns(lambdas), evaluate
+
+
+def _aniso_weights(lambdas, p):
+    """|w_j| = |lam + J_jj| of W = lam Id + J, J_jj formed as ``build_J`` forms it, per lam."""
+    p0, p1, p2 = p.tolist()
+    diagonal = [-0.5 * p0, -0.5 * p1, -0.5 * p2, -0.5 * ((p0 + p1) + p2)]
+    return [[abs(lam + j) for j in diagonal] for lam in lambdas]
 
 
 def _aniso_curvature(cfg, sten, lambdas, first):
+    """Max-norm so(4) curvature of ``aniso_lax`` at the doubled fields, for each
+    lambda: embed_so4(2 R_v, 2 R_u) W with the diagonal W = lam Id + J, whose
+    entry (i, j) is an embedded component times w_j.  Component k of 2 R_v
+    sits in the columns j != k of the so(3) block, component i of 2 R_u in
+    column 3 and in row 3, column i.  So the max norm is the largest of
+    max |2 R_v[k]| |w_j|, j != k, and max |2 R_u[i]| max(|w_i|, |w_3|), with
+    2 R = e / dt; no 4x4 matrix is formed."""
     weights, dt = _aniso_weights(lambdas, cfg.params["P"]), cfg.dt * cfg.cadence
-    return _lambda_columns(lambdas), lambda e: _aniso_curvature_max(e, weights, dt)
+
+    def evaluate(e):
+        (peak_u, peak_v) = np.max(np.abs(e), axis=1).tolist()
+        out = []
+        for w in weights:
+            block = max(peak_v[k] * w[j] for k in range(3) for j in range(3) if j != k)
+            edge = max(peak_u[i] * max(w[i], w[3]) for i in range(3))
+            out.append(max(block, edge) / dt)
+        return out
+
+    return _lambda_columns(lambdas), evaluate
 
 
 def _compatibility(cfg, sten, lambdas, first):
@@ -721,6 +757,13 @@ class _Window:
             self.previous = None
 
 
+def _predicted(previous, rate, dt):
+    """previous + 2 dt rate, the leapfrog prediction of the next level, in a fresh array."""
+    out = rate * (2.0 * dt)
+    out += previous
+    return out
+
+
 def _reference_errors(reference, y, t):
     """Errors of the stored level ``y`` against the run's bound reference at
     ``t``; one call per stored level, under a name a tracer can wrap."""
@@ -919,8 +962,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     reference's two rows of N_s doubles per harmonic of the profile) and
     the level before the newest: that level itself, or, while a step runs,
     the centered kinds' prediction formed from it and the step's first
-    stage (see ``_Window``).  The window's hook is installed only when the
-    run has a centered kind.
+    stage (see ``_Window``); the stage function hands each f(y) to a window,
+    which a run has only when it has a centered kind.
     ``RunReport.snapshots`` keeps every stored level when the run writes
     files or ``keep_snapshots`` is true, and is ``[]`` otherwise.  Apart
     from those, what a run keeps grows by about 8 bytes per stored value: each
@@ -946,23 +989,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     model_rhs = spec.rhs(cfg.params, sten, s)
     stages = 0
     stepped = None  # the state rk4_step last returned, which it has scanned
+    window = None
+    if any(spec.diagnostics[entry["kind"]].centered for entry in cfg.diagnostics):
+        window = _Window(cfg.dt * cfg.cadence)
 
     def rhs(y):
         nonlocal stages
         stages += 1
         if y is not stepped:
             _guard_finite(y)
-        return model_rhs(y)
-
-    window = None
-    step_rhs = rhs
-    if any(spec.diagnostics[entry["kind"]].centered for entry in cfg.diagnostics):
-        window = _Window(cfg.dt * cfg.cadence)
-
-        def step_rhs(y):
-            rate = rhs(y)
+        rate = model_rhs(y)
+        if window is not None:
             window.predict(y, rate)
-            return rate
+        return rate
 
     snaps, times = [], array("d")
 
@@ -989,7 +1028,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, *, keep_snapshots=True) -> R
     for i in range(cfg.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                y = stepped = rk4_step(y, step_rhs, cfg.dt)
+                y = stepped = rk4_step(y, rhs, cfg.dt)
             except SimulationError as exc:
                 where = (
                     "initial data, t = 0" if stages == 1

@@ -7,6 +7,7 @@ import pytest
 
 from gstrand import BlowUpError, ConfigError, ScenarioConfig, cli, run_scenario, sim_harness
 from gstrand.cli import main
+from test_sim_harness import output_digests
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +48,21 @@ def test_run_ok(tmp_path, capsys):
     assert (out / "u.csv").exists()
     assert (out / "v.csv").exists()
     assert (out / "zero_curvature.csv").exists()
+
+
+def test_run_prints_the_reference_errors_of_report_json(tmp_path, capsys):
+    """`run` on an exact model prints each reference error at %.6e, the value
+    report.json holds, in the reference's column order."""
+    d = output_digests.small_runs()["peakon_single_exact"]
+    d["output"]["directory"] = str(tmp_path / "out")
+    config = tmp_path / "single.json"
+    config.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    errors = json.loads((tmp_path / "out" / "report.json").read_text())["reference_error"]
+    assert sorted(errors) == ["err_M", "err_N", "err_Q"]
+    assert [line for line in printed if line.startswith("  err_")] == [
+        f"  {key}: {errors[key]:.6e}" for key in ("err_Q", "err_M", "err_N")]
 
 
 def test_run_out_flag_overrides(tmp_path, capsys):

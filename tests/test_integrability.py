@@ -26,13 +26,8 @@ from gstrand import (
     zero_curvature_residual,
 )
 from gstrand.algebra import build_J
-from gstrand.integrability import (
-    _aniso_weights,
-    _chiral_coefficients,
-    _chiral_residual_max,
-    _node_magnitudes,
-    _predicted,
-)
+from gstrand.integrability import _chiral_coefficients, _node_magnitudes
+from gstrand.sim_harness import _aniso_weights, _predicted
 from oracles import compatibility_residual
 
 TWO_PI = 2.0 * math.pi
@@ -311,12 +306,16 @@ def test_residual_buffers_bitwise_equal_list_comprehension(order):
     rng = np.random.default_rng(60 + order)
     n, dt = 32, 0.03
     sten = DerivativeStencil(order, TWO_PI / n)
-    coeffs = _chiral_coefficients((0.5, 1.0, 2.0, -1.0, 3.0))
+    lambdas = (0.5, 1.0, 2.0, -1.0, 3.0)
+    coeffs = _chiral_coefficients(lambdas)
     levels = signed_zero_levels(rng, n, 24)
+    cfg = SimpleNamespace(dt=dt, cadence=1, params={})
+    kind = sim_harness._SPECS["chiral"].diagnostics["zero_curvature"]
+    _, evaluate = kind.bind(cfg, sten, lambdas, levels[0])
     for k in range(len(levels) - 2):
         e = levels[k + 2] - _predicted(levels[k], chiral_rhs(levels[k + 1], sten), dt)
         before = e.copy()
-        got = np.array(_chiral_residual_max(e, coeffs, dt))
+        got = np.array(evaluate(e))
         want = [np.max(np.abs((a - b) * e[0] - (a + b) * e[1])) / (2.0 * dt) for a, b in coeffs]
         assert_same_bits(got, np.array(want))
         assert e.tobytes() == before.tobytes()

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -632,6 +633,24 @@ def test_exact_profiles_parse_at_every_periodic_wavenumber(profile):
     for k in range(1, 2001):
         d = single_exact_dict()
         d["params"]["profile"] = profile(amp=1.0, k=k)
+        ScenarioConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("profile, where, k", [
+    (traveling(k=1.5), "terms[0]", 1.5),
+    (standing(k=0.5), "wavenumber", 0.5),
+    ({"type": "superposition", "parts": [standing(), {"type": "superposition",
+                                                       "parts": [standing(amp=0.2, k=2.5)]}]},
+     "parts[1].parts[0].wavenumber", 2.5),
+], ids=["traveling-term", "standing", "nested-standing"])
+def test_exact_profile_wavenumber_off_the_strand_is_config_error(profile, where, k):
+    """A profile wavenumber that fits no whole number of periods on the strand
+    is rejected with the path of the term that holds it."""
+    d = single_exact_dict()
+    d["params"]["profile"] = profile
+    message = (f"params.profile.{where}: wavenumber {k} does not fit an integer number "
+               f"of periods on a strand of length {TWO_PI!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig.from_dict(d)
 
 
@@ -2193,6 +2212,21 @@ def test_convergence_study_chiral_order_two():
     assert zc["order"] is not None
     assert zc["order"] > 1.8
     assert all(o > 1.8 for o in zc["orders"])
+
+
+@pytest.mark.parametrize("name", ["peakon_single_exact", "peakon_collision_exact"])
+def test_convergence_study_exact_references_converge_at_order_two(name):
+    """The exact models' reference errors fall at second order under joint
+    (ds, dt) halving from the ``small_runs`` grids (measured orders 1.99 to
+    2.00 over 4 levels), while their conservation sums sit at round-off and
+    get no order."""
+    cfg = ScenarioConfig.from_dict(output_digests.small_runs()[name])
+    study = convergence_study(cfg, 4)["diagnostics"]
+    ref = study["reference_error"]
+    assert len(ref["errors"]) == 4
+    assert ref["order"] >= 1.8
+    assert all(order >= 1.8 for order in ref["orders"])
+    assert study["conservation_sums"]["order"] is None
 
 
 def test_convergence_study_flags_floor_as_undefined():

@@ -141,3 +141,25 @@ def test_stencils_bitwise_equal_roll_formulas(n):
                 assert np.shares_memory(got, slots[1])
                 assert_bitwise(slots[1], expected, f"order {order}, {name}, out")
             assert_bitwise(second_derivative(f, ds), roll_second(f, ds), f"second, {name}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", [2, 4])
+def test_narrow_grids_keep_the_roll_formulas_signed_zeros(n, order):
+    """On grids narrower than the stencil (n < 2k: n = 1 at order 2, n = 1 to
+    3 at order 4), where a node's neighbours alias, and on n = 5 past them,
+    the first derivative of fields of +-0.0 entries, alone or among nonzero
+    ones, has the np.roll form's bits, sign bits included, into a new array
+    and into ``out``."""
+    rng = np.random.default_rng(10 * n + order)
+    ds = TWO_PI / n
+    zeros = np.where(rng.random((n, 4)) < 0.5, 0.0, -0.0)
+    mixed = rng.standard_normal((n, 4))
+    mixed[rng.random((n, 4)) < 0.5] = -0.0
+    for name, f in (("zeros", zeros), ("mixed", mixed), ("1-D zeros", zeros[:, 0].copy())):
+        expected = roll_first(f, order, ds)
+        st = DerivativeStencil(order, ds)
+        assert_bitwise(st(f), expected, f"{name}, new array")
+        out = np.full_like(expected, np.nan)
+        assert st(f, out=out) is out
+        assert_bitwise(out, expected, f"{name}, out")
