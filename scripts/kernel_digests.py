@@ -33,7 +33,10 @@ when a call raises, the error's type and message:
   ``lax`` and spin_chain ``zero_curvature``, bound as a run binds them and
   evaluated on the leapfrog residual y2 - (y0 + 2 dt f(y1)) of three seeded
   levels, f the model's RHS, with 0.0 and -0.0 entries; the chiral kind
-  with the lambdas 0.5, 1, 2, -1 and 3, and with two sets that raise;
+  with the lambdas 0.5, 1, 2, -1 and 3, and with two sets that raise, and
+  then, with the first set, directly on seeded residuals that hold +-0.0,
+  +inf, -inf and NaN entries in either field and magnitudes from 1e-300 to
+  near overflow, and on an all-zero one, under the run's ``np.errstate``;
 - ``WaveProfile.on_nodes``, the exact references' node evaluator, on
   seeded profiles of every kind (traveling in both directions, standing,
   constant, superpositions flat and nested) bound to 8 to 512 nodes, at
@@ -185,6 +188,26 @@ def centered_cases(seed=22, count=12):
     return cases
 
 
+def nonfinite_residuals(seed=28, count=24):
+    """(residual, dt) tuples: packed (2, N_s, 3) residuals on 8 to 63 nodes,
+    the first all +-0.0, the others with magnitudes from 1e-300 to near
+    overflow, +-0.0 entries, and +inf, -inf and NaN entries in either field."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        shape = (2, int(rng.integers(8, 64)), 3)
+        if k == 0:
+            e = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        else:
+            e = _signed_zeros(rng, rng.choice((-1.0, 1.0), shape)
+                              * 10.0 ** rng.uniform(-300.0, 308.25, shape))
+            for value in (np.inf, -np.inf, np.nan):
+                if rng.random() < 0.5:
+                    e[rng.integers(2), rng.integers(shape[1]), rng.integers(3)] = value
+        cases.append((e, float(rng.uniform(1e-3, 0.1))))
+    return cases
+
+
 def peakon_level_cases(seed=26, repeats=3):
     """(levels, stencil order, ds, dt) tuples: three packed (3, N_s, A)
     levels (Q, M, N) of A = 1, 2 and 3 peakons, gaps from 0.05 to 2, labels
@@ -287,7 +310,7 @@ class Digest:
         return self.hash.hexdigest()
 
 
-def digests(peakons, so3, centered, peakon_levels, profiles, profile_levels, g17):
+def digests(peakons, so3, centered, nonfinite, peakon_levels, profiles, profile_levels, g17):
     import gstrand as g
 
     table = {}
@@ -346,6 +369,15 @@ def digests(peakons, so3, centered, peakon_levels, profiles, profile_levels, g17
             for lambdas in lambda_sets:
                 digest.call(centered_values, spec.diagnostics[kind], cfg, sten, lambdas, y0,
                             residual)
+
+    chiral = g.sim_harness._SPECS["chiral"].diagnostics["zero_curvature"]
+    lambdas = CENTERED_KINDS[0][2][0]  # 0.5, 1, 2, -1 and 3
+    digest = table["chiral.zero_curvature"]
+    with np.errstate(over="ignore", invalid="ignore"):  # as a run evaluates its kinds
+        for residual, dt in nonfinite:
+            cfg = SimpleNamespace(dt=dt, cadence=1, params={})
+            sten = g.DerivativeStencil(2, TWO_PI / residual.shape[1])
+            digest.call(centered_values, chiral, cfg, sten, lambdas, residual, residual)
 
     def level_values(diagnostic, cfg, sten, levels):
         names, evaluate = diagnostic.bind(cfg, sten, None, levels[0])
@@ -416,7 +448,8 @@ def main(argv):
     # drawn before gstrand is imported
     profiles = profile_cases()
     inputs = (peakon_cases() + workload_peakon_cases(), so3_cases(), centered_cases(),
-              peakon_level_cases(), profiles, reference_levels(profiles), g17_cases())
+              nonfinite_residuals(), peakon_level_cases(), profiles, reference_levels(profiles),
+              g17_cases())
     src = checkout / "src"
     if not (src / "gstrand" / "__init__.py").is_file():
         sys.exit(f"kernel_digests: no gstrand sources under {src}")

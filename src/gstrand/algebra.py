@@ -57,6 +57,27 @@ def _cross(a, b):
     return out
 
 
+def _subtract_cross(out, a, b):
+    """out -= a x b over the last axis, in place, for (..., 3) arrays of one shape.
+
+    Each component is the two products and one difference of ``_cross``,
+    subtracted from its slot of ``out`` as it is formed, so ``out`` ends
+    bitwise equal to ``out - _cross(a, b)`` without holding a (..., 3) product.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c = a1 * b2
+    c -= a2 * b1
+    out[..., 0] -= c
+    c = a2 * b0
+    c -= a0 * b2
+    out[..., 1] -= c
+    c = a0 * b1
+    c -= a1 * b0
+    out[..., 2] -= c
+    return out
+
+
 def ad(u, w):
     """Adjoint action on so(3) in vector form: ad_u w = u x w."""
     return _cross(u, w)

@@ -346,19 +346,46 @@ def _peakon_rhs(p, sten, s):
 def _chiral_curvature(cfg, sten, lambdas, first):
     """max |r| / (2 dt), r = (a - b) e_u - (a + b) e_v of e = 2 dt R, for each
     lambda: the max norm of the chiral curvature hat(r), its cross terms
-    cancelled by a + b = 4ab; r is formed in two (N_s, 3) buffers."""
+    cancelled by a + b = 4ab.
+
+    The products are planned at bind time.  With alpha = a - b and
+    beta = a + b, each distinct (|alpha|, |beta|) pair with both nonzero forms
+    X = |alpha| e_u and Y = |beta| e_v once per level, and each of its
+    columns reads max |X - Y| if alpha and beta share a sign and max |X + Y|
+    otherwise: fl(-c x) = -fl(c x), so r is +-(X -+ Y) bit for bit and its
+    abs is theirs.  A column with a zero coefficient reads
+    abs(|alpha| m_u + |beta| m_v) / (2 dt), m = max |e| of each field: 0 m is
+    NaN exactly when e holds a non-finite entry and 0 e a NaN, rounding is
+    monotone, so max |c x| = fl(c max |x|), and the outer abs clears NaN's
+    sign bit as the per-node abs does.  The default lambdas (0.5, 1, 2, -1) need one
+    product pair and the two maxima.  A level holds one pair and one result
+    buffer."""
     coeffs, two_dt = _chiral_coefficients(lambdas), 2.0 * (cfg.dt * cfg.cadence)
+    products, scaled = {}, []
+    for column, (a, b) in enumerate(coeffs):
+        alpha, beta = a - b, a + b
+        if alpha == 0.0 or beta == 0.0:
+            scaled.append((column, abs(alpha), abs(beta)))
+        else:
+            combine = np.subtract if (alpha > 0.0) == (beta > 0.0) else np.add
+            products.setdefault((abs(alpha), abs(beta)), []).append((column, combine))
 
     def evaluate(e):
         e_u, e_v = e
-        r, term = np.empty_like(e_u), np.empty_like(e_u)
-        maxes = []
-        for a, b in coeffs:
-            np.multiply(a - b, e_u, out=r)
-            np.multiply(a + b, e_v, out=term)
-            r -= term
-            np.abs(r, out=r)
-            maxes.append(np.maximum.reduce(r, axis=None) / two_dt)
+        x, y, r = np.empty_like(e_u), np.empty_like(e_u), np.empty_like(e_u)
+        maxes = [None] * len(coeffs)
+        for (alpha, beta), columns in products.items():
+            np.multiply(alpha, e_u, out=x)
+            np.multiply(beta, e_v, out=y)
+            for column, combine in columns:
+                combine(x, y, out=r)
+                np.abs(r, out=r)
+                maxes[column] = np.maximum.reduce(r, axis=None) / two_dt
+        if scaled:
+            m_u = np.maximum.reduce(np.abs(e_u, out=r), axis=None)
+            m_v = np.maximum.reduce(np.abs(e_v, out=r), axis=None)
+            for column, alpha, beta in scaled:
+                maxes[column] = abs(alpha * m_u + beta * m_v) / two_dt
         return maxes
 
     return _lambda_columns(lambdas), evaluate

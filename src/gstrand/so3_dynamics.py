@@ -7,16 +7,19 @@ velocities of the strand.  Right-hand sides take the packed state, one
 the node-wise time derivatives of both fields as one packed array for
 method-of-lines integration.  The chiral and anisotropic right-hand sides
 differentiate both fields in one stencil call on the node-first view (see
-``stencil.slot_derivatives``) and form each pair of slot-for-slot cross
-terms in one ``_cross`` call.  The diagonal operators (the spin chain's
-inertia A and B, the anisotropic weights P) are plain float arrays, (3,) or
-tiled to (N_s, 3), checked once by the config; a right-hand side multiplies
-and divides by them as they are.
+``stencil.slot_derivatives``).  The anisotropic ones form each pair of
+slot-for-slot cross terms in one ``_cross`` call; ``chiral_rhs`` subtracts
+its one cross term from its slot in place, component by component
+(``_subtract_cross``); accumulating the other right-hand sides' cross
+terms in place measured slower than their ``_cross`` calls.  The diagonal
+operators (the spin chain's inertia A and B, the anisotropic weights P) are
+plain float arrays, (3,) or tiled to (N_s, 3), checked once by the config;
+a right-hand side multiplies and divides by them as they are.
 """
 
 import numpy as np
 
-from .algebra import _cross
+from .algebra import _cross, _subtract_cross
 from .stencil import DerivativeStencil, slot_derivatives
 
 MIN_NODES = 8  # fewest strand nodes of any model, the peakon system included
@@ -40,9 +43,12 @@ def spin_chain_rhs(y, a, b, stencil: DerivativeStencil):
 
 def chiral_rhs(y, stencil: DerivativeStencil):
     """Principal chiral model on the packed state y = (u, v):
-    u_t = v_s, v_t = u_s - u x v, returned as one (2, N_s, 3) array."""
+    u_t = v_s, v_t = u_s - u x v, returned as one (2, N_s, 3) array.
+
+    u x v is subtracted from the v_t slot component by component
+    (``_subtract_cross``), so the call holds no (N_s, 3) cross product."""
     out = slot_derivatives(stencil, y[::-1])
-    out[1] -= _cross(y[0], y[1])
+    _subtract_cross(out[1], y[0], y[1])
     return out
 
 

@@ -13,7 +13,7 @@ from gstrand import (
     pairing,
     unhat,
 )
-from gstrand.algebra import _cross
+from gstrand.algebra import _cross, _subtract_cross
 
 E1, E2, E3 = np.eye(3)
 
@@ -124,6 +124,21 @@ def test_cross_signed_zeros_match_assignment_form():
         got, want = _cross(left, right), assignment_cross(left, right)
         assert_bitwise(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("case", sorted(name for name, (a, b) in _cross_cases().items()
+                                         if np.shape(a) == np.shape(b)))
+def test_subtract_cross_bitwise_equals_subtracting_the_cross_product(case):
+    """out -= a x b in place keeps the bits of out - _cross(a, b), +-0.0 included."""
+    a, b = _cross_cases()[case]
+    rng = np.random.default_rng(22)
+    out = rng.standard_normal(np.shape(a))
+    out[rng.random(out.shape) < 0.3] = -0.0
+    with np.errstate(invalid="ignore"):
+        want = out - _cross(a, b)
+        got = _subtract_cross(out, np.asarray(a), np.asarray(b))
+    assert got is out
+    assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("length", [2, 4])

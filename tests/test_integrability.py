@@ -299,6 +299,60 @@ def test_bound_chiral_kind_bitwise_equals_its_rhs_residual(order, monkeypatch):
         assert level.tobytes() == before.tobytes()
 
 
+def extreme_residuals(rng, n, count):
+    """Packed (2, n, 3) residuals e: an all-zero level, then random ones with
+    magnitudes from 1e-300 to near overflow, +-0.0 entries, and +inf, -inf
+    and NaN entries in either field, alone or together."""
+    residuals = [np.where(rng.random((2, n, 3)) < 0.5, 0.0, -0.0)]
+    for _ in range(count):
+        e = rng.choice((-1.0, 1.0), (2, n, 3)) * 10.0 ** rng.uniform(-300.0, 308.25, (2, n, 3))
+        e[rng.random(e.shape) < 0.2] = 0.0
+        e[rng.random(e.shape) < 0.2] = -0.0
+        for value in (np.inf, -np.inf, np.nan):
+            if rng.random() < 0.4:
+                e[rng.integers(2), rng.integers(n), rng.integers(3)] = value
+        residuals.append(e)
+    return residuals
+
+
+def per_lambda_curvature(e, coeffs, two_dt):
+    """The chiral columns formed lambda by lambda in one buffer:
+    r = (a - b) e_u, r -= (a + b) e_v, |r|, its max, / (2 dt)."""
+    maxes = []
+    for a, b in coeffs:
+        r = (a - b) * e[0]
+        r -= (a + b) * e[1]
+        np.abs(r, out=r)
+        maxes.append(np.maximum.reduce(r, axis=None) / two_dt)
+    return np.array(maxes)
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 1.0, 2.0, -1.0), (1.0,), (-1.0,), (3.0, -2.0, 0.7),
+                                     (0.25, 4.0, 1.0)])
+def test_planned_chiral_columns_bitwise_equal_per_lambda_arithmetic(lambdas):
+    """The chiral kind's bind-time product plan, one (|a - b|, |a + b|) pair
+    per level for reciprocal lambdas and two field maxima for a zero
+    coefficient, keeps every bit of the per-lambda arithmetic, NaN's sign
+    bit included, on residuals that hold +-0.0, +-inf, NaN and magnitudes
+    near overflow."""
+    rng = np.random.default_rng(50)
+    n, dt = 8, 0.03
+    cfg = SimpleNamespace(dt=dt, cadence=1, params={})
+    kind = sim_harness._SPECS["chiral"].diagnostics["zero_curvature"]
+    _, evaluate = kind.bind(cfg, DerivativeStencil(2, TWO_PI / n), lambdas, np.zeros((2, n, 3)))
+    coeffs = _chiral_coefficients(lambdas)
+    seen = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in extreme_residuals(rng, n, 400):
+            got = np.array(evaluate(e))
+            want = per_lambda_curvature(e, coeffs, 2.0 * dt)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            seen.update(("nan" if math.isnan(x) else "inf" if math.isinf(x) else "finite")
+                        for x in want)
+    # lambda = -1 has a = b = 0, whose column reads 0 or NaN
+    assert seen == ({"finite", "nan"} if lambdas == (-1.0,) else {"finite", "inf", "nan"})
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_residual_buffers_bitwise_equal_list_comprehension(order):
     """The two reused buffers keep each element's (a - b) e_u - (a + b) e_v, so

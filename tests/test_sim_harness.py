@@ -29,6 +29,7 @@ from gstrand import (
     aniso_lax,
     build_J,
     chiral_lax,
+    chiral_rhs,
     convergence_study,
     embed_so4,
     integrability,
@@ -1793,16 +1794,34 @@ def test_memory_does_not_grow_with_run_length():
     assert long > 4 * short
 
 
-def test_chiral_run_peaks_below_six_and_a_half_packed_states():
+CHIRAL_STATE_BYTES = 2 * 1024 * 3 * 8  # one packed (2, N_s, 3) state at N_s = 1024
+
+
+def test_chiral_run_peaks_below_five_and_three_quarter_packed_states():
     """A chiral zero_curvature run at N_s = 1024 that keeps no snapshots
-    peaks inside one RHS evaluation: the state, k1, the stage input, the RHS
-    output with its ``_cross`` temporaries, and one diagnostic buffer, the
-    prediction formed from k1 (or, before it, the stored level before the
-    state).  6.16 packed states measured.  Holding two formed (u - v, u + v)
-    levels peaked at 7.31; one formed level and a step that held four
-    arrays peaked between RHS calls, at 6.31."""
-    state_bytes = 2 * 1024 * 3 * 8
-    assert chiral_memory_peak(40, keep_snapshots=False) < 6.5 * state_bytes
+    peaks inside one RHS evaluation.  Alive then are the state, the stage
+    input, the prediction formed from k1 (or, before it, the stored level
+    before the state), k1 or the update, the RHS output and the two
+    N_s-long temporaries of its in-place cross product.  5.52 packed states
+    measured; forming u x v in its own (N_s, 3) buffer peaked at 6.02, and
+    holding two formed (u - v, u + v) levels at 7.31."""
+    assert chiral_memory_peak(40, keep_snapshots=False) < 5.75 * CHIRAL_STATE_BYTES
+
+
+def test_chiral_rhs_call_peaks_below_one_and_a_half_packed_states():
+    """One chiral_rhs call at N_s = 1024 holds its output and two N_s-long
+    products at a time: 1.35 packed states measured, 1.86 with u x v
+    formed in its own (N_s, 3) buffer."""
+    y = np.random.default_rng(7).standard_normal((2, 1024, 3))
+    sten = DerivativeStencil(2, TWO_PI / 1024)
+    chiral_rhs(y, sten)
+    tracemalloc.start()
+    try:
+        chiral_rhs(y, sten)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * CHIRAL_STATE_BYTES
 
 
 CENTERED_RHS = {"chiral": "chiral_rhs", "spin_chain": "spin_chain_rhs",
@@ -1942,9 +1961,11 @@ CROSSES_PER_RHS = {"chiral": 1, "spin_chain": 3, "aniso_uv": 2}
 @pytest.mark.parametrize("model", sorted(CROSSES_PER_RHS))
 def test_centered_kinds_take_no_stencil_cross_or_lax_matrix_of_their_own(model, monkeypatch):
     """Every stencil call and cross product of a centered run is its RHS's,
-    and no Lax connection, curvature field or compatibility stack is built."""
+    and no Lax connection, curvature field or compatibility stack is built.
+    A cross product subtracted in place (``_subtract_cross``) counts as one."""
     counts = {"stencil": 0, "cross": 0}
     stencil, cross = DerivativeStencil.__call__, so3_dynamics._cross
+    subtract_cross = so3_dynamics._subtract_cross
 
     def counted(name, fn):
         def call(*args):
@@ -1957,6 +1978,7 @@ def test_centered_kinds_take_no_stencil_cross_or_lax_matrix_of_their_own(model, 
 
     monkeypatch.setattr(DerivativeStencil, "__call__", counted("stencil", stencil))
     monkeypatch.setattr(so3_dynamics, "_cross", counted("cross", cross))
+    monkeypatch.setattr(so3_dynamics, "_subtract_cross", counted("cross", subtract_cross))
     for owner, name in ((sim_harness, "chiral_lax"), (sim_harness, "aniso_lax"),
                         (sim_harness, "zero_curvature_residual"), (integrability, "hat")):
         monkeypatch.setattr(owner, name, forbidden)
